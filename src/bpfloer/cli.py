@@ -18,11 +18,14 @@ from .chains import HomologyData
 from .cs import cs_table, q_vertex
 from .donaldson import BAR, STD, Window, build_model, toi_multicomplex_matches
 from .equivariant import MINUS, PLUS, TATE, bar_oracle, functor_model
-from .errors import BPFloerError
+from .errors import BPFloerError, WrongFlavor
 from .fields import parse_field
 from .floer import (
     MinusPages,
     assemble,
+    closed_form_reports,
+    comparison_window,
+    direct_homology_window,
     duality_pairing_report,
     duality_transpose_check,
     norm_vanishing_and_splitting,
@@ -200,30 +203,36 @@ def cmd_floer(args, cfg):
     field = parse_field(_merged(args, cfg, "coeff", "q"))
     win = _window_from(args, cfg)
     model = build_model(g, orientation)
-    asm = assemble(model, flavor, field)
-    enc = encoded_module(g, orientation, _merged(args, cfg, "flavor", "-"))
+    enc = encoded_module(g, orientation, flavor)
     bar_pages = MinusPages(build_model(g, BAR), field)
-    margin = max(4, 4 * bar_pages.r_last + 4)
+    _, margin = comparison_window(bar_pages.r_last)
     if orientation == STD and flavor == PLUS:
         pages, degen = None, None  # assembled through duality, no page run
     else:
         pages, degen = run_to_einfty(model, flavor, field)
         if pages is None and flavor == MINUS and orientation == BAR:
             pages = bar_pages
-    rep = compare_windows(ModuleWindow(asm, win, field), ModuleWindow(enc, win, field),
-                          win, 4, margin, 6)
+    try:
+        shown, what, route = assemble(model, flavor, field), "assembled", "assembly"
+        side = ModuleWindow(shown, win, field)
+    except WrongFlavor:
+        # no page derivation: the chain-level route is the independent side
+        shown, what, route = enc, "closed-form", "chain-route"
+        side = direct_homology_window(g, orientation, flavor, win, field)
+    rep = compare_windows(side, ModuleWindow(enc, win, field), win, 4, margin, 6)
+    coverage = "%d safe degrees, %d U-rank comparisons made, %d skipped" % (
+        len(rep.checked_degrees), rep.urank_made, rep.urank_skipped)
     fmt = _merged(args, cfg, "format", "text")
     if fmt == "json":
-        print(serialize.presented_json(asm, "assembled %s %s %s" % (g, orientation, flavor)))
+        print(serialize.presented_json(shown, "%s %s %s %s" % (what, g, orientation, flavor)))
         print(serialize.report_json(
-            [("assembly-vs-closed-form", str(g), "PASS" if rep.ok else "FAIL",
-              "%d degrees" % len(rep.checked_degrees))],
+            [("%s-vs-closed-form" % route, str(g), "PASS" if rep.ok else "FAIL", coverage)],
             {"group": str(g), "orientation": orientation, "flavor": flavor,
              "coeff": field.name}, 0.0))
     else:
-        print("assembled module for %s (%s orientation, flavor %s over %s):"
-              % (g, orientation, flavor, field.name))
-        for f in asm.families:
+        print("%s module for %s (%s orientation, flavor %s over %s):"
+              % (what, g, orientation, flavor, field.name))
+        for f in shown.families:
             kind = "Laurent tower" if f.floor is None else (
                 "class" if f.top == 0 else "tower")
             print("  %-28s degree %3d  column %d  (%s, step %d)"
@@ -241,8 +250,10 @@ def cmd_floer(args, cfg):
             print("assembled through the duality with the other orientation")
         else:
             print("degeneration page: %d" % degen)
-        print("comparison with the closed form: %s (%d safe degrees)"
-              % ("PASS" if rep.ok else "FAIL", len(rep.checked_degrees)))
+        print("%s vs the closed form: %s (%s)"
+              % (route, "PASS" if rep.ok else "FAIL", coverage))
+        if not rep.checked_degrees:
+            print("  the safe interior is empty: widen --window and --degrees")
         for m in rep.mismatches[:10]:
             print("  mismatch:", m)
     return 0 if rep.ok else 1
@@ -370,20 +381,16 @@ def _verify_group(g: GroupId, field, quick):
     run("spectral-sequence-accounting", accounting)
 
     def assembly():
-        cmp_win = Window(-24, 24, -24, 24)
-        pages = MinusPages(build_model(g, BAR), field)
-        margin = max(4, 4 * pages.r_last + 4)
-        for orientation in (BAR, STD):
-            model = build_model(g, orientation)
-            for flavor_key in ("-", "+", "inf"):
-                asm = assemble(model, FLAVORS[flavor_key], field)
-                enc = encoded_module(g, orientation, flavor_key)
-                rep = compare_windows(
-                    ModuleWindow(asm, cmp_win, field),
-                    ModuleWindow(enc, cmp_win, field), cmp_win, 4, margin, 6)
-                if not rep.ok:
-                    raise BPFloerError("%s %s: %r" % (orientation, flavor_key, rep.mismatches[:3]))
-        return "all flavors, both orientations"
+        reports = closed_form_reports(g, field)
+        bad = [(route, o, f, rep.mismatches[:3] or "empty interior")
+               for route, o, f, rep in reports if not rep.ok]
+        if bad:
+            raise BPFloerError(repr(bad[:3]))
+        return ("6 pairs chain-level + bar/- page-assembled vs encoded; %d degrees; "
+                "U-ranks %d made, %d skipped" % (
+                    sum(len(rep.checked_degrees) for *_, rep in reports),
+                    sum(rep.urank_made for *_, rep in reports),
+                    sum(rep.urank_skipped for *_, rep in reports)))
     run("assembly-vs-closed-form", assembly)
 
     def triangle():

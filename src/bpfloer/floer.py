@@ -5,6 +5,11 @@ differentials go from the tower levels t = -4(r-1) into the t = 3 line; the
 page-r matrix is the weighted walk matrix (boundary composed with the
 (r-1)-st power of the degree -4 endomorphism) followed by the projection to
 the surviving quotient.  Degeneration is reached when both t = 3 lines die.
+
+The page engine derives the (bar, -) module; its dual is the (std, +)
+module.  The other four (orientation, flavor) pairs have no page derivation
+here: their closed forms live only in theorems.py, and every pair is checked
+against the chain-level route, direct_homology_window.
 """
 from __future__ import annotations
 
@@ -23,15 +28,15 @@ from .groups import FULLY_REDUCIBLE, IRREDUCIBLE, REDUCIBLE
 from .mckay import s_graph as s_graph_of
 from .presented import (
     OPLUS8,
-    PI8,
-    PIINF8,
     CompareReport,
     Family,
     HomologyWindow,
+    ModuleWindow,
     PresentedModule,
     compare_windows,
 )
 from .sparse import Echelon, TrackedEchelon
+from .theorems import encoded_module, negative_std_module, positive_bar_module
 
 
 def e1_entries(model: DonaldsonModel, flavor):
@@ -318,117 +323,33 @@ def assemble_minus_bar(model: DonaldsonModel, field=QQ) -> PresentedModule:
     return PresentedModule(OPLUS8, fams, shifts, {})
 
 
-def assemble_plus_bar(model: DonaldsonModel) -> PresentedModule:
-    """'+' flavor: degenerate page plus the degree -4 corrections on the
-    bottom tower generators coming from the walk endomorphism."""
-    sg = model.sgraph
-    fams, shifts, corr = [], {}, {}
-    for v in sg.vertices:
-        j = model.base_level(v.name)
-        if v.kind == FULLY_REDUCIBLE:
-            lab = "V_%s" % v.name
-            fams.append(Family(lab, j, 4, j))
-            shifts[lab] = -1
-        elif v.kind == REDUCIBLE:
-            lab = "W_%s" % v.name
-            fams.append(Family(lab, j, 2, j))
-            shifts[lab] = -2
-        else:
-            fams.append(Family("g_%s" % v.name, j, 0, j, 0, 0))
-    for v in sg.vertices:
-        images = []
-        for w in sg.neighbors(v.name):
-            if sg.vertex(w).kind != IRREDUCIBLE:
-                continue
-            n = sg.label(w, v.name)
-            if n:
-                images.append(("g_%s" % w, 0, n))
-        if v.kind == FULLY_REDUCIBLE:
-            corr[("V_%s" % v.name, 0)] = images
-        elif v.kind == REDUCIBLE:
-            corr[("W_%s" % v.name, 0)] = images
-            corr[("W_%s" % v.name, 1)] = []
-        else:
-            corr[("g_%s" % v.name, 0)] = images
-    return PresentedModule(PI8, fams, shifts, corr)
-
-
-def assemble_tate_bar(model: DonaldsonModel) -> PresentedModule:
-    sg = model.sgraph
-    fams, shifts = [], {}
-    for v in sg.vertices:
-        j = model.base_level(v.name)
-        if v.kind == FULLY_REDUCIBLE:
-            lab = "T_%s" % v.name
-            fams.append(Family(lab, j, -4, j, None))
-            shifts[lab] = 1
-        elif v.kind == REDUCIBLE:
-            lab = "S_%s" % v.name
-            fams.append(Family(lab, j, -2, j, None))
-            shifts[lab] = 2
-    return PresentedModule(PIINF8, fams, shifts, {})
-
-
-def assemble_minus_std(model: DonaldsonModel) -> PresentedModule:
-    """Standard orientation '-' flavor: degenerate page with corrections on
-    the point classes of the free orbits."""
-    if model.orientation != STD:
-        raise WrongFlavor("needs the standard-orientation model")
-    sg = model.sgraph
-    fams, shifts, corr = [], {}, {}
-    for v in sg.vertices:
-        i = v.i
-        # tower tops sit offset 0 / 2 / 3 above the level column
-        if v.kind == FULLY_REDUCIBLE:
-            lab = "U_%s" % v.name
-            fams.append(Family(lab, i, -4, i))
-            shifts[lab] = 1
-        elif v.kind == REDUCIBLE:
-            lab = "Z_%s" % v.name
-            fams.append(Family(lab, i + 2, -2, i))
-            shifts[lab] = 2
-        else:
-            fams.append(Family("h_%s" % v.name, i + 3, 0, i, 0, 0))
-    for v in sg.vertices:
-        if v.kind != IRREDUCIBLE:
-            continue
-        images = []
-        for w in sg.neighbors(v.name):
-            n = sg.label(v.name, w)
-            if not n:
-                continue
-            kind = sg.vertex(w).kind
-            if kind == IRREDUCIBLE:
-                images.append(("h_%s" % w, 0, n))
-            elif kind == REDUCIBLE:
-                images.append(("Z_%s" % w, 0, n))
-            else:
-                images.append(("U_%s" % w, 0, n))
-        corr[("h_%s" % v.name, 0)] = images
-    return PresentedModule(OPLUS8, fams, shifts, corr)
-
-
 def assemble(model: DonaldsonModel, flavor, field=QQ) -> PresentedModule:
-    if model.orientation == BAR:
-        if flavor == MINUS:
-            return assemble_minus_bar(model, field)
-        if flavor == PLUS:
-            return assemble_plus_bar(model)
-        if flavor == TATE:
-            return assemble_tate_bar(model)
-    else:
-        if flavor == MINUS:
-            return assemble_minus_std(model)
-        if flavor == PLUS:
-            # derived through duality with the reversed-orientation '-' module
-            return assemble_minus_bar(build_model(model.group, BAR), field).dual()
-        if flavor == TATE:
-            return assemble_tate_bar(build_model(model.group, BAR))
-    raise WrongFlavor("unsupported (orientation, flavor) pair")
+    """The module the page engine derives: the reversed-orientation '-' flavor,
+    and its dual, the standard-orientation '+' flavor."""
+    if flavor == MINUS and model.orientation == BAR:
+        return assemble_minus_bar(model, field)
+    if flavor == PLUS and model.orientation == STD:
+        return assemble_minus_bar(build_model(model.group, BAR), field).dual()
+    raise WrongFlavor(
+        "no page derivation for (%s, %s): theorems.encoded_module gives the closed "
+        "form and direct_homology_window the chain-level route"
+        % (model.orientation, flavor)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Comparison layer.
+
+
+def comparison_window(r_last):
+    """(window, level margin) for comparing against a closed form.
+
+    A page-r differential connects levels 4r apart, so the level margin is
+    4*r_last + 4; the half-width 12 + 4*r_last keeps the safe interior at
+    degrees -7..7 whatever the degeneration page.
+    """
+    h = 12 + 4 * r_last
+    return Window(-h, h, -h, h), 4 * r_last + 4
 
 
 def compare(window_side, predicted_side, win: Window, degree_margin=4, level_margin=4,
@@ -448,8 +369,6 @@ def duality_pairing_report(g, field=QQ):
     vertex the tower parameters and every correction coefficient must match
     under transposition.  Returns a list of discrepancies (empty = pass).
     """
-    from .theorems import negative_std_module, positive_bar_module
-
     sg = s_graph_of(g)
     plus = positive_bar_module(g)
     minus = negative_std_module(g)
@@ -539,12 +458,37 @@ def direct_homology_window(group, orientation, flavor, win: Window, field=QQ):
     return HomologyWindow(fm.homology(), fm.u)
 
 
+PAIRS = tuple((o, f) for o in (BAR, STD) for f in (MINUS, PLUS, TATE))
+
+
+def closed_form_reports(group, field=QQ):
+    """Every encoded closed form against the routes independent of it.
+
+    Returns [(route, orientation, flavor, CompareReport)]: "chain" is the
+    chain-level window homology, run for all six pairs; "pages" is the
+    page-assembled (bar, -) module.  All share one comparison_window.
+    """
+    bar = build_model(group, BAR)
+    win, margin = comparison_window(MinusPages(bar, field).r_last)
+
+    def against(side, orientation, flavor):
+        enc = ModuleWindow(encoded_module(group, orientation, flavor), win, field)
+        return compare_windows(side, enc, win, 4, margin)
+
+    asm = ModuleWindow(assemble(bar, MINUS, field), win, field)
+    out = [("pages", BAR, MINUS, against(asm, BAR, MINUS))]
+    for orientation, flavor in PAIRS:
+        hw = direct_homology_window(group, orientation, flavor, win, field)
+        out.append(("chain", orientation, flavor, against(hw, orientation, flavor)))
+    return out
+
+
 def norm_vanishing_and_splitting(group, win: Window = None, field=QQ):
     """Even-degree concentration of the closed-form answers plus the interior
     dimension accounting dim Hinf_n = dim Hminus_n + dim Hplus_{n-4}."""
     model = build_model(group, BAR)
-    for flavor in (PLUS, MINUS):
-        pm = assemble(model, flavor, field)
+    for flavor, pm in ((PLUS, encoded_module(group, BAR, PLUS)),
+                       (MINUS, assemble(model, MINUS, field))):
         if not pm.even_degrees_only():
             raise SplittingViolation("%s flavor %s has odd-degree classes" % (group, flavor))
     win = win or Window(-13, 11, -12, 12)

@@ -254,21 +254,25 @@ class CompareReport:
     ok: bool
     checked_degrees: list
     mismatches: list
+    urank_made: int = 0      # U^k rank pairs compared
+    urank_skipped: int = 0   # pairs dropped because a side had no rank (window edge)
 
     def __bool__(self):
         return self.ok
 
 
 def compare_windows(left, right, win: Window, degree_margin=4, level_margin=4, u_powers=6):
-    """PASS iff dims agree and rank U^k agree on the safe interior.
+    """PASS iff the safe interior is non-empty and dims and rank U^k agree on it.
 
     The safe interior keeps degrees at distance > degree_margin from the
-    degree cutoffs and > level_margin from the filtration cutoffs.
+    degree cutoffs and > level_margin from the filtration cutoffs.  A U^k
+    pair where either side returns no rank is counted as skipped.
     """
     lo = max(win.n_lo + degree_margin, win.q + level_margin) + 1
     hi = min(win.n_hi - degree_margin, win.p - level_margin) - 1
     degrees = list(range(lo, hi + 1))
     mismatches = []
+    made = skipped = 0
     for n in degrees:
         a, b = left.dim(n), right.dim(n)
         if a != b:
@@ -279,7 +283,9 @@ def compare_windows(left, right, win: Window, degree_margin=4, level_margin=4, u
                 continue
             ra, rb = left.u_power_rank(k, n), right.u_power_rank(k, n)
             if ra is None or rb is None:
+                skipped += 1
                 continue
+            made += 1
             if ra != rb:
                 mismatches.append(("rankU^%d" % k, n, ra, rb))
-    return CompareReport(not mismatches, degrees, mismatches)
+    return CompareReport(bool(degrees) and not mismatches, degrees, mismatches, made, skipped)

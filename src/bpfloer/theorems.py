@@ -1,9 +1,12 @@
 """Encoded closed-form answers for the three flavors and both orientations.
 
 These tables are entered directly from the published statements, family by
-family, and serve as the golden side of the assembled-module comparisons.
-All modules are mod-8 periodic; a generator is recorded with the degree and
-filtration column of its shift-0 copy.
+family, and are the only implementation of each closed form.  They serve as
+the golden side of two comparisons: against the page-assembled (bar, -)
+module and its (std, +) dual (floer.assemble), and, for all six
+(orientation, flavor) pairs, against the chain-level window homology
+(floer.direct_homology_window).  All modules are mod-8 periodic; a generator
+is recorded with the degree and filtration column of its shift-0 copy.
 """
 from __future__ import annotations
 

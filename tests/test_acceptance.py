@@ -1,9 +1,9 @@
 """Acceptance suite: one check per criterion, exact tolerances, timed.
 
 Each test prints a single PASS line with its wall time; the stated runtime
-budgets are asserted.  Windows follow the documented defaults: filtration
-width 48 and degree span 48 for the module comparisons, width 24 for the
-bar-construction oracle.
+budgets are asserted.  Windows follow the documented defaults: the module
+comparisons use floer.comparison_window (half-width 12 + 4*r_last in levels
+and degrees, safe interior -7..7), the bar-construction oracle width 24.
 """
 import random
 import time
@@ -25,8 +25,7 @@ from bpfloer.equivariant import (
 from bpfloer.fields import PrimeField, QQ
 from bpfloer.floer import (
     MinusPages,
-    assemble,
-    direct_homology_window,
+    closed_form_reports,
     duality_pairing_report,
     duality_transpose_check,
     norm_vanishing_and_splitting,
@@ -44,7 +43,7 @@ from bpfloer.groups import (
     quaternionic_reps,
 )
 from bpfloer.mckay import s_graph_matches_expected
-from bpfloer.presented import HomologyWindow, ModuleWindow, compare_windows
+from bpfloer.presented import HomologyWindow, ModuleWindow
 from bpfloer.sparse import Echelon
 from bpfloer.theorems import encoded_module
 
@@ -204,31 +203,19 @@ def test_criterion_5_spectral_sequences():
 
 def test_criterion_6_assembled_answers():
     t0 = time.time()
-    win = Window(-24, 24, -24, 24)  # width 48
     fields = (QQ, PrimeField(3), PrimeField(5))
     for field in fields:
         for g in ACCEPT_GROUPS:
-            bar = build_model(g, BAR)
-            std = build_model(g, STD)
-            pages = MinusPages(bar, field)
-            margin = max(4, 4 * pages.r_last + 4)
-            for orientation, flavor_key, flavor in (
-                (BAR, "-", MINUS), (BAR, "+", PLUS), (BAR, "inf", TATE),
-                (STD, "-", MINUS), (STD, "+", PLUS),
-            ):
-                model = bar if orientation == BAR else std
-                asm = assemble(model, flavor, field)
-                enc = encoded_module(g, orientation, flavor_key)
-                rep = compare_windows(
-                    ModuleWindow(asm, win, field), ModuleWindow(enc, win, field),
-                    win, 4, margin, 6)
-                assert rep.ok, (str(g), field.name, orientation, flavor_key,
-                                rep.mismatches[:4])
+            # all six pairs by the chain-level route, and (bar, -) assembled
+            # from the pages, each on a safe interior of degrees -7..7
+            for route, orientation, flavor, rep in closed_form_reports(g, field):
+                assert rep.ok and len(rep.checked_degrees) == 15, (
+                    str(g), field.name, route, orientation, flavor, rep.mismatches[:4])
     # the duality theorem, checked structurally for every group
     for g in ACCEPT_GROUPS:
         assert duality_pairing_report(g) == [], str(g)
         assert duality_transpose_check(g, Window(-13, 11, -12, 12)) == [], str(g)
-    _report(6, "assembled vs closed forms, 3 fields", t0, 180)
+    _report(6, "chain route and pages vs closed forms, 3 fields", t0, 180)
 
 
 def test_criterion_7_convergence_accounting():

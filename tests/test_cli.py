@@ -61,7 +61,15 @@ def test_floer_command(capsys):
     assert code == 0
     assert "degeneration page: 5" in out and "PASS" in out
     code, out = run_cli(capsys, "floer", "T*", "--flavor", "+", "--coeff", "fp:5")
-    assert code == 0 and "PASS" in out
+    assert code == 0 and "chain-route vs the closed form: PASS" in out
+    code, out = run_cli(capsys, "floer", "T*", "--orientation", "std", "--flavor", "inf",
+                        "--format", "json")
+    doc = json.loads(out[out.index("}\n{") + 2:])
+    assert code == 0 and doc["checks"][0]["check"] == "chain-route-vs-closed-form"
+    assert "U-rank comparisons made" in doc["checks"][0]["detail"]
+    # a window too narrow for the level margin leaves nothing to compare
+    code, out = run_cli(capsys, "floer", "D*_12", "--window=-16:16", "--degrees=-16:16")
+    assert code == 1 and "FAIL (0 safe degrees" in out
 
 
 def test_floer_raw(capsys):

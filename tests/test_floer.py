@@ -9,10 +9,15 @@ from bpfloer.donaldson import BAR, STD, Window, build_model
 from bpfloer.equivariant import MINUS, PLUS, TATE, functor_model
 from bpfloer.errors import FreenessFailure, WrongFlavor
 from bpfloer.fields import PrimeField, QQ
+import bpfloer.floer as floer
+import bpfloer.mckay as mk
 from bpfloer.floer import (
+    PAIRS,
     MinusPages,
     assemble,
+    closed_form_reports,
     compare,
+    comparison_window,
     direct_homology_window,
     duality_pairing_report,
     e1_entries,
@@ -21,8 +26,8 @@ from bpfloer.floer import (
     ss_accounting,
 )
 from bpfloer.groups import I_STAR, O_STAR, T_STAR, binary_dihedral, cyclic, parse_group
-from bpfloer.presented import ModuleWindow, compare_windows
-from bpfloer.theorems import encoded_module, negative_bar_module
+from bpfloer.presented import ModuleWindow, PresentedModule
+from bpfloer.theorems import encoded_module
 
 
 def kernel_spans_equal(pages, col, r, expected_vectors):
@@ -148,7 +153,7 @@ def test_assembled_generators_match_tables():
 
 
 def test_octahedral_plus_u_rule():
-    pm = assemble(build_model(O_STAR, BAR), PLUS)
+    pm = encoded_module(O_STAR, BAR, "+")
     assert pm.u_image("g_alpha", 0) == [("g_beta", 0, 3)]
     assert pm.u_image("V_theta", 0) == [("g_alpha", 0, 1)]
     assert pm.u_image("V_theta", 2) == [("V_theta", 1, 1)]
@@ -162,74 +167,76 @@ ALL_GROUPS = (
 )
 
 
+def assert_closed_forms_hold(g, field):
+    reports = closed_form_reports(g, field)
+    assert [(o, f) for route, o, f, _ in reports if route == "chain"] == list(PAIRS)
+    assert [(o, f) for route, o, f, _ in reports if route == "pages"] == [(BAR, MINUS)]
+    for route, orientation, flavor, rep in reports:
+        # ok also requires a non-empty interior; the window keeps it at -7..7
+        assert rep.ok and len(rep.checked_degrees) == 15, (
+            str(g), field.name, route, orientation, flavor, rep.mismatches[:4])
+
+
 @pytest.mark.parametrize("g", ALL_GROUPS, ids=str)
 def test_assembled_vs_encoded_rationals(g):
-    win = Window(-24, 24, -24, 24)
-    pages = MinusPages(build_model(g, BAR))
-    margin = max(4, 4 * pages.r_last + 4)
-    for orientation in (BAR, STD):
-        model = build_model(g, orientation)
-        for flavor_key, flavor in (("-", MINUS), ("+", PLUS), ("inf", TATE)):
-            asm = assemble(model, flavor)
-            enc = encoded_module(g, orientation, flavor_key)
-            rep = compare_windows(ModuleWindow(asm, win), ModuleWindow(enc, win),
-                                  win, 4, margin, 6)
-            assert rep.ok, (str(g), orientation, flavor_key, rep.mismatches[:4])
+    assert_closed_forms_hold(g, QQ)
 
 
 @pytest.mark.parametrize("g", [T_STAR, I_STAR, binary_dihedral(6), binary_dihedral(7), cyclic(5)], ids=str)
 def test_assembled_vs_encoded_prime_fields(g):
-    win = Window(-24, 24, -24, 24)
     for p in (3, 5):
-        field = PrimeField(p)
-        pages = MinusPages(build_model(g, BAR), field)
-        margin = max(4, 4 * pages.r_last + 4)
-        for orientation in (BAR, STD):
-            model = build_model(g, orientation)
-            for flavor_key, flavor in (("-", MINUS), ("+", PLUS), ("inf", TATE)):
-                asm = assemble(model, flavor, field)
-                enc = encoded_module(g, orientation, flavor_key)
-                rep = compare_windows(ModuleWindow(asm, win, field),
-                                      ModuleWindow(enc, win, field), win, 4, margin, 6)
-                assert rep.ok, (str(g), p, orientation, flavor_key, rep.mismatches[:4])
+        assert_closed_forms_hold(g, PrimeField(p))
 
 
 @pytest.mark.parametrize("g", [T_STAR, O_STAR, I_STAR, cyclic(4), binary_dihedral(5)], ids=str)
 def test_direct_homology_vs_encoded(g):
-    win = Window(-16, 16, -16, 16)
-    pages = MinusPages(build_model(g, BAR))
-    margin = max(4, 4 * pages.r_last + 4)
-    for orientation, flavor_key in ((BAR, "-"), (BAR, "+"), (BAR, "inf"), (STD, "-"), (STD, "+")):
-        hw = direct_homology_window(g, orientation, {"-": MINUS, "+": PLUS, "inf": TATE}[flavor_key], win)
-        enc = encoded_module(g, orientation, flavor_key)
-        rep = compare_windows(hw, ModuleWindow(enc, win), win, 4, margin, 3)
-        assert rep.ok, (str(g), orientation, flavor_key, rep.mismatches[:4])
+    # the chain-level route on its own, outside closed_form_reports
+    win, margin = comparison_window(MinusPages(build_model(g, BAR)).r_last)
+    for orientation, flavor in PAIRS:
+        hw = direct_homology_window(g, orientation, flavor, win)
+        enc = ModuleWindow(encoded_module(g, orientation, flavor), win)
+        rep = compare(hw, enc, win, 4, margin, 3)
+        assert rep.ok and rep.checked_degrees, (str(g), orientation, flavor, rep.mismatches[:4])
 
 
-def test_compare_self_and_mutation():
+def test_compare_self_and_mutation(monkeypatch):
     g = I_STAR
-    win = Window(-16, 16, -16, 16)
-    enc = encoded_module(g, BAR, "-")
-    rep = compare(ModuleWindow(enc, win), ModuleWindow(enc, win), win)
-    assert rep.ok
+    win, margin = comparison_window(MinusPages(build_model(g, BAR)).r_last)
+    tiny = Window(-4, 4, -4, 4)
+    enc = ModuleWindow(encoded_module(g, BAR, MINUS), tiny)
+    assert not compare(enc, enc, tiny)  # an empty safe interior never passes
     # zeroing the label feeding the second-page differential changes the
     # answer and must produce a located mismatch against the direct window
     # homology (a unit rescaling like 4 -> 5 is invisible to dims/ranks,
     # which is exactly the sign-independence the labels are defined up to)
-    import bpfloer.mckay as mk
-    from bpfloer.presented import HomologyWindow
-
     sg = mk.s_graph(g)
-    broken = mk.SGraph(g, sg.vertices, sg.edges,
-                       {**sg.labels, ("beta", "alpha"): 0})
-    model = build_model(g, BAR)
-    model.sgraph = broken
-    src = Window(win.q, win.p, win.q + 1, win.p + 3)
-    fm = functor_model(model.window(src), MINUS, win.n_lo, win.n_hi)
-    hw = HomologyWindow(fm.homology(), fm.u)
-    rep = compare(hw, ModuleWindow(enc, win), win, 4, 12, 2)
-    assert not rep.ok and rep.mismatches
-    assert any(kind == "dim" for kind, *_ in rep.mismatches)
+    broken = mk.SGraph(g, sg.vertices, sg.edges, {**sg.labels, ("beta", "alpha"): 0})
+
+    def broken_model(group, orientation):
+        model = build_model(group, orientation)
+        model.sgraph = broken
+        return model
+
+    for orientation, flavor in PAIRS:
+        pm = encoded_module(g, orientation, flavor)
+        enc = ModuleWindow(pm, win)
+        assert compare(enc, enc, win, 4, margin, 6), (orientation, flavor)
+        if flavor == TATE:
+            # Tate towers sit only on the non-free orbits, so no edge label
+            # reaches them: drop one family from the table instead
+            short = PresentedModule(pm.flavor_tag, pm.families[1:], pm.shifts, {})
+            hw = direct_homology_window(g, orientation, flavor, win)
+            rep = compare(hw, ModuleWindow(short, win), win, 4, margin, 6)
+        else:
+            with monkeypatch.context() as m:
+                m.setattr(floer, "build_model", broken_model)
+                hw = direct_homology_window(g, orientation, flavor, win)
+            rep = compare(hw, enc, win, 4, margin, 6)
+        # in (bar, +) and (std, -) the zeroed label keeps every dim and
+        # shows only in the U-action
+        want = "rankU^1" if (orientation, flavor) in ((BAR, PLUS), (STD, MINUS)) else "dim"
+        assert not rep.ok and any(m[0] == want for m in rep.mismatches), (
+            orientation, flavor, rep.mismatches[:4])
 
 
 def test_page_periodicity_truncated():
@@ -275,6 +282,10 @@ def test_wrong_flavor_guard():
     model = build_model(T_STAR, STD)
     with pytest.raises(WrongFlavor):
         MinusPages(model)
+    # only (bar, -) and its dual (std, +) have a page derivation
+    for orientation, flavor in set(PAIRS) - {(BAR, MINUS), (STD, PLUS)}:
+        with pytest.raises(WrongFlavor, match="encoded_module.*direct_homology_window"):
+            assemble(build_model(T_STAR, orientation), flavor)
 
 
 def test_run_to_einfty_flavors():
