@@ -125,28 +125,6 @@ class ChainMap:
         return True
 
 
-def _kernel_of_columns(columns, ncols, field):
-    """Kernel basis of the map sending basis vector j to columns[j]."""
-    f = field
-    ech = TrackedEchelon(f)
-    kernel = []
-    for j in range(ncols):
-        residue, coeffs = ech.reduce(dict(columns[j]))
-        if residue:
-            c = min(residue)
-            inv = f.inv(residue[c])
-            row = {cc: f.mul(x, inv) for cc, x in residue.items()}
-            rc = {t: f.mul(f.neg(x), inv) for t, x in coeffs.items()}
-            rc[j] = inv
-            ech.rows[c] = (row, rc)
-        else:
-            vec = {j: f.one}
-            for t, x in coeffs.items():
-                vec[t] = f.neg(x)
-            kernel.append(vec)
-    return kernel, ech.rank
-
-
 class HomologyData:
     """Homology of a FiniteComplex: dims, representatives and coordinates."""
 
@@ -158,9 +136,9 @@ class HomologyData:
         degrees = complex_.degrees()
         for n in degrees:
             cols = complex_.boundary_columns(n)
-            kernel, rank = _kernel_of_columns(cols, complex_.dim(n), f)
+            kernel, pivots = TrackedEchelon(f).kernel_of_columns(cols)
             self.cycle_basis[n] = kernel
-            self.rank_boundary[n] = rank  # rank of d_n : C_n -> C_{n-1}
+            self.rank_boundary[n] = len(pivots)  # rank of d_n : C_n -> C_{n-1}
         self.reps = {}
         self._coord = {}
         for n in degrees:
@@ -254,7 +232,7 @@ class FilteredPages:
         for i in idxs:
             col = cx.boundary_columns(n)[i]
             cols.append({row: v for row, v in col.items() if lev_lower[row] > s - r})
-        kernel, _ = _kernel_of_columns(cols, len(idxs), f)
+        kernel, _ = TrackedEchelon(f).kernel_of_columns(cols)
         out = []
         for vec in kernel:
             out.append({idxs[i]: v for i, v in vec.items()})

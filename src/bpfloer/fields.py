@@ -1,8 +1,11 @@
 """Exact coefficient fields: the rationals and prime fields of odd characteristic.
 
-Field elements are plain Python values (Fraction for Q, int in [0, p) for F_p);
-the field object supplies the arithmetic.  Characteristic 2 is rejected, since
-every construction downstream assumes 2 is invertible.
+Field elements are plain Python values: over Q an int when the value is
+integral and a Fraction otherwise, over F_p an int in [0, p).  The field
+object supplies the arithmetic.  Keeping integral rationals as ints keeps
+exact elimination on integer edge labels off Fraction normalization; values
+that are not integers stay Fractions, so nothing is rounded.  Characteristic
+2 is rejected, since every construction downstream assumes 2 is invertible.
 """
 from __future__ import annotations
 
@@ -11,39 +14,48 @@ from fractions import Fraction
 from .errors import BPFloerError
 
 
+def _q(x):
+    """An int when the rational x is integral, else x itself."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
 class Rationals:
     char = 0
     name = "Q"
+    zero = 0
+    one = 1
 
     def of(self, x):
-        """Coerce an int or Fraction into the field."""
-        return Fraction(x)
+        """Coerce an int or Fraction into the field (int when integral)."""
+        if type(x) is int:
+            return x
+        return _q(Fraction(x))
 
+    # add, sub and mul inline _q: they run millions of times per elimination
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / Fraction(a)
+        if a == 1 or a == -1:
+            return int(a)
+        return _q(1 / Fraction(a))
 
     def is_zero(self, a):
         return a == 0
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def __repr__(self):
         return "Q"

@@ -166,25 +166,9 @@ class MinusPages:
                     val = self.d_value(r, col, gen)
                     residue, _ = self.b_echelon[col_tgt].reduce(val)
                     cols.append(residue)
-                # kernel of the projected matrix
-                ech = TrackedEchelon(f)
-                ker = []
-                for j, cvec in enumerate(cols):
-                    residue, coeffs = ech.reduce(dict(cvec))
-                    if residue:
-                        fired = True
-                        c = min(residue)
-                        inv = f.inv(residue[c])
-                        row = {cc: f.mul(x, inv) for cc, x in residue.items()}
-                        rc = {t: f.mul(f.neg(x), inv) for t, x in coeffs.items()}
-                        rc[j] = inv
-                        ech.rows[c] = (row, rc)
-                        new_images[col_tgt].append(cvec)
-                    else:
-                        vec = {j: f.one}
-                        for t, x in coeffs.items():
-                            vec[t] = f.neg(x)
-                        ker.append(vec)
+                ker, pivots = TrackedEchelon(f).kernel_of_columns(cols)
+                fired = fired or bool(pivots)
+                new_images[col_tgt].extend(cols[j] for j in pivots)
                 kernels[col] = ker
                 self.d_ledger.append((r, col, cols))
             for col in (0, 4):

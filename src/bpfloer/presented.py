@@ -6,6 +6,12 @@ base + step*k, sitting at a fixed filtration column; the U-action either
 shifts the tower index or is overridden per index by explicit corrections
 into other families.  Window realizations enumerate the finitely many
 elements with level in (q, p] and degree in [n_lo, n_hi].
+
+Both window views (ModuleWindow for a presentation, HomologyWindow for a
+computed window homology) answer dims and u_power_ranks(n, kmax), the ranks
+of U^1..U^kmax out of degree n from a single walk down from n; the walk keeps
+only a basis of the current image, since rank U^{k+1} = rank of U on
+im U^k.  compare_windows asks each side once per degree.
 """
 from __future__ import annotations
 
@@ -51,12 +57,18 @@ class PresentedModule:
     # corrections[(label, k)] = [(label2, k2, coeff), ...] overriding the shift.
     shifts: dict = field(default_factory=dict)
     corrections: dict = field(default_factory=dict)
+    _by_label: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._by_label = {}
+        for f in self.families:
+            self._by_label.setdefault(f.label, f)
 
     def family(self, label):
-        for f in self.families:
-            if f.label == label:
-                return f
-        raise BPFloerError("no family %r" % label)
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise BPFloerError("no family %r" % label) from None
 
     def u_image(self, label, k):
         """U . x^k as [(label, index, integer coeff)]; degree drops by 4."""
@@ -120,6 +132,7 @@ class ModuleWindow:
         self.by_degree = {}
         for b in self.basis:
             self.by_degree.setdefault(self._deg(b), []).append(b)
+        self._u_cols = {}
 
     def _indices(self, f: Family, shift):
         lo, hi = self.win.n_lo, self.win.n_hi
@@ -154,6 +167,12 @@ class ModuleWindow:
 
     def u_matrix(self, n):
         """Columns of U restricted to degree n, into degree n-4 (index dicts)."""
+        cols = self._u_cols.get(n)
+        if cols is None:
+            cols = self._u_cols[n] = self._build_u_matrix(n)
+        return cols
+
+    def _build_u_matrix(self, n):
         f = self.field
         cols = []
         for label, k, s in self.by_degree.get(n, []):
@@ -172,35 +191,49 @@ class ModuleWindow:
             cols.append({p: v for p, v in col.items() if not f.is_zero(v)})
         return cols
 
-    def u_power_rank(self, k, n):
-        """rank of U^k from the degree-n slice to degree n-4k."""
+    def u_power_ranks(self, n, kmax):
+        """[rank U^k from degree n to n-4k for k = 1..kmax], one walk down."""
         f = self.field
         vectors = [{self.index[b]: f.one} for b in self.by_degree.get(n, [])]
-        deg = n
-        for _ in range(k):
-            cols = self.u_matrix(deg)
-            rows = {self.index[b]: i for i, b in enumerate(self.by_degree.get(deg, []))}
-            new_vectors = []
-            for vec in vectors:
-                acc = {}
-                for pos, x in vec.items():
-                    col = cols[rows[pos]]
-                    for tgt, v in col.items():
-                        acc[tgt] = f.add(acc.get(tgt, f.zero), f.mul(v, x))
-                new_vectors.append({t: v for t, v in acc.items() if not f.is_zero(v)})
-            vectors = new_vectors
-            deg -= 4
-        ech = Echelon(f)
-        for vec in vectors:
-            ech.insert(vec)
-        return ech.rank
+        ranks = []
+        for deg in range(n, n - 4 * kmax, -4):
+            positions = [self.index[b] for b in self.by_degree.get(deg, [])]
+            cols = dict(zip(positions, self.u_matrix(deg)))
+            vectors = _independent(f, _apply_columns(f, cols, vectors))
+            ranks.append(len(vectors))
+        return ranks
+
+    def u_power_rank(self, k, n):
+        """rank of U^k from the degree-n slice to degree n-4k."""
+        return self.u_power_ranks(n, k)[-1]
+
+
+def _apply_columns(f, cols, vectors):
+    """Each vector (dict position -> value) pushed through cols[position];
+    zero images are dropped."""
+    out = []
+    for vec in vectors:
+        acc = {}
+        for pos, x in vec.items():
+            for tgt, v in cols[pos].items():
+                acc[tgt] = f.add(acc.get(tgt, f.zero), f.mul(v, x))
+        acc = {t: v for t, v in acc.items() if not f.is_zero(v)}
+        if acc:
+            out.append(acc)
+    return out
+
+
+def _independent(f, vectors):
+    """The vectors independent of the ones before them; they span the same space."""
+    ech = Echelon(f)
+    return [v for v in vectors if ech.insert(v) is not None]
 
 
 class HomologyWindow:
     """dims / U^k-rank view of a computed window homology."""
 
     def __init__(self, homology, u_chain_map):
-        from .chains import HomologyData, induced_map_between
+        from .chains import induced_map_between
 
         self.h = homology
         self.field = homology.complex.field
@@ -217,27 +250,26 @@ class HomologyWindow:
     def dims(self):
         return self.h.dims()
 
+    def u_power_ranks(self, n, kmax):
+        """[rank U^k out of degree n for k = 1..kmax], one walk down.
+
+        Once the image is zero (for instance when H_n = 0) the remaining
+        ranks are 0; a power whose walk has to leave the window through a
+        nonzero class has no rank (None), nor has any higher power.
+        """
+        vectors = [{i: self.field.one} for i in range(self.h.dim(n))]
+        ranks = []
+        for k in range(kmax):
+            if vectors:
+                cols = self._u.get(n - 4 * k)
+                if cols is None:
+                    return ranks + [None] * (kmax - k)
+                vectors = _independent(self.field, _apply_columns(self.field, cols, vectors))
+            ranks.append(len(vectors))
+        return ranks
+
     def u_power_rank(self, k, n):
-        f = self.field
-        vectors = [{i: f.one} for i in range(self.h.dim(n))]
-        deg = n
-        for _ in range(k):
-            cols = self._u.get(deg)
-            if cols is None:
-                return None
-            new_vectors = []
-            for vec in vectors:
-                acc = {}
-                for pos, x in vec.items():
-                    for tgt, v in cols[pos].items():
-                        acc[tgt] = f.add(acc.get(tgt, f.zero), f.mul(v, x))
-                new_vectors.append(acc)
-            vectors = new_vectors
-            deg -= 4
-        ech = Echelon(f)
-        for vec in vectors:
-            ech.insert(vec)
-        return ech.rank
+        return self.u_power_ranks(n, k)[-1]
 
 
 def reflected_window(win: Window) -> Window:
@@ -265,27 +297,29 @@ def compare_windows(left, right, win: Window, degree_margin=4, level_margin=4, u
     """PASS iff the safe interior is non-empty and dims and rank U^k agree on it.
 
     The safe interior keeps degrees at distance > degree_margin from the
-    degree cutoffs and > level_margin from the filtration cutoffs.  A U^k
-    pair where either side returns no rank is counted as skipped.
+    degree cutoffs and > level_margin from the filtration cutoffs.  Each
+    side walks each degree once for all its U powers; a U^k pair where
+    either side has no rank is counted as skipped.  Rank mismatches are
+    listed after the dim mismatches, by (k, n).
     """
     lo = max(win.n_lo + degree_margin, win.q + level_margin) + 1
     hi = min(win.n_hi - degree_margin, win.p - level_margin) - 1
     degrees = list(range(lo, hi + 1))
     mismatches = []
+    ranked = []
     made = skipped = 0
     for n in degrees:
         a, b = left.dim(n), right.dim(n)
         if a != b:
             mismatches.append(("dim", n, a, b))
-    for k in range(1, u_powers + 1):
-        for n in degrees:
-            if not (lo <= n - 4 * k <= hi):
-                continue
-            ra, rb = left.u_power_rank(k, n), right.u_power_rank(k, n)
+        kmax = min(u_powers, (n - lo) // 4)
+        ras, rbs = left.u_power_ranks(n, kmax), right.u_power_ranks(n, kmax)
+        for k, ra, rb in zip(range(1, kmax + 1), ras, rbs):
             if ra is None or rb is None:
                 skipped += 1
                 continue
             made += 1
             if ra != rb:
-                mismatches.append(("rankU^%d" % k, n, ra, rb))
+                ranked.append((k, n, ra, rb))
+    mismatches += [("rankU^%d" % k, n, ra, rb) for k, n, ra, rb in sorted(ranked)]
     return CompareReport(bool(degrees) and not mismatches, degrees, mismatches, made, skipped)

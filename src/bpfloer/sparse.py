@@ -259,18 +259,27 @@ class TrackedEchelon:
                     coeffs[tag] = nv
         return v, coeffs
 
+    def _store(self, residue, coeffs, tag):
+        """Store a nonzero residue as the row of its smallest column."""
+        f = self.field
+        c = min(residue)
+        inv = f.inv(residue[c])
+        row = {cc: f.mul(x, inv) for cc, x in residue.items()}
+        rc = {t: f.mul(f.neg(x), inv) for t, x in coeffs.items()}
+        if tag is not None:
+            rc[tag] = inv
+        self.rows[c] = (row, rc)
+        return c, row, rc
+
     def insert(self, vec, tag=None):
         f = self.field
         v, coeffs = self.reduce(vec)
         if not v:
             return None
-        c = min(v)
-        inv = f.inv(v[c])
-        row = {cc: f.mul(x, inv) for cc, x in v.items()}
-        rc = {t: f.mul(f.neg(x), inv) for t, x in coeffs.items()}
-        if tag is not None:
-            rc[tag] = inv
+        c, row, rc = self._store(v, coeffs, tag)
         for pc, (orow, orc) in self.rows.items():
+            if pc == c:
+                continue
             coef = orow.get(c)
             if coef is None or f.is_zero(coef):
                 continue
@@ -286,5 +295,28 @@ class TrackedEchelon:
                     orc.pop(t, None)
                 else:
                     orc[t] = nv
-        self.rows[c] = (row, rc)
         return c
+
+    def kernel_of_columns(self, columns):
+        """Kernel of the map sending basis vector j to columns[j].
+
+        Inserts the columns in order, tagged by position, and returns
+        (kernel, pivots): one kernel vector e_j - (combination of earlier
+        columns) per dependent column j, and the positions j whose column was
+        independent.  Rows are stored without clearing their column from the
+        earlier rows; reduce() does not need that, and the residues, kernels
+        and pivots are the same either way.
+        """
+        f = self.field
+        kernel, pivots = [], []
+        for j, col in enumerate(columns):
+            residue, coeffs = self.reduce(col)
+            if residue:
+                self._store(residue, coeffs, j)
+                pivots.append(j)
+            else:
+                vec = {j: f.one}
+                for t, x in coeffs.items():
+                    vec[t] = f.neg(x)
+                kernel.append(vec)
+        return kernel, pivots

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from bpfloer.chains import FiniteComplex, HomologyData
 from bpfloer.cyclo import Cyclo, cyclo_inner
+from bpfloer.donaldson import BAR, Window, build_model
+from bpfloer.equivariant import MINUS, PLUS, functor_model
 from bpfloer.errors import BPFloerError, NonRationalResult
 from bpfloer.fields import QQ, PrimeField, parse_field
+from bpfloer.groups import I_STAR
 from bpfloer.sparse import Echelon, SparseMat, dense_rank, rank_kernel_image
 
 
@@ -18,6 +22,20 @@ def test_field_axioms_rational():
         assert QQ.sub(QQ.add(a, b), b) == a
         if b:
             assert QQ.mul(QQ.mul(a, b), QQ.inv(b)) == a
+
+
+def test_rationals_keep_integers_as_int():
+    assert type(QQ.of(3)) is int
+    assert type(QQ.of(Fraction(6, 2))) is int
+    assert type(QQ.mul(Fraction(3, 2), 2)) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+    assert type(QQ.sub(Fraction(5, 3), Fraction(2, 3))) is int
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    # values that are not integers stay exact Fractions
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert QQ.mul(Fraction(3, 2), 3) == Fraction(9, 2)
+    assert QQ.of(Fraction(-4, 6)) == Fraction(-2, 3)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -130,6 +148,64 @@ def test_rank_agrees_with_dense_oracle():
         m = SparseMat.from_rows(rows)
         rank, _, _ = rank_kernel_image(m)
         assert rank == dense_rank(rows)
+
+
+def test_rank_kernel_and_homology_over_q_with_non_unit_pivots():
+    # entries in -4..4, so pivots 2, 3, 4 occur and rows pick up fractions
+    rng = random.Random(11)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        want = dense_rank(rows)
+        m = SparseMat.from_rows(rows)
+        rank, kernel, image = rank_kernel_image(m)
+        assert rank == want and len(kernel) == ncols - want and len(image) == want
+        # the same matrix as the boundary C_1 -> C_0 of a two-term complex
+        cx = FiniteComplex(QQ)
+        for i in range(nrows):
+            cx.add_generator(0, i)
+        for j in range(ncols):
+            cx.add_generator(1, j)
+            cx.set_boundary(1, j, {i: rows[i][j] for i in range(nrows)})
+        h = HomologyData(cx)
+        assert h.rank_boundary[1] == want
+        assert h.dim(1) == ncols - want and h.dim(0) == nrows - want
+        for v in kernel + h.cycle_basis[1]:
+            assert v and m.apply(v) == {}
+            assert all(sum(rows[i][j] * x for j, x in v.items()) == 0 for i in range(nrows))
+
+
+def _rebuilt(cx, coerce, store_raw=False):
+    """A copy of cx whose boundary values are coerce(v); with store_raw the
+    values bypass the field's coercion and are stored as given."""
+    out = FiniteComplex(QQ)
+    for n in cx.degrees():
+        for label in cx.basis[n]:
+            out.add_generator(n, label)
+    for n in cx.degrees():
+        lower = cx.basis.get(n - 1, [])
+        for pos, col in enumerate(cx.boundary_columns(n)):
+            if store_raw:
+                out.boundary[n][pos] = {r: coerce(v) for r, v in col.items()}
+            else:
+                out.set_boundary(n, cx.basis[n][pos], {lower[r]: coerce(v) for r, v in col.items()})
+    return out
+
+
+def test_fraction_and_int_inputs_give_the_same_homology():
+    # I* boundaries carry the labels 3 and 4, so elimination divides
+    w = build_model(I_STAR, BAR).window(Window(-13, 11, -12, 14))
+    for flavor in (MINUS, PLUS):
+        cx = functor_model(w, flavor, -12, 14).complex
+        assert {3, 4} <= {v for cols in cx.boundary.values() for col in cols for v in col.values()}
+        h_int = HomologyData(_rebuilt(cx, int))
+        assert any(h_int.dims().values())
+        for other in (_rebuilt(cx, Fraction), _rebuilt(cx, Fraction, store_raw=True)):
+            h = HomologyData(other)
+            assert h.dims() == h_int.dims()
+            assert h.reps == h_int.reps
+            assert h.rank_boundary == h_int.rank_boundary
 
 
 def test_rank_transpose_invariance():

@@ -199,6 +199,30 @@ def test_direct_homology_vs_encoded(g):
         assert rep.ok and rep.checked_degrees, (str(g), orientation, flavor, rep.mismatches[:4])
 
 
+@pytest.mark.parametrize("g", [T_STAR, O_STAR, I_STAR, binary_dihedral(12)], ids=str)
+def test_closed_form_reports_make_every_u_rank(g):
+    # a U-power whose image is zero (for instance out of a degree with
+    # H_n = 0) has rank 0 on both sides, so it is compared, not skipped:
+    # all 21 U^k pairs (k <= 3) of the -7..7 interior are made
+    for field in (QQ, PrimeField(3)):
+        for route, orientation, flavor, rep in closed_form_reports(g, field):
+            assert rep.ok and (rep.urank_made, rep.urank_skipped) == (21, 0), (
+                str(g), field.name, route, orientation, flavor)
+
+
+def zeroed_label_model(g, edge):
+    """build_model, except that the s-graph of g has the label of edge zeroed."""
+    sg = mk.s_graph(g)
+    broken = mk.SGraph(g, sg.vertices, sg.edges, {**sg.labels, edge: 0})
+
+    def broken_model(group, orientation):
+        model = build_model(group, orientation)
+        model.sgraph = broken
+        return model
+
+    return broken_model
+
+
 def test_compare_self_and_mutation(monkeypatch):
     g = I_STAR
     win, margin = comparison_window(MinusPages(build_model(g, BAR)).r_last)
@@ -209,13 +233,7 @@ def test_compare_self_and_mutation(monkeypatch):
     # answer and must produce a located mismatch against the direct window
     # homology (a unit rescaling like 4 -> 5 is invisible to dims/ranks,
     # which is exactly the sign-independence the labels are defined up to)
-    sg = mk.s_graph(g)
-    broken = mk.SGraph(g, sg.vertices, sg.edges, {**sg.labels, ("beta", "alpha"): 0})
-
-    def broken_model(group, orientation):
-        model = build_model(group, orientation)
-        model.sgraph = broken
-        return model
+    broken_model = zeroed_label_model(g, ("beta", "alpha"))
 
     for orientation, flavor in PAIRS:
         pm = encoded_module(g, orientation, flavor)
@@ -237,6 +255,24 @@ def test_compare_self_and_mutation(monkeypatch):
         want = "rankU^1" if (orientation, flavor) in ((BAR, PLUS), (STD, MINUS)) else "dim"
         assert not rep.ok and any(m[0] == want for m in rep.mismatches), (
             orientation, flavor, rep.mismatches[:4])
+
+
+def test_compare_lists_rank_mismatches_by_power_then_degree(monkeypatch):
+    # compare_windows walks each degree once for all U powers; the report
+    # still lists rank mismatches by (k, n).  I* with (beta, alpha) zeroed
+    # on a width-48 window gives rank-U^k mismatches for (bar, +) at several
+    # k, with degrees that do not increase along the list
+    g = I_STAR
+    _, margin = comparison_window(MinusPages(build_model(g, BAR)).r_last)
+    win = Window(-24, 24, -24, 24)
+    monkeypatch.setattr(floer, "build_model", zeroed_label_model(g, ("beta", "alpha")))
+    hw = direct_homology_window(g, BAR, PLUS, win)
+    rep = compare(hw, ModuleWindow(encoded_module(g, BAR, PLUS), win), win, 4, margin, 6)
+    assert rep.mismatches == [
+        ("rankU^1", -4, 2, 3), ("rankU^1", 4, 3, 4), ("rankU^2", 0, 2, 3),
+        ("rankU^2", 8, 3, 4), ("rankU^3", 4, 2, 3), ("rankU^4", 8, 2, 3),
+    ]
+    assert (rep.urank_made, rep.urank_skipped) == (55, 0)
 
 
 def test_page_periodicity_truncated():
