@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import BPFloerError
 from .fields import QQ
-from .sparse import Echelon, TrackedEchelon
+from .sparse import TrackedEchelon, _apply_columns
 
 
 class FiniteComplex:
@@ -60,11 +60,7 @@ class FiniteComplex:
         for n in self.degrees():
             lower = self.boundary.get(n - 1, [])
             for col in self.boundary_columns(n):
-                acc = {}
-                for row, v in col.items():
-                    for row2, w in lower[row].items():
-                        acc[row2] = f.add(acc.get(row2, f.zero), f.mul(v, w))
-                if any(not f.is_zero(v) for v in acc.values()):
+                if _apply_columns(f, lower, col):
                     raise BPFloerError("dd != 0 in degree %d" % n)
         return True
 
@@ -98,12 +94,10 @@ class ChainMap:
 
     def apply(self, degree, vec):
         """Apply to a sparse vector in source degree; result in degree+self.degree."""
-        f = self.source.field
-        out = {}
-        for pos, x in vec.items():
-            for row, v in self.column(degree, pos).items():
-                out[row] = f.add(out.get(row, f.zero), f.mul(v, x))
-        return {k: v for k, v in out.items() if not f.is_zero(v)}
+        cols = self.columns.get(degree)
+        if cols is None:
+            return {}
+        return _apply_columns(self.source.field, cols, vec)
 
     def is_chain_map(self, sign=1):
         """Check f d = sign * d f degreewise (sign -1 for odd-degree maps)."""
@@ -113,12 +107,7 @@ class ChainMap:
             for pos in range(self.source.dim(n)):
                 left = self.apply(n - 1, self.source.boundary_columns(n)[pos])
                 fx = self.apply(n, {pos: f.one})
-                tn = n + self.degree
-                right = {}
-                tcols = self.target.boundary_columns(tn)
-                for row, v in fx.items():
-                    for row2, w in tcols[row].items():
-                        right[row2] = f.add(right.get(row2, f.zero), f.mul(v, w))
+                right = _apply_columns(f, self.target.boundary_columns(n + self.degree), fx)
                 for k in set(left) | set(right):
                     if not f.is_zero(f.sub(left.get(k, f.zero), f.mul(s, right.get(k, f.zero)))):
                         return False
@@ -191,10 +180,7 @@ def induced_map_between(h_source: HomologyData, h_target: HomologyData, cmap: Ch
 
 
 def matrix_rank(cols, field):
-    ech = Echelon(field)
-    for col in cols:
-        ech.insert(dict(col))
-    return ech.rank
+    return len(TrackedEchelon(field).kernel_of_columns(cols)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +232,15 @@ class FilteredPages:
         z = self._z_basis(s, n, r)
         if not z:
             return 0
-        ech = Echelon(f)
+        ech = TrackedEchelon(f)
         for vec in self._z_basis(s - 1, n, r - 1):
-            ech.insert(dict(vec))
-        cx = self.complex
+            ech.insert(vec)
+        bcols = self.complex.boundary_columns(n + 1)
         for vec in self._z_basis(s + r - 1, n + 1, r - 1):
-            img = {}
-            for pos, x in vec.items():
-                for row, v in cx.boundary_columns(n + 1)[pos].items():
-                    img[row] = f.add(img.get(row, f.zero), f.mul(v, x))
-            ech.insert(img)
+            ech.insert(_apply_columns(f, bcols, vec))
         dim_bottom = ech.rank
         for vec in z:
-            ech.insert(dict(vec))
+            ech.insert(vec)
         return ech.rank - dim_bottom
 
     def stable_r(self):

@@ -210,8 +210,6 @@ def cmd_floer(args, cfg):
         pages, degen = None, None  # assembled through duality, no page run
     else:
         pages, degen = run_to_einfty(model, flavor, field)
-        if pages is None and flavor == MINUS and orientation == BAR:
-            pages = bar_pages
     try:
         shown, what, route = assemble(model, flavor, field), "assembled", "assembly"
         side = ModuleWindow(shown, win, field)
@@ -338,7 +336,7 @@ def _verify_group(g: GroupId, field, quick):
             extra = fn()
             checks.append((tag, name, "PASS", extra if isinstance(extra, str) else detail))
         except Exception as e:  # noqa: BLE001 - report, do not crash the pipeline
-            checks.append((tag, name, "FAIL", "%s" % e))
+            checks.append((tag, name, "FAIL", "%s: %s" % (type(e).__name__, e)))
 
     run("character-table-orthogonality", lambda: (verify_orthogonality(g), "")[1])
 

@@ -17,6 +17,7 @@ from .donaldson import WindowedComplex
 from .errors import BPFloerError, OracleMismatch, TriangleViolation
 from .groups import FULLY_REDUCIBLE, REDUCIBLE
 from .presented import FINITE, PI8, PIINF8, Family, PresentedModule
+from .sparse import _apply_columns
 
 PLUS = "+"
 MINUS = "-"
@@ -127,9 +128,6 @@ class FunctorModel:
         if self._homology is None:
             self._homology = HomologyData(self.complex)
         return self._homology
-
-    def interior_degrees(self, margin=4):
-        return range(self.deg_lo + margin + 1, self.deg_hi - margin)
 
 
 def functor_model(window: WindowedComplex, flavor, deg_lo=None, deg_hi=None) -> FunctorModel:
@@ -274,19 +272,13 @@ def bar_oracle(window: WindowedComplex, flavor, deg_lo=None, deg_hi=None):
     f = model.complex.field
     for n in model.complex.degrees():
         for pos, cg in enumerate(model.complex.basis[n]):
-            lhs = {}
-            for row, v in iso.column(n, pos).items():
-                for row2, w in bar.complex.boundary_columns(n)[row].items():
-                    lhs[row2] = f.add(lhs.get(row2, f.zero), f.mul(v, w))
+            lhs = _apply_columns(f, bar.complex.boundary_columns(n), iso.column(n, pos))
             rhs = iso.apply(n - 1, model.complex.boundary_columns(n)[pos])
             if any(not f.is_zero(f.sub(lhs.get(k, f.zero), rhs.get(k, f.zero)))
                    for k in set(lhs) | set(rhs)):
                 raise OracleMismatch("differential square fails at %r in degree %d" % (cg, n))
             if n - 4 >= bar.deg_lo:
-                lhs = {}
-                for row, v in iso.column(n, pos).items():
-                    for row2, w in bar.u.column(n, row).items():
-                        lhs[row2] = f.add(lhs.get(row2, f.zero), f.mul(v, w))
+                lhs = bar.u.apply(n, iso.column(n, pos))
                 rhs = iso.apply(n - 4, model.u.column(n, pos))
                 if any(not f.is_zero(f.sub(lhs.get(k, f.zero), rhs.get(k, f.zero)))
                        for k in set(lhs) | set(rhs)):
@@ -343,10 +335,8 @@ class NormData:
                 a = self.nu.apply(n - 4, self.plus.u.apply(n, start))   # nu U
                 b = self.minus.u.apply(n + 3, self.nu.apply(n, start))  # U nu
                 lhs = {k: f.sub(a.get(k, f.zero), b.get(k, f.zero)) for k in set(a) | set(b)}
-                c = {}
-                for row, v in self.psi_s.apply(n, start).items():
-                    for row2, w in self.minus.complex.boundary_columns(n)[row].items():
-                        c[row2] = f.add(c.get(row2, f.zero), f.mul(v, w))
+                c = _apply_columns(f, self.minus.complex.boundary_columns(n),
+                                   self.psi_s.apply(n, start))
                 d = self.psi_s.apply(n - 1, self.plus.complex.boundary_columns(n)[pos])
                 rhs = {k: f.sub(c.get(k, f.zero), d.get(k, f.zero)) for k in set(c) | set(d)}
                 for k in set(lhs) | set(rhs):

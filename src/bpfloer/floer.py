@@ -35,7 +35,7 @@ from .presented import (
     PresentedModule,
     compare_windows,
 )
-from .sparse import Echelon, TrackedEchelon
+from .sparse import TrackedEchelon
 from .theorems import encoded_module, negative_std_module, positive_bar_module
 
 
@@ -282,21 +282,21 @@ def assemble_minus_bar(model: DonaldsonModel, field=QQ) -> PresentedModule:
         nlev = len(pages.kernels[col])
         for r in range(1, nlev + 1):
             cur = pages.kernel_space(col, r)
-            ech = Echelon(f)
+            ech = TrackedEchelon(f)
             if prev is not None:
                 for vec in prev:
-                    ech.insert(dict(vec))  # U acts by the identity on coordinates
+                    ech.insert(vec)  # U acts by the identity on coordinates
                     # membership check: the image must stay in the kernel
-                cur_ech = Echelon(f)
+                cur_ech = TrackedEchelon(f)
                 for vec in cur:
-                    cur_ech.insert(dict(vec))
+                    cur_ech.insert(vec)
                 for vec in prev:
-                    if cur_ech.reduce(dict(vec)):
+                    if cur_ech.reduce(vec)[0]:
                         raise FreenessFailure(
                             "degree -4 image leaves the next kernel (column %d)" % col
                         )
             for vec in cur:
-                if ech.insert(dict(vec)) is not None:
+                if ech.insert(vec) is not None:
                     label = pages.gen_label(col, r, vec)
                     if label in used:
                         label = label + "'"

@@ -158,12 +158,6 @@ class QuatRep:
     kind: str                      # FULLY_REDUCIBLE / REDUCIBLE / IRREDUCIBLE
     components: tuple              # ((irr index, multiplicity), ...)
 
-    def char_vector(self, table: CharTable):
-        vec = [0] * len(table.irreps)
-        for i, m in self.components:
-            vec[i] += m
-        return tuple(vec)
-
 
 def _cyclic_table(l: int) -> CharTable:
     N = 2 * l

@@ -60,9 +60,6 @@ class VirtualRep:
     def __sub__(self, other):
         return VirtualRep(self.group, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def scale(self, k):
-        return VirtualRep(self.group, [k * a for a in self.coeffs])
-
     def epsilon(self):
         """Augmentation: total complex dimension."""
         dims = [ir.dim for ir in character_table(self.group).irreps]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .donaldson import Window
 from .errors import BPFloerError
 from .fields import QQ
-from .sparse import Echelon
+from .sparse import TrackedEchelon, _apply_columns
 
 PI8 = "pi8"
 OPLUS8 = "oplus8"
@@ -199,7 +199,7 @@ class ModuleWindow:
         for deg in range(n, n - 4 * kmax, -4):
             positions = [self.index[b] for b in self.by_degree.get(deg, [])]
             cols = dict(zip(positions, self.u_matrix(deg)))
-            vectors = _independent(f, _apply_columns(f, cols, vectors))
+            vectors = _independent(f, [_apply_columns(f, cols, v) for v in vectors])
             ranks.append(len(vectors))
         return ranks
 
@@ -208,25 +208,10 @@ class ModuleWindow:
         return self.u_power_ranks(n, k)[-1]
 
 
-def _apply_columns(f, cols, vectors):
-    """Each vector (dict position -> value) pushed through cols[position];
-    zero images are dropped."""
-    out = []
-    for vec in vectors:
-        acc = {}
-        for pos, x in vec.items():
-            for tgt, v in cols[pos].items():
-                acc[tgt] = f.add(acc.get(tgt, f.zero), f.mul(v, x))
-        acc = {t: v for t, v in acc.items() if not f.is_zero(v)}
-        if acc:
-            out.append(acc)
-    return out
-
-
 def _independent(f, vectors):
     """The vectors independent of the ones before them; they span the same space."""
-    ech = Echelon(f)
-    return [v for v in vectors if ech.insert(v) is not None]
+    _, pivots = TrackedEchelon(f).kernel_of_columns(vectors)
+    return [vectors[j] for j in pivots]
 
 
 class HomologyWindow:
@@ -257,28 +242,20 @@ class HomologyWindow:
         ranks are 0; a power whose walk has to leave the window through a
         nonzero class has no rank (None), nor has any higher power.
         """
-        vectors = [{i: self.field.one} for i in range(self.h.dim(n))]
+        f = self.field
+        vectors = [{i: f.one} for i in range(self.h.dim(n))]
         ranks = []
         for k in range(kmax):
             if vectors:
                 cols = self._u.get(n - 4 * k)
                 if cols is None:
                     return ranks + [None] * (kmax - k)
-                vectors = _independent(self.field, _apply_columns(self.field, cols, vectors))
+                vectors = _independent(f, [_apply_columns(f, cols, v) for v in vectors])
             ranks.append(len(vectors))
         return ranks
 
     def u_power_rank(self, k, n):
         return self.u_power_ranks(n, k)[-1]
-
-
-def reflected_window(win: Window) -> Window:
-    """The window pairing with win under degree negation.
-
-    Levels l in (q, p] pair with -l in [-p, -q) = (-p-1, -q-1]; degrees
-    [n_lo, n_hi] pair with [-n_hi, -n_lo].
-    """
-    return Window(-win.p - 1, -win.q - 1, -win.n_hi, -win.n_lo)
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Sparse exact linear algebra over a coefficient field.
 
-The pivot rule is fixed (smallest column index, then smallest row index) so
-that every elimination is deterministic; golden tests rely on this.
+TrackedEchelon is the one elimination kernel.  Its pivot rule is fixed:
+vectors are taken in insertion order, and each stored row pivots at its
+smallest column.  Every elimination is therefore deterministic; golden tests
+rely on this.  dense_rank is an independent dense oracle for the tests.
 """
 from __future__ import annotations
 
@@ -41,25 +43,12 @@ class SparseMat:
             cols[j][i] = v
         return cols
 
-    def rows(self):
-        rows = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.data.items():
-            rows[i][j] = v
-        return rows
-
     def apply(self, vec):
         """Matrix times a sparse vector (dict col -> value)."""
-        f = self.field
         cols = getattr(self, "_cols", None)
         if cols is None:
             cols = self._cols = self.columns()
-        out = {}
-        for j, x in vec.items():
-            if f.is_zero(x):
-                continue
-            for i, v in cols[j].items():
-                out[i] = f.add(out.get(i, f.zero), f.mul(v, x))
-        return {i: v for i, v in out.items() if not f.is_zero(v)}
+        return _apply_columns(self.field, cols, vec)
 
     def transpose(self):
         return SparseMat(
@@ -70,64 +59,28 @@ class SparseMat:
         return "SparseMat(%dx%d, %d nonzero)" % (self.nrows, self.ncols, len(self.data))
 
 
-def _eliminate(rows, ncols, field):
-    """Row reduce a list of sparse rows in place; returns [(row, pivot col)]."""
-    f = field
-    pivots = []
-    used = set()
-    for j in range(ncols):
-        pr = None
-        for r in range(len(rows)):
-            if r not in used and not f.is_zero(rows[r].get(j, f.zero)):
-                pr = r
-                break
-        if pr is None:
-            continue
-        inv = f.inv(rows[pr][j])
-        rows[pr] = {c: f.mul(v, inv) for c, v in rows[pr].items() if not f.is_zero(v)}
-        prow = rows[pr]
-        for r in range(len(rows)):
-            if r == pr:
-                continue
-            coef = rows[r].get(j)
-            if coef is None or f.is_zero(coef):
-                continue
-            row = rows[r]
-            for c, v in prow.items():
-                nv = f.sub(row.get(c, f.zero), f.mul(coef, v))
-                if f.is_zero(nv):
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
-        used.add(pr)
-        pivots.append((pr, j))
-    return pivots
+def _apply_columns(f, cols, vec):
+    """sum of vec[j] * cols[j] over the sparse vector vec; zeros are dropped.
+
+    cols maps a position to its column (dict row -> value)."""
+    out = {}
+    for j, x in vec.items():
+        for i, v in cols[j].items():
+            out[i] = f.add(out.get(i, f.zero), f.mul(v, x))
+    return {i: v for i, v in out.items() if not f.is_zero(v)}
 
 
 def rank_kernel_image(m: SparseMat):
     """Exact (rank, kernel basis, image basis) of a sparse matrix.
 
-    Kernel vectors are dicts col -> value with M.v = 0 exactly; the image
-    basis is the original pivot columns (dicts row -> value).
+    Kernel vectors are dicts col -> value with M.v = 0 exactly: for each
+    dependent column j, in ascending j, the one with value 1 at j supported on
+    j and the earlier pivot columns.  The image basis is the pivot columns
+    (dicts row -> value) in ascending order.
     """
-    f = m.field
-    rows = m.rows()
-    pivots = _eliminate(rows, m.ncols, f)
-    pivot_cols = [j for (_, j) in pivots]
-    pivot_set = set(pivot_cols)
-    kernel = []
-    for free in range(m.ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: f.one}
-        for r, j in pivots:
-            coef = rows[r].get(free)
-            if coef is not None and not f.is_zero(coef):
-                vec[j] = f.neg(coef)
-        kernel.append(vec)
     cols = m.columns()
-    image = [cols[j] for j in sorted(pivot_cols)]
-    return len(pivots), kernel, image
+    kernel, pivots = TrackedEchelon(m.field).kernel_of_columns(cols)
+    return len(pivots), kernel, [cols[j] for j in pivots]
 
 
 def dense_rank(matrix_rows, field=QQ):
@@ -159,71 +112,13 @@ def dense_rank(matrix_rows, field=QQ):
     return rank
 
 
-class Echelon:
-    """A growing row space kept in reduced echelon form.
-
-    Every stored row is zero at the pivot columns of all other rows, so a
-    single pass over the pivot columns of a vector reduces it completely.
-    """
-
-    def __init__(self, field=QQ):
-        self.field = field
-        self.rows = {}  # pivot col -> row dict
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def reduce(self, vec):
-        """Return vec reduced against the stored rows (sparse dict).
-
-        Stored rows have support starting at their pivot, so eliminating the
-        smallest pivot column present only introduces larger columns.
-        """
-        f = self.field
-        v = {c: x for c, x in vec.items() if not f.is_zero(x)}
-        while True:
-            hits = set(v) & set(self.rows)
-            if not hits:
-                return v
-            c = min(hits)
-            coef = v[c]
-            for cc, rv in self.rows[c].items():
-                nv = f.sub(v.get(cc, f.zero), f.mul(coef, rv))
-                if f.is_zero(nv):
-                    v.pop(cc, None)
-                else:
-                    v[cc] = nv
-        return v
-
-    def insert(self, vec):
-        """Reduce and store vec; returns the pivot col or None if dependent."""
-        f = self.field
-        v = self.reduce(vec)
-        if not v:
-            return None
-        c = min(v)
-        inv = f.inv(v[c])
-        new_row = {cc: f.mul(x, inv) for cc, x in v.items()}
-        for pc, row in self.rows.items():
-            coef = row.get(c)
-            if coef is None or f.is_zero(coef):
-                continue
-            for cc, rv in new_row.items():
-                nv = f.sub(row.get(cc, f.zero), f.mul(coef, rv))
-                if f.is_zero(nv):
-                    row.pop(cc, None)
-                else:
-                    row[cc] = nv
-        self.rows[c] = new_row
-        return c
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-
 class TrackedEchelon:
-    """Reduced echelon that remembers how each row combines the inserted tags."""
+    """A growing row space in echelon form (reduced when built by insert)
+    that remembers how each row combines the inserted tags.
+
+    Stored rows have support starting at their pivot, so reducing a vector
+    at the smallest pivot column present only introduces larger columns.
+    """
 
     def __init__(self, field=QQ):
         self.field = field
@@ -272,6 +167,11 @@ class TrackedEchelon:
         return c, row, rc
 
     def insert(self, vec, tag=None):
+        """Reduce and store vec; returns its pivot col, or None if dependent.
+
+        The new row is cleared from the stored rows, so every stored row is
+        zero at the pivot columns of all the others.
+        """
         f = self.field
         v, coeffs = self.reduce(vec)
         if not v:

@@ -44,7 +44,7 @@ from bpfloer.groups import (
 )
 from bpfloer.mckay import s_graph_matches_expected
 from bpfloer.presented import HomologyWindow, ModuleWindow
-from bpfloer.sparse import Echelon
+from bpfloer.sparse import TrackedEchelon
 from bpfloer.theorems import encoded_module
 
 ACCEPT_GROUPS = (
@@ -133,19 +133,19 @@ def test_criterion_5_spectral_sequences():
     iz = pages.tower_gens[0].index(("Z", "lambda"))
     ker = pages.kernel_space(0, 1)
     assert len(ker) == 1
-    e = Echelon(QQ)
+    e = TrackedEchelon(QQ)
     e.insert(dict(ker[0]))
-    assert not e.reduce({iu: Fraction(3), iz: Fraction(-1)})
+    assert not e.reduce({iu: Fraction(3), iz: Fraction(-1)})[0]
     # binary dihedral ladders 2^{r-1} and the complete stated stable-page
     # kernels, for every parameter up to 12
     def span_equals(pages, col, r, expected):
         got = pages.kernel_space(col, r)
-        e1, e2 = Echelon(QQ), Echelon(QQ)
+        e1, e2 = TrackedEchelon(QQ), TrackedEchelon(QQ)
         for v in got:
             e1.insert(dict(v))
         for v in expected:
             e2.insert(dict(v))
-        return e1.rank == e2.rank and all(not e1.reduce(dict(v)) for v in expected)
+        return e1.rank == e2.rank and all(not e1.reduce(dict(v))[0] for v in expected)
 
     for m in range(2, 13):
         g = binary_dihedral(m)

@@ -4,7 +4,9 @@ import os
 
 import pytest
 
-from bpfloer.cli import main
+from bpfloer.cli import _verify_group, main
+from bpfloer.fields import QQ
+from bpfloer.groups import T_STAR
 
 
 def run_cli(capsys, *argv):
@@ -166,3 +168,18 @@ def test_report_carries_tool_version(capsys):
     doc = json.loads(out)
     assert doc["tool_version"]
     assert "wall_time_s" in doc and doc["config"]["groups"] == "C_3"
+
+
+def test_verify_fail_names_the_exception_class(monkeypatch):
+    def broken(g):
+        raise ZeroDivisionError("inverse of zero")
+
+    monkeypatch.setattr("bpfloer.cli.verify_orthogonality", broken)
+    checks = _verify_group(T_STAR, QQ, True)
+    rows = [c for c in checks if c[0] == "character-table-orthogonality"]
+    assert len(rows) == 1
+    _, _, status, detail = rows[0]
+    assert status == "FAIL"
+    assert detail.startswith("ZeroDivisionError")
+    # the other checks still run and pass
+    assert all(c[2] == "PASS" for c in checks if c is not rows[0])

@@ -11,7 +11,7 @@ from bpfloer.equivariant import MINUS, PLUS, functor_model
 from bpfloer.errors import BPFloerError, NonRationalResult
 from bpfloer.fields import QQ, PrimeField, parse_field
 from bpfloer.groups import I_STAR
-from bpfloer.sparse import Echelon, SparseMat, dense_rank, rank_kernel_image
+from bpfloer.sparse import SparseMat, TrackedEchelon, dense_rank, rank_kernel_image
 
 
 def test_field_axioms_rational():
@@ -142,12 +142,37 @@ def test_rank_nullity_and_kernel_exactness():
 
 
 def test_rank_agrees_with_dense_oracle():
-    rng = random.Random(4)
-    for _ in range(15):
-        rows = [[Fraction(rng.randint(-5, 5)) for _ in range(8)] for _ in range(8)]
-        m = SparseMat.from_rows(rows)
-        rank, _, _ = rank_kernel_image(m)
-        assert rank == dense_rank(rows)
+    for f in (QQ, PrimeField(3), PrimeField(5)):
+        rng = random.Random(4)
+        for _ in range(15):
+            rows = [[Fraction(rng.randint(-5, 5)) for _ in range(8)] for _ in range(8)]
+            m = SparseMat.from_rows(rows, f)
+            rank, _, _ = rank_kernel_image(m)
+            assert rank == dense_rank(rows, f), f
+
+
+def test_kernel_basis_normal_form():
+    # the basis HomologyData.reps and the MinusPages goldens rely on: pivot
+    # columns are those raising the dense rank of the leading columns, and
+    # each dependent column j gives the kernel vector e_j - (earlier pivots)
+    for f in (QQ, PrimeField(5)):
+        rng = random.Random(12)
+        for _ in range(30):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+            rows = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                    for _ in range(nrows)]
+            prefix = [dense_rank([r[:j] for r in rows], f) for j in range(ncols + 1)]
+            pivots = [j for j in range(ncols) if prefix[j + 1] > prefix[j]]
+            free = [j for j in range(ncols) if j not in pivots]
+            m = SparseMat.from_rows(rows, f)
+            rank, kernel, image = rank_kernel_image(m)
+            assert rank == len(pivots)
+            assert image == [m.columns()[j] for j in pivots]
+            assert len(kernel) == len(free)
+            for j, v in zip(free, kernel):
+                assert v[j] == f.one
+                assert set(v) <= {j} | {p for p in pivots if p < j}
+                assert m.apply(v) == {}
 
 
 def test_rank_kernel_and_homology_over_q_with_non_unit_pivots():
@@ -230,16 +255,16 @@ def test_rank_determinism():
 def test_echelon_reduce_handles_gaps():
     # regression: a vector whose smallest index is pivotless must still be
     # reduced at its larger pivot columns
-    e = Echelon(QQ)
+    e = TrackedEchelon(QQ)
     e.insert({0: Fraction(1)})
     e.insert({2: Fraction(1)})
-    residue = e.reduce({1: Fraction(4), 2: Fraction(4)})
+    residue = e.reduce({1: Fraction(4), 2: Fraction(4)})[0]
     assert residue == {1: Fraction(4)}
 
 
 def test_echelon_rank_over_prime_field():
     f = PrimeField(3)
-    e = Echelon(f)
+    e = TrackedEchelon(f)
     e.insert({0: 1, 1: 2})
     e.insert({0: 2, 1: 1})  # = 2 * first over F3
     assert e.rank == 1

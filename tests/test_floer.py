@@ -32,18 +32,18 @@ from bpfloer.theorems import encoded_module
 
 def kernel_spans_equal(pages, col, r, expected_vectors):
     """Compare the computed kernel space with an expected span (over Q)."""
-    from bpfloer.sparse import Echelon
+    from bpfloer.sparse import TrackedEchelon
 
     got = pages.kernel_space(col, r)
-    e1 = Echelon(QQ)
+    e1 = TrackedEchelon(QQ)
     for v in got:
         e1.insert(dict(v))
-    e2 = Echelon(QQ)
+    e2 = TrackedEchelon(QQ)
     for v in expected_vectors:
         e2.insert(dict(v))
     if e1.rank != e2.rank:
         return False
-    return all(not e1.reduce(dict(v)) for v in expected_vectors)
+    return all(not e1.reduce(dict(v))[0] for v in expected_vectors)
 
 
 def gen_index(pages, col, kind, name):
