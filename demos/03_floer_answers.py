@@ -10,7 +10,8 @@ from bpfloer import (
     Window,
     assemble,
     build_model,
-    compare,
+    compare_windows,
+    comparison_window,
     direct_homology_window,
     encoded_module,
 )
@@ -43,12 +44,16 @@ print("  (b) the module assembled from the page engine,")
 print("  (c) direct homology of the truncated chain model.")
 print("=" * 72)
 g = parse_group("D*_6")
-win = Window(-16, 16, -16, 16)
+# the window and level margin are sized from the last page that fires;
+# the safe interior is degrees -7..7 for every group
+win, margin = comparison_window(g)
+print("  comparison window %r, level margin %d, safe interior %r"
+      % (win, margin, win.interior(4, margin)))
 enc = encoded_module(g, BAR, "-")
 asm = assemble(build_model(g, BAR), MINUS)
 hw = direct_homology_window(g, BAR, MINUS, win)
-rep_ab = compare(ModuleWindow(asm, win), ModuleWindow(enc, win), win, 4, 12, 6)
-rep_cb = compare(hw, ModuleWindow(enc, win), win, 4, 12, 3)
+rep_ab = compare_windows(ModuleWindow(asm, win), ModuleWindow(enc, win), win, 4, margin, 6)
+rep_cb = compare_windows(hw, ModuleWindow(enc, win), win, 4, margin, 3)
 print("  assembled vs encoded:", "PASS" if rep_ab.ok else rep_ab.mismatches[:3])
 print("  direct    vs encoded:", "PASS" if rep_cb.ok else rep_cb.mismatches[:3])
 

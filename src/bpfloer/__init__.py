@@ -11,7 +11,7 @@ theorems, presented), Chern-Simons invariants (cs), and the CLI (cli).
 """
 
 from .cs import CohClass, CsValue, c2_class, chern_simons, group_cohomology
-from .donaldson import BAR, STD, Window, build_model, materialize_window
+from .donaldson import BAR, STD, Window, build_model
 from .equivariant import (
     MINUS,
     PLUS,
@@ -25,7 +25,7 @@ from .fields import QQ, PrimeField, parse_field
 from .floer import (
     MinusPages,
     assemble,
-    compare,
+    comparison_window,
     direct_homology_window,
     norm_vanishing_and_splitting,
     run_to_einfty,

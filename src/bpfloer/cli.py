@@ -21,7 +21,6 @@ from .equivariant import MINUS, PLUS, TATE, bar_oracle, functor_model
 from .errors import BPFloerError, WrongFlavor
 from .fields import parse_field
 from .floer import (
-    MinusPages,
     assemble,
     closed_form_reports,
     comparison_window,
@@ -43,7 +42,7 @@ from .groups import (
     verify_orthogonality,
 )
 from .mckay import s_graph_matches_expected
-from .presented import ModuleWindow, compare_windows
+from .presented import MIN_CHECKED_DEGREES, ModuleWindow, compare_windows
 from .theorems import encoded_module
 
 DEFAULT_GROUPS = (
@@ -53,6 +52,9 @@ DEFAULT_GROUPS = (
 )
 
 FLAVORS = {"+": PLUS, "-": MINUS, "inf": TATE}
+
+# the bar oracle and the transposed duality are identities, true on any window
+IDENTITY_WINDOW = Window(-13, 11, -12, 12)
 
 
 def _parse_pair(text, sep=":"):
@@ -132,7 +134,6 @@ def make_parser():
     pv.add_argument("--coeff", default=None)
     pv.add_argument("--jobs", type=int, default=None)
     pv.add_argument("--format", choices=["text", "json"], default=None)
-    pv.add_argument("--quick", action="store_true", help="smaller windows")
     return p
 
 
@@ -145,9 +146,9 @@ def _merged(args, cfg, key, fallback):
     return fallback
 
 
-def _window_from(args, cfg):
-    q, p = _parse_pair(_merged(args, cfg, "window", "-24:24"))
-    lo, hi = _parse_pair(_merged(args, cfg, "degrees", "-24:24"))
+def _window_from(args, cfg, default=Window()):
+    q, p = _parse_pair(_merged(args, cfg, "window", "%d:%d" % (default.q, default.p)))
+    lo, hi = _parse_pair(_merged(args, cfg, "degrees", "%d:%d" % (default.n_lo, default.n_hi)))
     return Window(q, p, lo, hi)
 
 
@@ -201,11 +202,10 @@ def cmd_floer(args, cfg):
     orientation = _merged(args, cfg, "orientation", BAR)
     flavor = FLAVORS[_merged(args, cfg, "flavor", "-")]
     field = parse_field(_merged(args, cfg, "coeff", "q"))
-    win = _window_from(args, cfg)
+    default, margin = comparison_window(g, field)
+    win = _window_from(args, cfg, default)
     model = build_model(g, orientation)
     enc = encoded_module(g, orientation, flavor)
-    bar_pages = MinusPages(build_model(g, BAR), field)
-    _, margin = comparison_window(bar_pages.r_last)
     if orientation == STD and flavor == PLUS:
         pages, degen = None, None  # assembled through duality, no page run
     else:
@@ -250,8 +250,8 @@ def cmd_floer(args, cfg):
             print("degeneration page: %d" % degen)
         print("%s vs the closed form: %s (%s)"
               % (route, "PASS" if rep.ok else "FAIL", coverage))
-        if not rep.checked_degrees:
-            print("  the safe interior is empty: widen --window and --degrees")
+        if len(rep.checked_degrees) < MIN_CHECKED_DEGREES:
+            print("  under %d safe degrees: widen --window and --degrees" % MIN_CHECKED_DEGREES)
         for m in rep.mismatches[:10]:
             print("  mismatch:", m)
     return 0 if rep.ok else 1
@@ -265,8 +265,7 @@ def cmd_floer_raw(args, cfg):
     field = parse_field(_merged(args, cfg, "coeff", "q"))
     win = _window_from(args, cfg)
     model = build_model(g, orientation)
-    src = Window(win.q, win.p, win.q + 1, win.p + 3)
-    w = model.window(src, field)
+    w = model.window(win.source, field)
     fm = functor_model(w, flavor, win.n_lo, win.n_hi)
     h = fm.homology()
     dims = {n: h.dim(n) for n in fm.complex.degrees() if h.dim(n)}
@@ -326,7 +325,7 @@ def cmd_cs(args, cfg):
 # verify pipeline
 
 
-def _verify_group(g: GroupId, field, quick):
+def _verify_group(g: GroupId, field):
     """All per-group checks; returns a list of (check, target, status, detail)."""
     checks = []
     name = str(g)
@@ -355,12 +354,9 @@ def _verify_group(g: GroupId, field, quick):
             return "ranks+arrows"
         run("model-multicomplex-figures", toi)
 
-    size = 8 if quick else 12
-    win = Window(-size - 1, size - 1, -size, size)
-
     def oracle():
-        model = build_model(g, BAR)
-        w = model.window(Window(win.q, win.p, win.q + 1, win.p + 3), field)
+        win = IDENTITY_WINDOW
+        w = build_model(g, BAR).window(win.source, field)
         for flavor in (PLUS, MINUS):
             bar, fmodel, _ = bar_oracle(w, flavor, win.n_lo, win.n_hi)
             hb = HomologyData(bar.complex)
@@ -372,7 +368,7 @@ def _verify_group(g: GroupId, field, quick):
     run("bar-construction-oracle", oracle)
 
     def accounting():
-        w = Window(-5, 5, -8, 8) if quick else Window(-9, 7, -10, 10)
+        w = Window(-9, 7, -10, 10)
         ss_accounting(g, BAR, MINUS, w, field)
         ss_accounting(g, STD, PLUS, w, field)
         return "pages vs direct homology"
@@ -392,8 +388,8 @@ def _verify_group(g: GroupId, field, quick):
     run("assembly-vs-closed-form", assembly)
 
     def triangle():
-        norm_vanishing_and_splitting(g, None if quick else Window(-17, 15, -16, 16), field)
-        return "norm zero + splitting dims"
+        checked = norm_vanishing_and_splitting(g, field)
+        return "norm zero + splitting dims; %d degrees" % len(checked)
     run("triangle-and-norm", triangle)
 
     run("cs-golden-values", lambda: (
@@ -403,7 +399,7 @@ def _verify_group(g: GroupId, field, quick):
         rep = duality_pairing_report(g, field)
         if rep:
             raise BPFloerError(repr(rep[:3]))
-        mism = duality_transpose_check(g, Window(-13, 11, -12, 12), field)
+        mism = duality_transpose_check(g, IDENTITY_WINDOW, field)
         if mism:
             raise BPFloerError(repr(mism[:3]))
         return "module pairing + transposed windows"
@@ -429,16 +425,15 @@ def cmd_verify(args, cfg):
     else:
         groups = list(DEFAULT_GROUPS)
     jobs = int(_merged(args, cfg, "jobs", 1))
-    quick = bool(getattr(args, "quick", False)) or cfg.get("quick") == "true"
     t0 = time.time()
     all_checks = []
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
-            for chunk in ex.map(lambda g: _verify_group(g, field, quick), groups):
+            for chunk in ex.map(lambda g: _verify_group(g, field), groups):
                 all_checks.extend(chunk)
     else:
         for g in groups:
-            all_checks.extend(_verify_group(g, field, quick))
+            all_checks.extend(_verify_group(g, field))
     all_checks.sort(key=lambda c: (c[1], c[0]))
     elapsed = time.time() - t0
     fmt = _merged(args, cfg, "format", "text")
@@ -446,7 +441,7 @@ def cmd_verify(args, cfg):
     if fmt == "json":
         print(serialize.report_json(all_checks, {
             "groups": ",".join(str(g) for g in groups),
-            "coeff": field.name, "jobs": jobs, "quick": quick}, elapsed))
+            "coeff": field.name, "jobs": jobs}, elapsed))
     else:
         for tag, target, status, detail in all_checks:
             print("%-34s %-6s %s %s" % (tag, target, status, detail))

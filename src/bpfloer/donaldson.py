@@ -37,6 +37,17 @@ class Window:
     def shifted(self, k):
         return Window(self.q + k, self.p + k, self.n_lo + k, self.n_hi + k)
 
+    @property
+    def source(self):
+        """The same levels with their full degree span (level l: degrees l..l+3)."""
+        return Window(self.q, self.p, self.q + 1, self.p + 3)
+
+    def interior(self, degree_margin, level_margin):
+        """Safe degrees: > degree_margin inside [n_lo, n_hi], > level_margin inside (q, p]."""
+        lo = max(self.n_lo + degree_margin, self.q + level_margin) + 1
+        hi = min(self.n_hi - degree_margin, self.p - level_margin) - 1
+        return range(lo, hi + 1)
+
 
 @dataclass(frozen=True)
 class Gen:
@@ -189,10 +200,6 @@ class WindowedComplex:
                         img[Gen(tgt, 0, g.level - 4)] = n
             psi.set_image(g.degree, g, img)
         return psi
-
-
-def materialize_window(model: DonaldsonModel, q, p, n_lo, n_hi, field=QQ) -> WindowedComplex:
-    return model.window(Window(q, p, n_lo, n_hi), field)
 
 
 def single_orbit_complex(kind, n_lo, n_hi, field=QQ):

@@ -28,7 +28,6 @@ from .groups import FULLY_REDUCIBLE, IRREDUCIBLE, REDUCIBLE
 from .mckay import s_graph as s_graph_of
 from .presented import (
     OPLUS8,
-    CompareReport,
     Family,
     HomologyWindow,
     ModuleWindow,
@@ -325,22 +324,17 @@ def assemble(model: DonaldsonModel, flavor, field=QQ) -> PresentedModule:
 # Comparison layer.
 
 
-def comparison_window(r_last):
-    """(window, level margin) for comparing against a closed form.
+def comparison_window(group, field=QQ, offset=0):
+    """(window, level margin) for comparing the group's modules against a
+    closed form, shifted by offset levels and degrees.
 
-    A page-r differential connects levels 4r apart, so the level margin is
-    4*r_last + 4; the half-width 12 + 4*r_last keeps the safe interior at
-    degrees -7..7 whatever the degeneration page.
+    A page-r differential connects levels 4r apart, so with r_last from the
+    (bar, -) pages the level margin is 4*r_last + 4; the half-width
+    12 + 4*r_last keeps window.interior(4, margin) at degrees -7..7 + offset.
     """
+    r_last = MinusPages(build_model(group, BAR), field).r_last
     h = 12 + 4 * r_last
-    return Window(-h, h, -h, h), 4 * r_last + 4
-
-
-def compare(window_side, predicted_side, win: Window, degree_margin=4, level_margin=4,
-            u_powers=6) -> CompareReport:
-    """Dims plus rank U^k comparison on the safe interior of a window."""
-    return compare_windows(window_side, predicted_side, win, degree_margin, level_margin,
-                           u_powers)
+    return Window(-h, h, -h, h).shifted(offset), 4 * r_last + 4
 
 
 def duality_pairing_report(g, field=QQ):
@@ -430,14 +424,12 @@ def duality_transpose_check(g, win: Window, field=QQ):
 def direct_homology_window(group, orientation, flavor, win: Window, field=QQ):
     """Window homology of the materialized functor model, as a rank view.
 
-    The source carries the full degree span of its filtration levels (a
-    level-l generator has degree up to l+3), so that only the filtration
+    The model is materialized on win.source, so that only the filtration
     truncation is active on the source; the requested degree range applies
     to the totalization.
     """
     model = build_model(group, orientation)
-    src = Window(win.q, win.p, win.q + 1, win.p + 3)
-    w = model.window(src, field)
+    w = model.window(win.source, field)
     fm = functor_model(w, flavor, win.n_lo, win.n_hi)
     return HomologyWindow(fm.homology(), fm.u)
 
@@ -453,7 +445,7 @@ def closed_form_reports(group, field=QQ):
     page-assembled (bar, -) module.  All share one comparison_window.
     """
     bar = build_model(group, BAR)
-    win, margin = comparison_window(MinusPages(bar, field).r_last)
+    win, margin = comparison_window(group, field)
 
     def against(side, orientation, flavor):
         enc = ModuleWindow(encoded_module(group, orientation, flavor), win, field)
@@ -467,25 +459,22 @@ def closed_form_reports(group, field=QQ):
     return out
 
 
-def norm_vanishing_and_splitting(group, win: Window = None, field=QQ):
+def norm_vanishing_and_splitting(group, field=QQ):
     """Even-degree concentration of the closed-form answers plus the interior
-    dimension accounting dim Hinf_n = dim Hminus_n + dim Hplus_{n-4}."""
+    dimension accounting dim Hinf_n = dim Hminus_n + dim Hplus_{n-4}, on the
+    safe interior of the comparison window.  Returns the degrees checked."""
     model = build_model(group, BAR)
     for flavor, pm in ((PLUS, encoded_module(group, BAR, PLUS)),
                        (MINUS, assemble(model, MINUS, field))):
         if not pm.even_degrees_only():
             raise SplittingViolation("%s flavor %s has odd-degree classes" % (group, flavor))
-    win = win or Window(-13, 11, -12, 12)
-    w = model.window(Window(win.q, win.p, win.q + 1, win.p + 3), field)
+    win, margin = comparison_window(group, field)
+    w = model.window(win.source, field)
     hp = functor_model(w, PLUS, win.n_lo, win.n_hi).homology()
     hm = functor_model(w, MINUS, win.n_lo, win.n_hi).homology()
     ht = functor_model(w, TATE, win.n_lo, win.n_hi).homology()
-    pages = MinusPages(model, field)
-    margin = max(4, 4 * pages.r_last)
-    lo = max(win.n_lo + 4, win.q + margin) + 1
-    hi = min(win.n_hi - 4, win.p - margin) - 1
     checked = []
-    for n in range(lo, hi + 1):
+    for n in win.interior(4, margin):
         if ht.dim(n) != hm.dim(n) + hp.dim(n - 4):
             raise SplittingViolation(
                 "%s: degree %d has dim Hinf %d != %d + %d"

@@ -258,6 +258,9 @@ class HomologyWindow:
         return self.u_power_ranks(n, k)[-1]
 
 
+MIN_CHECKED_DEGREES = 8  # one mod-8 period; a comparison over fewer degrees fails
+
+
 @dataclass
 class CompareReport:
     ok: bool
@@ -271,17 +274,15 @@ class CompareReport:
 
 
 def compare_windows(left, right, win: Window, degree_margin=4, level_margin=4, u_powers=6):
-    """PASS iff the safe interior is non-empty and dims and rank U^k agree on it.
+    """PASS iff the safe interior (Window.interior) holds at least
+    MIN_CHECKED_DEGREES degrees and dims and rank U^k agree on it.
 
-    The safe interior keeps degrees at distance > degree_margin from the
-    degree cutoffs and > level_margin from the filtration cutoffs.  Each
-    side walks each degree once for all its U powers; a U^k pair where
+    Each side walks each degree once for all its U powers; a U^k pair where
     either side has no rank is counted as skipped.  Rank mismatches are
     listed after the dim mismatches, by (k, n).
     """
-    lo = max(win.n_lo + degree_margin, win.q + level_margin) + 1
-    hi = min(win.n_hi - degree_margin, win.p - level_margin) - 1
-    degrees = list(range(lo, hi + 1))
+    interior = win.interior(degree_margin, level_margin)
+    lo, degrees = interior.start, list(interior)
     mismatches = []
     ranked = []
     made = skipped = 0
@@ -299,4 +300,5 @@ def compare_windows(left, right, win: Window, degree_margin=4, level_margin=4, u
             if ra != rb:
                 ranked.append((k, n, ra, rb))
     mismatches += [("rankU^%d" % k, n, ra, rb) for k, n, ra, rb in sorted(ranked)]
-    return CompareReport(bool(degrees) and not mismatches, degrees, mismatches, made, skipped)
+    ok = len(degrees) >= MIN_CHECKED_DEGREES and not mismatches
+    return CompareReport(ok, degrees, mismatches, made, skipped)

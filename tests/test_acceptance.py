@@ -237,7 +237,7 @@ def test_criterion_7_convergence_accounting():
 def test_criterion_8_triangle_norm():
     t0 = time.time()
     for g in ACCEPT_GROUPS:
-        norm_vanishing_and_splitting(g, Window(-13, 11, -12, 12))
+        assert norm_vanishing_and_splitting(g) == list(range(-7, 8)), str(g)
         # the degree -4 action is bijective on interior Tate homology
         model = build_model(g, BAR)
         w = model.window(Window(-13, 11, -12, 14))

@@ -72,6 +72,10 @@ def test_floer_command(capsys):
     # a window too narrow for the level margin leaves nothing to compare
     code, out = run_cli(capsys, "floer", "D*_12", "--window=-16:16", "--degrees=-16:16")
     assert code == 1 and "FAIL (0 safe degrees" in out
+    # the default window comes from comparison_window, so a late degeneration
+    # page (r_last = 5) still leaves the full -7..7 interior
+    code, out = run_cli(capsys, "floer", "D*_18", "--flavor", "-")
+    assert code == 0 and "PASS (15 safe degrees" in out
 
 
 def test_floer_raw(capsys):
@@ -126,13 +130,13 @@ def test_config_file(tmp_path, capsys):
 
 
 def test_verify_quick_subset(capsys):
-    code, out = run_cli(capsys, "verify", "--groups", "C_3,D*_2", "--quick")
+    code, out = run_cli(capsys, "verify", "--groups", "C_3,D*_2")
     assert code == 0
     assert "verify: PASS" in out
 
 
 def test_verify_json_round_trip(capsys):
-    code, out = run_cli(capsys, "verify", "--groups", "C_3", "--quick",
+    code, out = run_cli(capsys, "verify", "--groups", "C_3",
                         "--format", "json")
     doc = json.loads(out)
     assert doc["all_pass"] is True
@@ -140,8 +144,8 @@ def test_verify_json_round_trip(capsys):
 
 
 def test_verify_jobs_merge_order_independent(capsys):
-    _, seq = run_cli(capsys, "verify", "--groups", "C_3,C_4", "--quick")
-    _, par = run_cli(capsys, "verify", "--groups", "C_3,C_4", "--quick", "--jobs", "2")
+    _, seq = run_cli(capsys, "verify", "--groups", "C_3,C_4")
+    _, par = run_cli(capsys, "verify", "--groups", "C_3,C_4", "--jobs", "2")
     strip = lambda s: [l for l in s.splitlines() if not l.startswith("verify:")]
     assert strip(seq) == strip(par)
 
@@ -163,7 +167,7 @@ def test_even_prime_in_config_rejected(tmp_path, capsys):
 
 
 def test_report_carries_tool_version(capsys):
-    code, out = run_cli(capsys, "verify", "--groups", "C_3", "--quick",
+    code, out = run_cli(capsys, "verify", "--groups", "C_3",
                         "--format", "json")
     doc = json.loads(out)
     assert doc["tool_version"]
@@ -175,7 +179,7 @@ def test_verify_fail_names_the_exception_class(monkeypatch):
         raise ZeroDivisionError("inverse of zero")
 
     monkeypatch.setattr("bpfloer.cli.verify_orthogonality", broken)
-    checks = _verify_group(T_STAR, QQ, True)
+    checks = _verify_group(T_STAR, QQ)
     rows = [c for c in checks if c[0] == "character-table-orthogonality"]
     assert len(rows) == 1
     _, _, status, detail = rows[0]

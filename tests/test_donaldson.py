@@ -10,7 +10,6 @@ from bpfloer.donaldson import (
     Gen,
     Window,
     build_model,
-    materialize_window,
     single_orbit_complex,
     toi_multicomplex_matches,
 )
@@ -69,7 +68,7 @@ def test_window_periodicity():
 
 def test_empty_window():
     model = build_model(T_STAR, BAR)
-    w = materialize_window(model, 0, 1, 0, 0)  # level 1 carries nothing
+    w = model.window(Window(0, 1, 0, 0))  # level 1 carries nothing
     assert w.is_empty()
 
 
