@@ -146,9 +146,9 @@ def _merged(args, cfg, key, fallback):
     return fallback
 
 
-def _window_from(args, cfg, default=Window()):
-    q, p = _parse_pair(_merged(args, cfg, "window", "%d:%d" % (default.q, default.p)))
-    lo, hi = _parse_pair(_merged(args, cfg, "degrees", "%d:%d" % (default.n_lo, default.n_hi)))
+def _window_from(args, cfg):
+    q, p = _parse_pair(_merged(args, cfg, "window", "-24:24"))
+    lo, hi = _parse_pair(_merged(args, cfg, "degrees", "-24:24"))
     return Window(q, p, lo, hi)
 
 
@@ -202,8 +202,9 @@ def cmd_floer(args, cfg):
     orientation = _merged(args, cfg, "orientation", BAR)
     flavor = FLAVORS[_merged(args, cfg, "flavor", "-")]
     field = parse_field(_merged(args, cfg, "coeff", "q"))
-    default, margin = comparison_window(g, field)
-    win = _window_from(args, cfg, default)
+    win, margin = comparison_window(g, field)
+    if any(_merged(args, cfg, key, None) is not None for key in ("window", "degrees")):
+        win = _window_from(args, cfg)
     model = build_model(g, orientation)
     enc = encoded_module(g, orientation, flavor)
     if orientation == STD and flavor == PLUS:
@@ -226,7 +227,8 @@ def cmd_floer(args, cfg):
         print(serialize.report_json(
             [("%s-vs-closed-form" % route, str(g), "PASS" if rep.ok else "FAIL", coverage)],
             {"group": str(g), "orientation": orientation, "flavor": flavor,
-             "coeff": field.name}, 0.0))
+             "coeff": field.name,
+             "window": {"q": win.q, "p": win.p, "n_lo": win.n_lo, "n_hi": win.n_hi}}, 0.0))
     else:
         print("%s module for %s (%s orientation, flavor %s over %s):"
               % (what, g, orientation, flavor, field.name))

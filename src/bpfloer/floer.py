@@ -324,17 +324,17 @@ def assemble(model: DonaldsonModel, flavor, field=QQ) -> PresentedModule:
 # Comparison layer.
 
 
-def comparison_window(group, field=QQ, offset=0):
+def comparison_window(group, field=QQ):
     """(window, level margin) for comparing the group's modules against a
-    closed form, shifted by offset levels and degrees.
+    closed form.
 
     A page-r differential connects levels 4r apart, so with r_last from the
     (bar, -) pages the level margin is 4*r_last + 4; the half-width
-    12 + 4*r_last keeps window.interior(4, margin) at degrees -7..7 + offset.
+    12 + 4*r_last keeps window.interior(4, margin) at degrees -7..7.
     """
     r_last = MinusPages(build_model(group, BAR), field).r_last
     h = 12 + 4 * r_last
-    return Window(-h, h, -h, h).shifted(offset), 4 * r_last + 4
+    return Window(-h, h, -h, h), 4 * r_last + 4
 
 
 def duality_pairing_report(g, field=QQ):

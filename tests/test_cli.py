@@ -69,6 +69,12 @@ def test_floer_command(capsys):
     doc = json.loads(out[out.index("}\n{") + 2:])
     assert code == 0 and doc["checks"][0]["check"] == "chain-route-vs-closed-form"
     assert "U-rank comparisons made" in doc["checks"][0]["detail"]
+    # the report records the window it compared on: comparison_window(T*)
+    assert doc["config"]["window"] == {"q": -16, "p": 16, "n_lo": -16, "n_hi": 16}
+    # one flag replaces the whole default: the other range is -24:24
+    code, out = run_cli(capsys, "floer", "T*", "--window=-20:20", "--format", "json")
+    doc = json.loads(out[out.index("}\n{") + 2:])
+    assert code == 0 and doc["config"]["window"] == {"q": -20, "p": 20, "n_lo": -24, "n_hi": 24}
     # a window too narrow for the level margin leaves nothing to compare
     code, out = run_cli(capsys, "floer", "D*_12", "--window=-16:16", "--degrees=-16:16")
     assert code == 1 and "FAIL (0 safe degrees" in out
@@ -130,6 +136,7 @@ def test_config_file(tmp_path, capsys):
 
 
 def test_verify_quick_subset(capsys):
+    # verify has no --quick any more; the name is kept so the test id stays
     code, out = run_cli(capsys, "verify", "--groups", "C_3,D*_2")
     assert code == 0
     assert "verify: PASS" in out

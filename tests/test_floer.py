@@ -187,15 +187,18 @@ def test_assembled_vs_encoded_prime_fields(g):
         assert_closed_forms_hold(g, PrimeField(p))
 
 
-@pytest.mark.parametrize("g", [T_STAR, O_STAR, I_STAR, cyclic(4), binary_dihedral(5)], ids=str)
+@pytest.mark.parametrize(
+    "g", [T_STAR, O_STAR, I_STAR, cyclic(4), binary_dihedral(5), cyclic(3), cyclic(5)], ids=str)
 def test_direct_homology_vs_encoded(g):
-    # the chain-level route on its own, outside closed_form_reports
+    # the chain-level route on its own, outside closed_form_reports; this is
+    # offset 0 of the residue sweep below
     win, margin = comparison_window(g)
     for orientation, flavor in PAIRS:
         hw = direct_homology_window(g, orientation, flavor, win)
         enc = ModuleWindow(encoded_module(g, orientation, flavor), win)
         rep = compare_windows(hw, enc, win, 4, margin, 3)
-        assert rep.ok and rep.checked_degrees, (str(g), orientation, flavor, rep.mismatches[:4])
+        assert rep.ok and rep.checked_degrees == list(range(-7, 8)), (
+            str(g), orientation, flavor, rep.mismatches[:4])
 
 
 # (std, +) cases of the residue sweep where the chain route is one dim low
@@ -207,7 +210,7 @@ def residue_cases():
     defect = pytest.mark.xfail(
         strict=True, reason="ROADMAP item 1: (std, +) chain route at this lower-cut residue")
     for name in ("C_3", "T*", "O*", "C_5", "D*_5"):
-        for c in range(8):
+        for c in range(1, 8):
             for orientation, flavor in PAIRS:
                 bad = (orientation, flavor) == (STD, PLUS) and c in STD_PLUS_DEFECT.get(name, ())
                 yield pytest.param(name, c, orientation, flavor, marks=[defect] if bad else [],
@@ -216,10 +219,11 @@ def residue_cases():
 
 @pytest.mark.parametrize("name, offset, orientation, flavor", residue_cases())
 def test_chain_route_at_every_residue(name, offset, orientation, flavor):
-    # the lower cut of comparison_window(g, QQ, c) runs through all 8
-    # residues mod 8 as c does; the unshifted gates see only one of them
+    # the lower cut of comparison_window(g) shifted by c runs through all 8
+    # residues mod 8 as c does; the unshifted gates see only c = 0
     g = parse_group(name)
-    win, margin = comparison_window(g, QQ, offset)
+    win, margin = comparison_window(g, QQ)
+    win = win.shifted(offset)
     hw = direct_homology_window(g, orientation, flavor, win)
     enc = ModuleWindow(encoded_module(g, orientation, flavor), win)
     rep = compare_windows(hw, enc, win, 4, margin)
