@@ -106,11 +106,9 @@ class ChainMap:
         for n in self.source.degrees():
             for pos in range(self.source.dim(n)):
                 left = self.apply(n - 1, self.source.boundary_columns(n)[pos])
-                fx = self.apply(n, {pos: f.one})
-                right = _apply_columns(f, self.target.boundary_columns(n + self.degree), fx)
-                for k in set(left) | set(right):
-                    if not f.is_zero(f.sub(left.get(k, f.zero), f.mul(s, right.get(k, f.zero)))):
-                        return False
+                sfx = self.apply(n, {pos: s})
+                if left != _apply_columns(f, self.target.boundary_columns(n + self.degree), sfx):
+                    return False
         return True
 
 

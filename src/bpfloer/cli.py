@@ -477,7 +477,7 @@ def main(argv=None):
         except (OSError, BPFloerError) as e:
             print("config error: %s" % e, file=sys.stderr)
             return 2
-    coeff = cfg.get("coeff") or getattr(args, "coeff", None)
+    coeff = _merged(args, cfg, "coeff", None)
     if coeff:
         try:
             parse_field(coeff)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import ChainMap, FiniteComplex, HomologyData, induced_map_between, matrix_rank
-from .donaldson import WindowedComplex
+from .donaldson import Window, WindowedComplex
 from .errors import BPFloerError, OracleMismatch, TriangleViolation
 from .groups import FULLY_REDUCIBLE, REDUCIBLE
 from .presented import FINITE, PI8, PIINF8, Family, PresentedModule
@@ -38,8 +38,7 @@ class ColGen:
 class FunctorModel:
     """Materialized totalization of one flavor over a degree range."""
 
-    def __init__(self, source_complex: FiniteComplex, source_u: ChainMap, flavor,
-                 deg_lo=None, deg_hi=None):
+    def __init__(self, source_complex: FiniteComplex, source_u: ChainMap, flavor, deg_lo, deg_hi):
         if flavor not in (PLUS, MINUS, TATE):
             raise BPFloerError("flavor must be '+', '-' or 'inf'")
         self.flavor = flavor
@@ -47,14 +46,6 @@ class FunctorModel:
         self.source_u = source_u
         field = source_complex.field
         src_degrees = source_complex.degrees()
-        if not src_degrees:
-            deg_lo = deg_lo if deg_lo is not None else 0
-            deg_hi = deg_hi if deg_hi is not None else 0
-        s_lo, s_hi = (min(src_degrees), max(src_degrees)) if src_degrees else (0, 0)
-        if deg_lo is None:
-            deg_lo = s_lo
-        if deg_hi is None:
-            deg_hi = s_hi
         self.deg_lo, self.deg_hi = deg_lo, deg_hi
         cx = FiniteComplex(field)
         cols = {}
@@ -103,34 +94,13 @@ class FunctorModel:
             return p <= 0
         return True
 
-    def horizontal_vertical(self):
-        """The two pieces of the differential, for the double-complex axioms."""
-        f = self.complex.field
-        dh = ChainMap(self.complex, self.complex, -1)
-        dv = ChainMap(self.complex, self.complex, -1)
-        for n in self.complex.degrees():
-            for cg in self.complex.basis[n]:
-                d = n - 4 * cg.p
-                pos = self.source.index[d][cg.gen]
-                vimg = {}
-                for row, v in self.source.boundary_columns(d)[pos].items():
-                    vimg[ColGen(cg.p, self.source.basis[d - 1][row])] = v
-                dv.set_image(n, cg, vimg)
-                himg = {}
-                if self._col_ok(cg.p - 1):
-                    sgn = f.of(1 if (n + 1) % 2 == 0 else -1)
-                    for row, v in self.source_u.column(d, pos).items():
-                        himg[ColGen(cg.p - 1, self.source.basis[d + 3][row])] = f.mul(sgn, v)
-                dh.set_image(n, cg, himg)
-        return dh, dv
-
     def homology(self) -> HomologyData:
         if self._homology is None:
             self._homology = HomologyData(self.complex)
         return self._homology
 
 
-def functor_model(window: WindowedComplex, flavor, deg_lo=None, deg_hi=None) -> FunctorModel:
+def functor_model(window: WindowedComplex, flavor, deg_lo, deg_hi) -> FunctorModel:
     return FunctorModel(window.complex, window.u, flavor, deg_lo, deg_hi)
 
 
@@ -173,7 +143,7 @@ class BarComplexes:
     degree-3 exterior letter.
     """
 
-    def __init__(self, window: WindowedComplex, flavor, deg_lo=None, deg_hi=None):
+    def __init__(self, window: WindowedComplex, flavor, deg_lo, deg_hi):
         if flavor not in (PLUS, MINUS):
             raise BPFloerError("bar oracle covers flavors '+' and '-' only")
         self.flavor = flavor
@@ -181,9 +151,6 @@ class BarComplexes:
         u = window.u
         field = src.field
         src_degrees = src.degrees()
-        s_lo, s_hi = (min(src_degrees), max(src_degrees)) if src_degrees else (0, 0)
-        deg_lo = s_lo if deg_lo is None else deg_lo
-        deg_hi = s_hi if deg_hi is None else deg_hi
         self.deg_lo, self.deg_hi = deg_lo, deg_hi
         cx = FiniteComplex(field)
         for n in range(deg_lo, deg_hi + 1):
@@ -260,28 +227,26 @@ class BarComplexes:
         return iso
 
 
-def bar_oracle(window: WindowedComplex, flavor, deg_lo=None, deg_hi=None):
+def bar_oracle(window: WindowedComplex, flavor, deg_lo, deg_hi):
     """Build the literal bar complexes and verify the sign isomorphism.
 
     Returns (bar, model, iso); raises OracleMismatch naming the first
     offending generator when a square fails to commute.
     """
     bar = BarComplexes(window, flavor, deg_lo, deg_hi)
-    model = FunctorModel(window.complex, window.u, flavor, bar.deg_lo, bar.deg_hi)
+    model = FunctorModel(window.complex, window.u, flavor, deg_lo, deg_hi)
     iso = bar.sign_iso(model)
     f = model.complex.field
     for n in model.complex.degrees():
         for pos, cg in enumerate(model.complex.basis[n]):
             lhs = _apply_columns(f, bar.complex.boundary_columns(n), iso.column(n, pos))
             rhs = iso.apply(n - 1, model.complex.boundary_columns(n)[pos])
-            if any(not f.is_zero(f.sub(lhs.get(k, f.zero), rhs.get(k, f.zero)))
-                   for k in set(lhs) | set(rhs)):
+            if lhs != rhs:
                 raise OracleMismatch("differential square fails at %r in degree %d" % (cg, n))
-            if n - 4 >= bar.deg_lo:
+            if n - 4 >= deg_lo:
                 lhs = bar.u.apply(n, iso.column(n, pos))
                 rhs = iso.apply(n - 4, model.u.column(n, pos))
-                if any(not f.is_zero(f.sub(lhs.get(k, f.zero), rhs.get(k, f.zero)))
-                       for k in set(lhs) | set(rhs)):
+                if lhs != rhs:
                     raise OracleMismatch("degree -4 action square fails at %r in degree %d" % (cg, n))
     return bar, model, iso
 
@@ -325,6 +290,7 @@ class NormData:
     def check_homotopy(self):
         """nu U - U nu = d psi_s - psi_s d, away from the degree cutoffs."""
         f = self.plus.complex.field
+        minus_one = f.neg(f.one)
         lo = max(self.plus.deg_lo, self.minus.deg_lo)
         hi = min(self.plus.deg_hi, self.minus.deg_hi)
         for n in self.plus.complex.degrees():
@@ -334,14 +300,12 @@ class NormData:
                 start = {pos: f.one}
                 a = self.nu.apply(n - 4, self.plus.u.apply(n, start))   # nu U
                 b = self.minus.u.apply(n + 3, self.nu.apply(n, start))  # U nu
-                lhs = {k: f.sub(a.get(k, f.zero), b.get(k, f.zero)) for k in set(a) | set(b)}
                 c = _apply_columns(f, self.minus.complex.boundary_columns(n),
                                    self.psi_s.apply(n, start))
                 d = self.psi_s.apply(n - 1, self.plus.complex.boundary_columns(n)[pos])
-                rhs = {k: f.sub(c.get(k, f.zero), d.get(k, f.zero)) for k in set(c) | set(d)}
-                for k in set(lhs) | set(rhs):
-                    if not f.is_zero(f.sub(lhs.get(k, f.zero), rhs.get(k, f.zero))):
-                        return False
+                # (a - b) - (c - d)
+                if _apply_columns(f, [a, b, c, d], {0: f.one, 1: minus_one, 2: minus_one, 3: f.one}):
+                    return False
         return True
 
     def cone(self):
@@ -398,7 +362,6 @@ class NormData:
         columns p <= 0 and the '+' part shifted into columns p >= 1; check
         that differentials and the adjusted action agree on the overlap."""
         cone_cx, cone_u = self.cone()
-        f = cone_cx.field
 
         def relabel(lbl):
             part, cg = lbl
@@ -417,38 +380,38 @@ class NormData:
                 tpos = tgt_idx[relabel(lbl)]
                 want = {tate.complex.basis[n - 1][row]: v
                         for row, v in tate.complex.boundary_columns(n)[tpos].items()}
-                for k in set(got) | set(want):
-                    if not f.is_zero(f.sub(got.get(k, f.zero), want.get(k, f.zero))):
-                        return False
+                if got != want:
+                    return False
                 if n - 4 >= lo:
                     gotu = {relabel(cone_cx.basis[n - 4][row]): v
                             for row, v in cone_u.column(n, pos).items()}
                     wantu = {tate.complex.basis[n - 4][row]: v
                              for row, v in tate.u.column(n, tpos).items()}
-                    for k in set(gotu) | set(wantu):
-                        if not f.is_zero(f.sub(gotu.get(k, f.zero), wantu.get(k, f.zero))):
-                            return False
+                    if gotu != wantu:
+                        return False
         return True
 
 
-def exact_triangle_check(window: WindowedComplex, deg_lo=None, deg_hi=None, margin=4):
+def exact_triangle_check(window: WindowedComplex, deg_lo, deg_hi):
     """Verify the cone long exact sequence on a window, flavorwise.
 
-    For every safe interior degree n:
+    For every degree n in interior(4, 4) of the window with its degree span
+    cut to [deg_lo, deg_hi]:
         dim Hinf_n = dim coker(H(nu) -> Hminus_n) + dim ker(H(nu) on Hplus_{n-4}).
     Returns a dict report; raises TriangleViolation on an interior failure.
     """
+    report = {"checked": [], "flagged_boundary": []}
+    win = window.win
+    lo, hi = max(deg_lo, win.n_lo), min(deg_hi, win.n_hi)
+    if lo > hi:
+        return report
     plus = functor_model(window, PLUS, deg_lo, deg_hi)
     minus = functor_model(window, MINUS, deg_lo, deg_hi)
     tate = functor_model(window, TATE, deg_lo, deg_hi)
     norm = NormData(plus, minus)
     hp, hm, ht = plus.homology(), minus.homology(), tate.homology()
     field = window.field
-    report = {"checked": [], "flagged_boundary": []}
-    lo, hi = plus.deg_lo, plus.deg_hi
-    wlo = max(lo, window.win.n_lo, window.win.q)
-    whi = min(hi, window.win.n_hi, window.win.p)
-    for n in range(wlo + margin + 1, whi - margin):
+    for n in Window(win.q, win.p, lo, hi).interior(4, 4):
         try:
             m1 = induced_map_between(hp, hm, norm.nu, n - 3)
             m2 = induced_map_between(hp, hm, norm.nu, n - 4)

@@ -26,7 +26,8 @@ class NotDynkin(BPFloerError):
 
 
 class LabelMismatch(BPFloerError):
-    """An edge label 2*dim/|G'| came out nonintegral."""
+    """An edge label 2*dim/|G'| came out nonintegral, or the graphical
+    deletion oracle's H differs from the algebraic solution."""
 
 
 class OracleMismatch(BPFloerError):

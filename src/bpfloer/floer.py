@@ -94,7 +94,8 @@ class MinusPages:
                 self.tower_gens[s].append(("U", v.name))
             else:
                 self.tower_gens[s].append(("Z", v.name))
-        # walk matrices on the vertex space
+        # walk matrices on the vertex space; the same coefficients give the
+        # boundary into the t-line
         names = [v.name for v in sg.vertices]
         self.names = names
         self.psi = {
@@ -102,11 +103,9 @@ class MinusPages:
             for w in names
             if sg.vertex(w).kind == IRREDUCIBLE
         }
-        self.boundary_rows = dict(self.psi)  # same coefficients into the t-line
         # quotient bookkeeping at t = 3 per column
         self.b_echelon = {0: TrackedEchelon(field), 4: TrackedEchelon(field)}
         self.kernels = {0: [], 4: []}       # kernels[col][r-1] = list of vectors
-        self.d_ledger = []                  # (r, col_src, matrix dict)
         self.degeneration_page = 1
         self.r_last = 0
         self._run()
@@ -138,7 +137,7 @@ class MinusPages:
         out = {}
         hidx = self._h_index(col_tgt)
         for w, c in walk.items():
-            for tgt, n in self.boundary_rows.items():
+            for tgt, n in self.psi.items():
                 if w in n and tgt in hidx:
                     out[hidx[tgt]] = out.get(hidx[tgt], 0) + c * n[w]
         f = self.field
@@ -169,7 +168,6 @@ class MinusPages:
                 fired = fired or bool(pivots)
                 new_images[col_tgt].extend(cols[j] for j in pivots)
                 kernels[col] = ker
-                self.d_ledger.append((r, col, cols))
             for col in (0, 4):
                 self.kernels[col].append(kernels[col])
                 for img in new_images[col]:
@@ -177,8 +175,6 @@ class MinusPages:
             if fired:
                 self.r_last = r
             r += 1
-            if r > guard + 1:
-                raise NonDegeneration("runaway page iteration")
         # two stable buffer levels for the extension bookkeeping
         for _ in range(2):
             for col in (0, 4):

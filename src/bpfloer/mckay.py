@@ -4,15 +4,17 @@ and the representation-ring equation solver.
 The edge labels are computed algebraically (exact linear solve of the
 representation-ring equation plus regular-representation normalization); the
 graphical deletion procedure is implemented separately as a cross-check
-oracle on adjacent pairs.
+oracle on adjacent pairs: s_graph compares the oracle's H with the algebraic
+solution on every labeled edge and takes the subgroup order from the oracle.
+Both solves run on sparse.TrackedEchelon.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BPFloerError, GraphShapeError, LabelMismatch, NotDynkin, Unsolvable
+from .fields import QQ
 from .groups import (
     CYCLIC,
     IRREDUCIBLE,
@@ -26,6 +28,7 @@ from .groups import (
     GroupId as _G,
 )
 from .groups import ICOSA, OCTA, TETRA
+from .sparse import TrackedEchelon
 
 
 class VirtualRep:
@@ -195,6 +198,16 @@ def quotient_graph(m: McKayGraph, iota) -> QuotientGraph:
     return QuotientGraph(m.group, orbits, tuple(tuple(r) for r in adj), tuple(sorted(loops)))
 
 
+def _solve(columns, rhs):
+    """A solution h (dict position -> value) of sum_j h[j] * columns[j] = rhs
+    over Q, supported on the pivot columns; None when rhs is not in the span.
+    """
+    echelon = TrackedEchelon(QQ)
+    echelon.kernel_of_columns(columns)
+    residue, h = echelon.reduce(rhs)
+    return None if residue else h
+
+
 def solve_rep_equation(g: GroupId, alpha: VirtualRep, beta: VirtualRep) -> VirtualRep:
     """Minimal positive solution of (2 - Q) H = alpha - beta.
 
@@ -204,37 +217,15 @@ def solve_rep_equation(g: GroupId, alpha: VirtualRep, beta: VirtualRep) -> Virtu
     rhs = (alpha - beta).coeffs
     a = q_tensor_matrix(g)
     n = len(rhs)
-    # dense fraction solve; the kernel is spanned by the dimension vector
-    rows = [[Fraction(2 if i == j else 0) - a[j][i] for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    pivots = []
-    lead = 0
-    for j in range(n):
-        piv = None
-        for i in range(lead, n):
-            if rows[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        inv = 1 / rows[lead][j]
-        rows[lead] = [v * inv for v in rows[lead]]
-        for i in range(n):
-            if i != lead and rows[i][j] != 0:
-                c = rows[i][j]
-                rows[i] = [u - c * v for u, v in zip(rows[i], rows[lead])]
-        pivots.append((lead, j))
-        lead += 1
-    for i in range(lead, n):
-        if rows[i][n] != 0:
-            raise Unsolvable("no solution of the representation-ring equation")
-    h = [Fraction(0)] * n
-    for i, j in pivots:
-        h[j] = rows[i][n]
+    # the kernel of 2I - A is spanned by the dimension vector
+    columns = [{i: 2 * (i == j) - a[j][i] for i in range(n)} for j in range(n)]
+    h = _solve(columns, dict(enumerate(rhs)))
+    if h is None:
+        raise Unsolvable("no solution of the representation-ring equation")
     dims = [ir.dim for ir in character_table(g).irreps]
     # integral representative: adjust by t * dims; dims[0] = 1 pins t mod 1
-    t = -h[0]
-    cand = [hi + t * d for hi, d in zip(h, dims)]
+    t = -h.get(0, 0)
+    cand = [h.get(i, 0) + t * d for i, d in enumerate(dims)]
     if any(c.denominator != 1 for c in cand):
         raise Unsolvable("no integral solution of the representation-ring equation")
     ints = [int(c) for c in cand]
@@ -330,30 +321,14 @@ def minimal_solution_graphical(g: GroupId, alpha, beta):
     comp = sorted(comp)
     sub, order = recognize_subgroup(comp, adj)
     # Cartan solve on the component: (2I - A) h = alpha restricted
-    k = len(comp)
     pos = {v: i for i, v in enumerate(comp)}
-    rows = []
-    for v in comp:
-        row = [Fraction(0)] * (k + 1)
-        row[pos[v]] = Fraction(2)
-        for w in comp:
-            if adj(v, w):
-                row[pos[w]] -= 1
-        row[k] = Fraction(alpha.coeffs[v])
-        rows.append(row)
-    # dense solve (Cartan matrices are invertible)
-    for j in range(k):
-        piv = next(i for i in range(j, k) if rows[i][j] != 0)
-        rows[j], rows[piv] = rows[piv], rows[j]
-        inv = 1 / rows[j][j]
-        rows[j] = [v * inv for v in rows[j]]
-        for i in range(k):
-            if i != j and rows[i][j] != 0:
-                c = rows[i][j]
-                rows[i] = [u - c * v for u, v in zip(rows[i], rows[j])]
+    cartan = [{pos[v]: 2 * (v == w) - adj(v, w) for v in comp} for w in comp]
+    h = _solve(cartan, {pos[v]: alpha.coeffs[v] for v in comp})
+    if h is None:
+        raise Unsolvable("the Cartan system of the component is singular")
     coeffs = [0] * len(m.dims)
     for v in comp:
-        val = rows[pos[v]][k]
+        val = h.get(pos[v], 0)
         if val.denominator != 1 or val <= 0:
             raise Unsolvable("graphical solve produced a bad weight %s" % val)
         coeffs[v] = int(val)
@@ -399,25 +374,27 @@ class SGraph:
 
     def path(self, a, b):
         """Unique simple path between two vertices (the graph is a tree)."""
-        parent = {a: None}
-        queue = [a]
-        while queue:
-            v = queue.pop(0)
-            if v == b:
-                break
-            for w in self.neighbors(v):
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-        if b not in parent:
+        paths = _tree_paths(a, self.neighbors)
+        if b not in paths:
             raise BPFloerError("no path from %s to %s" % (a, b))
-        path = [b]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return list(reversed(path))
+        return paths[b]
 
     def irreducibles(self):
         return [v.name for v in self.vertices if v.kind == IRREDUCIBLE]
+
+
+def _tree_paths(root, neighbors):
+    """Breadth-first walk from root: {vertex: path from root to it} for every
+    vertex reached; neighbors(v) lists the vertices adjacent to v."""
+    paths = {root: [root]}
+    queue = [root]
+    while queue:
+        v = queue.pop(0)
+        for w in neighbors(v):
+            if w not in paths:
+                paths[w] = paths[v] + [w]
+                queue.append(w)
+    return paths
 
 
 def _grade_i(kind, j):
@@ -448,44 +425,25 @@ def s_graph(g: GroupId) -> SGraph:
             loc[q.name] = quo.orbit_of(verts[0])
         quat_orbits = set(loc.values())
 
-        def tree_path(a, b):
-            parent = {a: None}
-            queue = [a]
-            while queue:
-                v = queue.pop(0)
-                if v == b:
-                    break
-                for w in range(len(quo.orbits)):
-                    if quo.adjacency[v][w] and w not in parent:
-                        parent[w] = v
-                        queue.append(w)
-            path = [b]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return list(reversed(path))
+        def orbit_neighbors(v):
+            return [w for w in range(len(quo.orbits)) if quo.adjacency[v][w]]
 
         names = [q.name for q in quats]
         for x in range(len(names)):
+            paths = _tree_paths(loc[names[x]], orbit_neighbors)
             for y in range(x + 1, len(names)):
-                p = tree_path(loc[names[x]], loc[names[y]])
+                p = paths[loc[names[y]]]
                 if all(v not in quat_orbits for v in p[1:-1]):
                     edges.append((names[x], names[y]))
     # gradings from tree distance to theta
-    dist = {"theta": 0}
-    queue = ["theta"]
     adj = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    while queue:
-        v = queue.pop(0)
-        for w in adj.get(v, []):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+    from_theta = _tree_paths("theta", lambda v: adj.get(v, []))
     vertices = []
     for q in quats:
-        j = (4 * dist[q.name]) % 8
+        j = (4 * (len(from_theta[q.name]) - 1)) % 8
         vertices.append(SVertex(q.name, q.kind, j, _grade_i(q.kind, j)))
     # labels on edges with an irreducible endpoint
     labels = {}
@@ -496,7 +454,9 @@ def s_graph(g: GroupId) -> SGraph:
             va = VirtualRep.of_quat(g, by_name[src])
             vb = VirtualRep.of_quat(g, by_name[tgt])
             h = solve_rep_equation(g, va, vb)
-            _, sub, order = minimal_solution_graphical(g, va, vb)
+            oracle, _, order = minimal_solution_graphical(g, va, vb)
+            if oracle != h:
+                raise LabelMismatch("graphical oracle H = %r, algebraic H = %r" % (oracle, h))
             num = 2 * h.epsilon()
             if num % order != 0:
                 raise LabelMismatch("label 2*%d/%d is not integral" % (h.epsilon(), order))

@@ -1,9 +1,11 @@
 """Sparse exact linear algebra over a coefficient field.
 
-TrackedEchelon is the one elimination kernel.  Its pivot rule is fixed:
-vectors are taken in insertion order, and each stored row pivots at its
-smallest column.  Every elimination is therefore deterministic; golden tests
-rely on this.  dense_rank is an independent dense oracle for the tests.
+TrackedEchelon is the package's one elimination kernel: homology, filtered
+pages, the page engine and the representation-ring solves in mckay all run on
+it.  Its pivot rule is fixed: vectors are taken in insertion order, and each
+stored row pivots at its smallest column.  Every elimination is therefore
+deterministic; golden tests rely on this.  dense_rank is its oracle, an
+independent dense elimination used only by the tests.
 """
 from __future__ import annotations
 

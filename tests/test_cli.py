@@ -173,6 +173,16 @@ def test_even_prime_in_config_rejected(tmp_path, capsys):
     assert code == 2
 
 
+def test_coeff_flag_overrides_config(tmp_path, capsys):
+    cfg = tmp_path / "q.cfg"
+    cfg.write_text("coeff = q\n")
+    assert main(["--config", str(cfg), "floer", "T*", "--coeff", "fp:4"]) == 2
+    assert "usage error:" in capsys.readouterr().err
+    cfg.write_text("coeff = fp:4\n")
+    code, out = run_cli(capsys, "--config", str(cfg), "floer", "T*", "--coeff", "q")
+    assert code == 0 and "T*" in out
+
+
 def test_report_carries_tool_version(capsys):
     code, out = run_cli(capsys, "verify", "--groups", "C_3",
                         "--format", "json")

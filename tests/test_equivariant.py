@@ -30,6 +30,7 @@ from bpfloer.groups import (
     cyclic,
 )
 from bpfloer.presented import ModuleWindow
+from bpfloer.sparse import _apply_columns
 
 
 KINDS = [FULLY_REDUCIBLE, REDUCIBLE, IRREDUCIBLE]
@@ -81,20 +82,27 @@ def test_double_complex_axioms_fuzz():
         model = build_model(g, orientation)
         w = model.window(Window(q, p, q + 1, p + 3))
         fm = functor_model(w, flavor, q - 4, p + 6)
-        fm.complex.check_dd_zero()
-        dh, dv = fm.horizontal_vertical()
-        f = fm.complex.field
-        for n in fm.complex.degrees():
-            for pos in range(fm.complex.dim(n)):
-                start = {pos: f.one}
-                hh = dh.apply(n - 1, dh.apply(n, start))
-                assert not hh
-                vv = dv.apply(n - 1, dv.apply(n, start))
-                assert not vv
-                anti = dh.apply(n - 1, dv.apply(n, start))
-                for k, v in dv.apply(n - 1, dh.apply(n, start)).items():
-                    anti[k] = f.add(anti.get(k, f.zero), v)
-                assert all(f.is_zero(v) for v in anti.values())
+        cx = fm.complex
+        cx.check_dd_zero()
+        f = cx.field
+        # split the model's own boundary by target column: the same column p
+        # is the vertical piece, column p - 1 the horizontal one
+        dv, dh = {}, {}
+        for n in cx.degrees():
+            dv[n], dh[n] = [], []
+            for cg, col in zip(cx.basis[n], cx.boundary_columns(n)):
+                drop = {row: cg.p - cx.basis[n - 1][row].p for row in col}
+                assert set(drop.values()) <= {0, 1}
+                dv[n].append({row: v for row, v in col.items() if drop[row] == 0})
+                dh[n].append({row: v for row, v in col.items() if drop[row] == 1})
+        for n in cx.degrees():
+            for pos in range(cx.dim(n)):
+                h, v = dh[n][pos], dv[n][pos]
+                assert not _apply_columns(f, dh.get(n - 1, []), h)
+                assert not _apply_columns(f, dv.get(n - 1, []), v)
+                hv = _apply_columns(f, dh.get(n - 1, []), v)
+                vh = _apply_columns(f, dv.get(n - 1, []), h)
+                assert not _apply_columns(f, [hv, vh], {0: f.one, 1: f.one})
         assert fm.u.is_chain_map(sign=1)
 
 

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from bpfloer.errors import NotDynkin, Unsolvable
+from bpfloer import mckay
+from bpfloer.errors import LabelMismatch, NotDynkin, Unsolvable
 from bpfloer.groups import (
     I_STAR,
     O_STAR,
@@ -219,8 +220,29 @@ def test_gradings(g):
 def test_unsolvable_inputs():
     g = T_STAR
     bad = VirtualRep(g, [1, 0, 0, 0, 0, 0, 0])  # augmentation 1; not a difference
-    with pytest.raises(Unsolvable):
+    with pytest.raises(Unsolvable, match="no solution"):
         solve_rep_equation(g, bad, VirtualRep.zero(g))
+    # rho1 - rho0 on C_3 lies in the image of 2 - Q only over Q
+    g = cyclic(3)
+    with pytest.raises(Unsolvable, match="no integral solution"):
+        solve_rep_equation(g, VirtualRep(g, [0, 1, 0]), VirtualRep(g, [1, 0, 0]))
+
+
+def test_s_graph_rejects_a_disagreeing_oracle(monkeypatch):
+    # the graphical oracle's H is compared, not only its subgroup order
+    real = mckay.minimal_solution_graphical
+
+    def off_by_regular(g, alpha, beta):
+        h, sub, order = real(g, alpha, beta)
+        return h + VirtualRep.regular(g), sub, order
+
+    monkeypatch.setattr(mckay, "minimal_solution_graphical", off_by_regular)
+    s_graph.cache_clear()
+    try:
+        with pytest.raises(LabelMismatch, match="graphical oracle"):
+            s_graph(T_STAR)
+    finally:
+        s_graph.cache_clear()
 
 
 def test_walk_counts_match_path_enumeration():
