@@ -86,7 +86,8 @@ def cs_table(g: GroupId, orientation: str = STD):
     """All flat connections with their invariants and cohomology classes."""
     out = []
     for q in quaternionic_reps(g):
-        out.append((q.name, chern_simons(g, q.name, orientation), c2_class(g, q.name)))
+        cs = chern_simons(g, q.name, orientation)
+        out.append((q.name, cs, _c2_of(g, cs if orientation == STD else -cs)))
     return out
 
 
@@ -105,7 +106,12 @@ def q_vertex(g: GroupId) -> str:
 
 def c2_class(g: GroupId, vertex_name: str) -> CohClass:
     """Second Chern class of the holonomy representation, as a residue."""
-    cs = chern_simons(g, vertex_name, STD)
+    return _c2_of(g, chern_simons(g, vertex_name, STD))
+
+
+def _c2_of(g: GroupId, cs: CsValue) -> CohClass:
+    """The class c2 = -cs * |G| mod |G| of a flat connection whose
+    standard-orientation invariant is cs."""
     k = (-cs.value) * g.order
     if k.denominator != 1:
         raise BPFloerError("cs denominator does not divide the group order")

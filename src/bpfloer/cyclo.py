@@ -1,17 +1,47 @@
 """Cyclotomic arithmetic in the quotient ring Q[x]/(x^N - 1).
 
 Elements represent complex numbers via x -> exp(2*pi*i/N).  Only ring
-operations and conjugation are needed; rationality of a value is decided by
-reducing modulo the minimal relation of x, obtained as the polynomial gcd of
-the sparse relations 1 + x^(N/d) + x^(2N/d) + ... for the primes d | N
-(no factoring of x^N - 1 into irreducibles is ever performed).
+operations and conjugation are needed.  Coefficients follow the rule of
+fields.Rationals: an int when the value is integral, a Fraction otherwise,
+and never a float.  Character values are sums of roots of unity, so they live
+in Z[x]/(x^N - 1) and their arithmetic is plain int arithmetic.  Rationality
+of a value is decided by reducing modulo the minimal relation of x, the monic
+cyclotomic polynomial Phi_N with int coefficients, which needs no division.
+Phi_N is obtained once per order as the polynomial gcd of the sparse
+relations 1 + x^(N/d) + x^(2N/d) + ... for the primes d | N (no factoring of
+x^N - 1 into irreducibles is ever performed).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 from .errors import NonRationalResult
+from .fields import QQ
+
+
+def _coeff(x):
+    """An int or Fraction x as a coefficient (int when integral); any other
+    type, float included, raises TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(
+            "cyclotomic coefficients and scalars must be int or Fraction, not %s"
+            % type(x).__name__
+        )
+    return QQ.of(x)
+
+
+_INT = frozenset((int,))
+
+
+def _exact(c):
+    """The coefficients c as a tuple, each integral Fraction turned into an int."""
+    c = tuple(c)
+    # all-int is the common case; one C-level pass over the types finds it
+    if _INT.issuperset(map(type, c)):
+        return c
+    return tuple(map(QQ.of, c))
 
 
 def _poly_trim(c):
@@ -21,29 +51,34 @@ def _poly_trim(c):
 
 
 def _poly_divmod(a, b):
-    """Divide polynomials over Q (coefficient lists, low degree first)."""
+    """Divide polynomials over Q (coefficient lists, low degree first).
+
+    A monic divisor needs no division, so int input gives int output; any
+    other leading coefficient divides exactly, as a Fraction.
+    """
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
+    q = [0] * max(0, len(a) - len(b) + 1)
+    lead = b[-1]
+    terms = [(i, bc) for i, bc in enumerate(b) if bc]
     for k in range(len(a) - len(b), -1, -1):
-        f = a[k + len(b) - 1] * inv_lead
+        f = a[k + len(b) - 1]
         if f:
+            if lead != 1:
+                f = Fraction(f, lead)
             q[k] = f
-            for i, bc in enumerate(b):
+            for i, bc in terms:
                 a[k + i] -= f * bc
     return _poly_trim(q), _poly_trim(a[: len(b) - 1])
 
 
 def _poly_gcd(a, b):
+    """The monic gcd; its coefficients may be Fractions."""
     a, b = list(a), list(b)
     while b:
         _, r = _poly_divmod(a, b)
         a, b = b, r
     lead = a[-1]
-    return [c / lead for c in a]
-
-
-_ZERO = Fraction(0)
+    return [Fraction(c, lead) for c in a]
 
 
 def _prime_factors(n):
@@ -61,18 +96,19 @@ def _prime_factors(n):
 
 @lru_cache(maxsize=None)
 def _min_relation(order: int):
-    """gcd over primes d | N of the relations sum_i x^(i*N/d); N=1 gives x-1."""
+    """Phi_N with int coefficients: the gcd over primes d | N of the relations
+    sum_i x^(i*N/d); N=1 gives x-1."""
     if order == 1:
-        return (Fraction(-1), Fraction(1))
+        return (-1, 1)
     g = None
     for d in _prime_factors(order):
         step = order // d
-        rel = [Fraction(0)] * order
+        rel = [0] * order
         for i in range(d):
-            rel[i * step] = Fraction(1)
+            rel[i * step] = 1
         rel = _poly_trim(rel)
         g = rel if g is None else _poly_gcd(g, rel)
-    return tuple(g)
+    return _exact(g)
 
 
 class Cyclo:
@@ -82,14 +118,14 @@ class Cyclo:
 
     def __init__(self, order, coeffs):
         self.order = order
-        c = tuple(Fraction(v) for v in coeffs)
+        c = tuple(map(_coeff, coeffs))
         if len(c) != order:
             raise ValueError("coefficient vector must have length %d" % order)
         self.coeffs = c
 
     @classmethod
     def _raw(cls, order, coeffs):
-        """Trusted constructor: coeffs is already a tuple of Fractions."""
+        """Trusted constructor: coeffs is already a tuple of exact coefficients."""
         out = object.__new__(cls)
         out.order = order
         out.coeffs = coeffs
@@ -97,51 +133,54 @@ class Cyclo:
 
     @classmethod
     def integer(cls, n, order):
-        c = [Fraction(0)] * order
-        c[0] = Fraction(n)
+        c = [0] * order
+        c[0] = n
         return cls(order, c)
 
     @classmethod
     def root_power(cls, k, order):
         """x^k, i.e. the root of unity exp(2*pi*i*k/N)."""
-        c = [Fraction(0)] * order
-        c[k % order] = Fraction(1)
+        c = [0] * order
+        c[k % order] = 1
         return cls(order, c)
 
     def _check(self, other):
+        if not isinstance(other, Cyclo):
+            raise TypeError("cannot combine a cyclotomic value with %s" % type(other).__name__)
         if self.order != other.order:
             raise ValueError("mixed cyclotomic orders %d, %d" % (self.order, other.order))
 
     def __add__(self, other):
         self._check(other)
-        return Cyclo._raw(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Cyclo._raw(self.order, _exact(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return Cyclo._raw(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Cyclo._raw(self.order, _exact(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
         return Cyclo._raw(self.order, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclo._raw(self.order, tuple(a * other for a in self.coeffs))
+        if not isinstance(other, Cyclo):
+            s = _coeff(other)
+            return Cyclo._raw(self.order, _exact(a * s for a in self.coeffs))
         self._check(other)
         n = self.order
         left = [(i, a) for i, a in enumerate(self.coeffs) if a]
         right = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        out = [_ZERO] * n
+        out = [0] * n
         for i, a in left:
             for j, b in right:
                 out[(i + j) % n] += a * b
-        return Cyclo._raw(n, tuple(out))
+        return Cyclo._raw(n, _exact(out))
 
     __rmul__ = __mul__
 
     def conj(self):
         """Complex conjugation: basis index k -> N - k mod N."""
         n = self.order
-        out = [_ZERO] * n
+        out = [0] * n
         for k, a in enumerate(self.coeffs):
             out[(n - k) % n] = a
         return Cyclo._raw(n, tuple(out))
@@ -151,13 +190,11 @@ class Cyclo:
 
     def reduced(self):
         """Canonical representative modulo the minimal relation of x."""
-        rel = _min_relation(self.order)
-        _, r = _poly_divmod(list(self.coeffs), list(rel))
-        out = tuple(r) + (_ZERO,) * (self.order - len(r))
-        return Cyclo._raw(self.order, out)
+        _, r = _poly_divmod(self.coeffs, _min_relation(self.order))
+        return Cyclo._raw(self.order, _exact(r) + (0,) * (self.order - len(r)))
 
     def rational_value(self):
-        """The value as a Fraction, or None when the value is irrational."""
+        """The value as an int or Fraction, or None when the value is irrational."""
         red = self.reduced()
         if any(red.coeffs[1:]):
             return None
@@ -193,14 +230,16 @@ class Cyclo:
 def cyclo_inner(chi, psi, class_sizes, group_order):
     """Hermitian character pairing (1/|G|) sum_c |c| chi(c) conj(psi(c)).
 
-    Raises NonRationalResult when the reduction leaves a nonrational value.
+    The sum is exact in the coefficients and divided by |G| once, at the end;
+    the result is an int when integral, else a Fraction.  Raises
+    NonRationalResult when the reduction leaves a nonrational value.
     """
     if not (len(chi) == len(psi) == len(class_sizes)):
         raise ValueError("class value lists must have equal length")
     if sum(class_sizes) != group_order:
         raise ValueError("class sizes do not sum to the group order")
     order = chi[0].order
-    acc = [_ZERO] * order
+    acc = [0] * order
     for a, b, size in zip(chi, psi, class_sizes):
         left = [(i, x) for i, x in enumerate(a.coeffs) if x]
         if not left:
@@ -216,4 +255,4 @@ def cyclo_inner(chi, psi, class_sizes, group_order):
     val = total.rational_value()
     if val is None:
         raise NonRationalResult("inner product is not rational: %r" % (total,))
-    return val / group_order
+    return QQ.of(Fraction(val, group_order))

@@ -391,7 +391,7 @@ def fs_indicator(g: GroupId, irr_index: int) -> int:
         from .errors import NonRationalResult
 
         raise NonRationalResult("FS indicator is not rational")
-    val = val / t.order
+    val = Fraction(val, t.order)
     if val.denominator != 1 or val not in (-1, 0, 1):
         raise DecompositionFailure("FS indicator %s is not in {-1,0,1}" % val)
     return int(val)
@@ -517,7 +517,7 @@ def verify_orthogonality(g: GroupId):
             for ir in t.irreps:
                 acc = acc + ir.values[c] * ir.values[cp].conj()
             val = acc.rational_value()
-            want = Fraction(t.order, t.classes[c].size) if c == cp else Fraction(0)
+            want = Fraction(t.order, t.classes[c].size) if c == cp else 0
             if val != want:
                 raise BPFloerError("column orthogonality fails for %s at (%d,%d)" % (g, c, cp))
     return True

@@ -6,7 +6,10 @@ representation-ring equation plus regular-representation normalization); the
 graphical deletion procedure is implemented separately as a cross-check
 oracle on adjacent pairs: s_graph compares the oracle's H with the algebraic
 solution on every labeled edge and takes the subgroup order from the oracle.
-Both solves run on sparse.TrackedEchelon.
+Both solves run on sparse.TrackedEchelon.  The matrix 2I - A is factored once
+per group and every algebraic solve reduces its right-hand side against that
+echelon; the oracle factors the component's own Cartan matrix afresh on each
+call, so the two routes share no system.
 """
 from __future__ import annotations
 
@@ -198,14 +201,25 @@ def quotient_graph(m: McKayGraph, iota) -> QuotientGraph:
     return QuotientGraph(m.group, orbits, tuple(tuple(r) for r in adj), tuple(sorted(loops)))
 
 
-def _solve(columns, rhs):
-    """A solution h (dict position -> value) of sum_j h[j] * columns[j] = rhs
-    over Q, supported on the pivot columns; None when rhs is not in the span.
+def _factor(columns):
+    """The echelon of the columns over Q.  Its reduce(rhs) gives (residue, h):
+    rhs is in the span iff the residue is empty, and then h (dict position ->
+    value, supported on the pivot columns) solves sum_j h[j] * columns[j] =
+    rhs.  reduce() leaves the echelon unchanged, so one factorization serves
+    any number of right-hand sides.
     """
     echelon = TrackedEchelon(QQ)
     echelon.kernel_of_columns(columns)
-    residue, h = echelon.reduce(rhs)
-    return None if residue else h
+    return echelon
+
+
+@lru_cache(maxsize=None)
+def _two_minus_q(g: GroupId):
+    """2I - A factored once per group and shared by every solve_rep_equation
+    call; the kernel of 2I - A is spanned by the dimension vector."""
+    a = q_tensor_matrix(g)
+    n = len(a)
+    return _factor([{i: 2 * (i == j) - a[j][i] for i in range(n)} for j in range(n)])
 
 
 def solve_rep_equation(g: GroupId, alpha: VirtualRep, beta: VirtualRep) -> VirtualRep:
@@ -214,13 +228,8 @@ def solve_rep_equation(g: GroupId, alpha: VirtualRep, beta: VirtualRep) -> Virtu
     Solved exactly on the matrix 2I - A, then normalized by subtracting the
     largest multiple of the regular representation preserving nonnegativity.
     """
-    rhs = (alpha - beta).coeffs
-    a = q_tensor_matrix(g)
-    n = len(rhs)
-    # the kernel of 2I - A is spanned by the dimension vector
-    columns = [{i: 2 * (i == j) - a[j][i] for i in range(n)} for j in range(n)]
-    h = _solve(columns, dict(enumerate(rhs)))
-    if h is None:
+    residue, h = _two_minus_q(g).reduce(dict(enumerate((alpha - beta).coeffs)))
+    if residue:
         raise Unsolvable("no solution of the representation-ring equation")
     dims = [ir.dim for ir in character_table(g).irreps]
     # integral representative: adjust by t * dims; dims[0] = 1 pins t mod 1
@@ -323,8 +332,8 @@ def minimal_solution_graphical(g: GroupId, alpha, beta):
     # Cartan solve on the component: (2I - A) h = alpha restricted
     pos = {v: i for i, v in enumerate(comp)}
     cartan = [{pos[v]: 2 * (v == w) - adj(v, w) for v in comp} for w in comp]
-    h = _solve(cartan, {pos[v]: alpha.coeffs[v] for v in comp})
-    if h is None:
+    residue, h = _factor(cartan).reduce({pos[v]: alpha.coeffs[v] for v in comp})
+    if residue:
         raise Unsolvable("the Cartan system of the component is singular")
     coeffs = [0] * len(m.dims)
     for v in comp:

@@ -82,6 +82,24 @@ def test_c2_values():
         assert c2_class(g, q_vertex(g)).residue == 1
 
 
+@pytest.mark.parametrize("orientation", [STD, BAR])
+def test_cs_table_walks_each_path_once(monkeypatch, orientation):
+    import bpfloer.cs as cs
+
+    g = binary_dihedral(8)
+    want = [(n, v, c2_class(g, n)) for n, v, _ in cs_table(g, orientation)]
+    calls = []
+    real = cs.chern_simons
+
+    def counting(g, name, orientation=STD):
+        calls.append(name)
+        return real(g, name, orientation)
+
+    monkeypatch.setattr(cs, "chern_simons", counting)
+    assert cs_table(g, orientation) == want
+    assert sorted(calls) == sorted(q.name for q in quaternionic_reps(g))
+
+
 def test_cohomology_table():
     assert str(group_cohomology(cyclic(4), 0)) == "Z"
     assert str(group_cohomology(I_STAR, 2)) == "0"          # perfect group

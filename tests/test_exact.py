@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bpfloer.chains import FiniteComplex, HomologyData
-from bpfloer.cyclo import Cyclo, cyclo_inner
+from bpfloer.cyclo import Cyclo, _min_relation, cyclo_inner
 from bpfloer.donaldson import BAR, Window, build_model
 from bpfloer.equivariant import MINUS, PLUS, functor_model
 from bpfloer.errors import BPFloerError, NonRationalResult
@@ -68,6 +68,76 @@ def test_cyclo_ring_ops():
         assert (a * b) * c == a * (b * c)
         assert (a + b).conj() == a.conj() + b.conj()
         assert (a * b).conj() == a.conj() * b.conj()
+    # Fraction coefficients take the non-integral path, which stays exact
+    for _ in range(20):
+        a, b, c = (Cyclo(N, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(N)])
+                   for _ in range(3))
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a * b).conj() == a.conj() * b.conj()
+        assert (a - a).is_zero()
+        assert (a * 3) * Fraction(1, 3) == a
+    half = Cyclo(N, [Fraction(1, 2)] * N)
+    assert half * half == Cyclo(N, [Fraction(N, 4)] * N)
+
+
+def test_cyclo_rejects_floats():
+    with pytest.raises(TypeError, match="not float"):
+        Cyclo(6, [0.1, 0, 0, 0, 0, 0])
+    one = Cyclo.integer(1, 6)
+    with pytest.raises(TypeError, match="not float"):
+        one * 0.5
+    with pytest.raises(TypeError, match="not float"):
+        0.5 * one
+    with pytest.raises(TypeError, match="with float"):
+        one + 0.5
+    with pytest.raises(TypeError, match="with float"):
+        one - 0.5
+
+
+def test_cyclo_coefficients_are_int_when_integral():
+    a = Cyclo(6, [Fraction(1, 2), 0, Fraction(3, 2), 0, Fraction(4, 2), 0])
+    for v in (a, a * 2, 2 * a, a * Fraction(1, 3), a + a, a * a, a * 2 - a, -a, a.conj()):
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in v.coeffs), v
+    assert all(type(x) is int for x in (a * 2).coeffs)
+    assert type((a * 2).rational_part().coeffs[0]) is int
+
+
+def _phi_by_division(n):
+    """Phi_n as int coefficients (low degree first): x^n - 1 divided exactly
+    by Phi_d for every proper divisor d of n."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
+            continue
+        den = _phi_by_division(d)
+        quot = [0] * (len(num) - len(den) + 1)
+        for k in range(len(quot) - 1, -1, -1):
+            f = num[k + len(den) - 1]  # Phi_d is monic
+            quot[k] = f
+            for i, c in enumerate(den):
+                num[k + i] -= f * c
+        assert not any(num[: len(den) - 1])
+        num = quot
+    return num
+
+
+def test_min_relation_is_the_integer_cyclotomic_polynomial():
+    for n in range(1, 121):
+        rel = _min_relation(n)
+        assert all(type(c) is int for c in rel), n
+        assert rel[-1] == 1
+        assert list(rel) == _phi_by_division(n), n
+
+
+def test_cyclo_inner_is_int_or_fraction():
+    one, zero = Cyclo.integer(1, 6), Cyclo.integer(0, 6)
+    val = cyclo_inner([one, one, one], [one, one, one], [1, 1, 1], 3)
+    assert type(val) is int and val == 1
+    two = Cyclo.integer(2, 6)
+    val = cyclo_inner([one, one, one], [two, zero, zero], [1, 1, 1], 3)
+    assert type(val) is Fraction and val == Fraction(2, 3)
 
 
 def test_cyclo_conjugation_indices():

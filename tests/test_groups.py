@@ -39,6 +39,29 @@ def test_fs_indicator_matches_type_column(g):
         assert fs_indicator(g, i) == {"R": 1, "C": 0, "H": -1}[ir.rtype]
 
 
+TYPED_GROUPS = (
+    [cyclic(k) for k in range(1, 17)]
+    + [binary_dihedral(k) for k in range(2, 13)]
+    + [T_STAR, O_STAR, I_STAR]
+)
+
+
+@pytest.mark.parametrize("g", TYPED_GROUPS, ids=str)
+def test_character_values_have_int_coefficients(g):
+    # character values are sums of roots of unity: no Fraction, no float
+    t = character_table(g)
+    for values in [ir.values for ir in t.irreps] + [t.q_values]:
+        for v in values:
+            assert all(type(c) is int for c in v.coeffs), (g, v)
+
+
+@pytest.mark.parametrize("g", TYPED_GROUPS, ids=str)
+def test_fs_indicator_is_an_int(g):
+    for i in range(len(character_table(g).irreps)):
+        val = fs_indicator(g, i)
+        assert type(val) is int and val in (-1, 0, 1)
+
+
 def test_table_shapes():
     t = character_table(T_STAR)
     assert [ir.dim for ir in t.irreps] == [1, 1, 1, 2, 2, 2, 3]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bpfloer import mckay
-from bpfloer.errors import LabelMismatch, NotDynkin, Unsolvable
+from bpfloer.errors import BPFloerError, LabelMismatch, NotDynkin, Unsolvable
 from bpfloer.groups import (
     I_STAR,
     O_STAR,
@@ -25,6 +25,7 @@ from bpfloer.mckay import (
     s_graph_matches_expected,
     solve_rep_equation,
 )
+from bpfloer.sparse import TrackedEchelon
 
 ACCEPT_GROUPS = (
     [cyclic(k) for k in range(2, 13)]
@@ -277,3 +278,70 @@ def test_walk_counts_match_path_enumeration():
                             nxt[w] = nxt.get(w, 0) + c * row[v]
                 vec = nxt
                 assert vec == walks(src, r)
+
+
+CACHE_GROUPS = (
+    [cyclic(k) for k in range(2, 17)]
+    + [binary_dihedral(k) for k in range(2, 13)]
+    + [T_STAR, O_STAR, I_STAR]
+)
+
+
+def _solve_outcome(g, va, vb):
+    try:
+        return solve_rep_equation(g, va, vb)
+    except BPFloerError as e:
+        return "%s: %s" % (type(e).__name__, e)
+
+
+def _rows_snapshot(echelon):
+    return {c: (dict(row), dict(rc)) for c, (row, rc) in echelon.rows.items()}
+
+
+def test_cached_two_minus_q_matches_a_fresh_factorization():
+    pairs = 0
+    try:
+        for g in CACHE_GROUPS:
+            vecs = [VirtualRep.of_quat(g, q) for q in quaternionic_reps(g)]
+            fresh = []
+            for va in vecs:
+                for vb in vecs:
+                    mckay._two_minus_q.cache_clear()
+                    fresh.append(_solve_outcome(g, va, vb))
+            mckay._two_minus_q.cache_clear()
+            echelon = mckay._two_minus_q(g)
+            before = _rows_snapshot(echelon)
+            warm = [_solve_outcome(g, va, vb) for va in vecs for vb in vecs]
+            assert warm == fresh, g
+            assert mckay._two_minus_q(g) is echelon
+            assert _rows_snapshot(echelon) == before, g
+            pairs += len(warm)
+    finally:
+        mckay._two_minus_q.cache_clear()
+    assert pairs == 1066
+
+
+def test_two_minus_q_is_factored_once_per_group(monkeypatch):
+    from bpfloer.cs import cs_table
+
+    g = binary_dihedral(12)
+    n = len(character_table(g).irreps)
+    sizes = []
+    real = TrackedEchelon.kernel_of_columns
+
+    def counting(self, columns):
+        sizes.append(len(columns))
+        return real(self, columns)
+
+    monkeypatch.setattr(TrackedEchelon, "kernel_of_columns", counting)
+    s_graph.cache_clear()
+    mckay._two_minus_q.cache_clear()
+    try:
+        cs_table(g)
+    finally:
+        s_graph.cache_clear()
+        mckay._two_minus_q.cache_clear()
+    # the graphical oracle's Cartan systems lose beta's vertices, so only the
+    # (2 - Q) system has all n columns
+    assert sizes.count(n) == 1
+    assert len(sizes) > 1
