@@ -206,14 +206,21 @@ class Cyclo:
         return Cyclo.integer(v if v is not None else 0, self.order)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Cyclo)
-            and other.order == self.order
-            and (self - other).reduced().is_zero()
-        )
+        """Equality of values: another Cyclo of the same order, or an int or
+        Fraction by its value; a float raises TypeError, as + does."""
+        if isinstance(other, Cyclo):
+            return other.order == self.order and (self - other).reduced().is_zero()
+        if isinstance(other, (int, Fraction)):
+            return self.rational_value() == other
+        if isinstance(other, float):
+            raise TypeError("cannot compare a cyclotomic value with float")
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.reduced().coeffs))
+        # a rational value hashes as that int or Fraction, so that hash
+        # agrees with == on them
+        red = self.reduced().coeffs
+        return hash(red[0]) if not any(red[1:]) else hash((self.order, red))
 
     def __repr__(self):
         terms = []

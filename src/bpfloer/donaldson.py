@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .chains import ChainMap, FiniteComplex
 from .errors import BPFloerError
 from .fields import QQ
-from .groups import FULLY_REDUCIBLE, IRREDUCIBLE, REDUCIBLE, GroupId
+from .groups import IRREDUCIBLE, ORBITS, GroupId
 from .mckay import SGraph, s_graph
 
 BAR = "bar"   # reversed orientation
@@ -78,13 +78,8 @@ class DonaldsonModel:
         return v.j if self.orientation == BAR else v.i
 
     def generator_slots(self, vertex_name):
-        """(t, kind) slots carried by one vertex."""
-        v = self.sgraph.vertex(vertex_name)
-        if v.kind == IRREDUCIBLE:
-            return [(0, "b"), (3, "t")]
-        if v.kind == REDUCIBLE:
-            return [(0, "b"), (2, "t")]
-        return [(0, "b")]
+        """The internal degrees t of the generators at one vertex."""
+        return ORBITS[self.sgraph.vertex(vertex_name).kind].slots
 
     def differential(self, gen: Gen):
         """Image of a generator as {Gen: integer coefficient}."""
@@ -104,17 +99,12 @@ class DonaldsonModel:
         else:
             if sg.vertex(src).kind != IRREDUCIBLE:
                 return out
+            # into the top t = delta of each adjacent orbit, one degree down
             for tgt in sg.neighbors(src):
-                kind = sg.vertex(tgt).kind
                 n = sg.label(src, tgt)
-                if not n:
-                    continue
-                if kind == FULLY_REDUCIBLE:
-                    out[Gen(tgt, 0, gen.level - 1)] = n
-                elif kind == REDUCIBLE:
-                    out[Gen(tgt, 2, gen.level - 3)] = n
-                else:
-                    out[Gen(tgt, 3, gen.level - 4)] = n
+                if n:
+                    delta = ORBITS[sg.vertex(tgt).kind].delta
+                    out[Gen(tgt, delta, gen.level - 1 - delta)] = n
         return out
 
     def u_action(self, gen: Gen):
@@ -128,7 +118,7 @@ class DonaldsonModel:
         out = {}
         for v in self.sgraph.vertices:
             base = self.base_level(v.name)
-            for t, _kind in self.generator_slots(v.name):
+            for t in self.generator_slots(v.name):
                 s = base
                 while s > s_lo:
                     s -= 8
@@ -159,7 +149,7 @@ class WindowedComplex:
             base = model.base_level(v.name)
             start = win.q + 1 + ((base - (win.q + 1)) % 8)
             for level in range(start, win.p + 1, 8):
-                for t, _ in model.generator_slots(v.name):
+                for t in model.generator_slots(v.name):
                     if win.n_lo <= level + t <= win.n_hi:
                         gens.append(Gen(v.name, t, level))
         gens.sort(key=lambda g: (g.degree, g.level, g.vertex, g.t))
@@ -181,37 +171,15 @@ class WindowedComplex:
     def is_empty(self):
         return self.complex.total_dim() == 0
 
-    def psi_map(self) -> ChainMap:
-        """The degree -4 endomorphism with psi(x) u = (-1)^|x| dx.
-
-        On a b-generator the image is the weighted sum of adjacent free-orbit
-        b-generators one filtration column down; zero on t-generators.
-        """
-        sg = self.model.sgraph
-        psi = ChainMap(self.complex, self.complex, -4)
-        for g in self.generators:
-            img = {}
-            if g.t == 0 and self.model.orientation == BAR:
-                for tgt in sg.neighbors(g.vertex):
-                    if sg.vertex(tgt).kind != IRREDUCIBLE:
-                        continue
-                    n = sg.label(tgt, g.vertex)
-                    if n:
-                        img[Gen(tgt, 0, g.level - 4)] = n
-            psi.set_image(g.degree, g, img)
-        return psi
-
 
 def single_orbit_complex(kind, n_lo, n_hi, field=QQ):
     """One critical orbit placed at level 0: the building block used by the
     closed-form orbit homology checks.  Returns (FiniteComplex, u ChainMap)."""
     cx = FiniteComplex(field)
     gens = []
-    if n_lo <= 0 <= n_hi:
-        gens.append(Gen("pt", 0, 0))
-    top = {IRREDUCIBLE: 3, REDUCIBLE: 2, FULLY_REDUCIBLE: None}[kind]
-    if top is not None and n_lo <= top <= n_hi:
-        gens.append(Gen("pt", top, 0))
+    for t in ORBITS[kind].slots:
+        if n_lo <= t <= n_hi:
+            gens.append(Gen("pt", t, 0))
     for g in gens:
         cx.add_generator(g.degree, g, level=0)
     for g in gens:

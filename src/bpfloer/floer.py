@@ -8,8 +8,9 @@ the surviving quotient.  Degeneration is reached when both t = 3 lines die.
 
 The page engine derives the (bar, -) module; its dual is the (std, +)
 module.  The other four (orientation, flavor) pairs have no page derivation
-here: their closed forms live only in theorems.py, and every pair is checked
-against the chain-level route, direct_homology_window.
+here: their closed forms live only in theorems.py.  Every pair is checked
+against the chain-level route, direct_homology_window, and (bar, -) also
+against the page route (pair_reports).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .errors import (
     WrongFlavor,
 )
 from .fields import QQ
-from .groups import FULLY_REDUCIBLE, IRREDUCIBLE, REDUCIBLE
+from .groups import IRREDUCIBLE, ORBITS
 from .mckay import s_graph as s_graph_of
 from .presented import (
     OPLUS8,
@@ -41,37 +42,19 @@ from .theorems import encoded_module, negative_std_module, positive_bar_module
 def e1_entries(model: DonaldsonModel, flavor):
     """E^1 entries on the {0, 4} column transversal: (s, t) -> family names.
 
-    Names follow the closed-form conventions: U/Z/h for '-', V/W/g for '+',
-    T/S for the Tate flavor.  Each tower family is recorded once at its top
-    entry; the power indices repeat down the column with the internal degree.
+    Names are the family letters of groups.ORBITS: U/Z/h for '-', V/W/g
+    for '+', T/S for the Tate flavor.  A '-' family sits at the top t =
+    delta of its orbit, the others at t = 0.  Each tower family is recorded
+    once at its top entry; the power indices repeat down the column with
+    the internal degree.
     """
-    sg = model.sgraph
     out = {}
-
-    def put(s, t, label):
-        out.setdefault((s % 8, t), []).append(label)
-
-    for v in sg.vertices:
-        s = model.base_level(v.name)
-        if flavor == MINUS:
-            if v.kind == FULLY_REDUCIBLE:
-                put(s, 0, ("U", v.name))
-            elif v.kind == REDUCIBLE:
-                put(s, 2, ("Z", v.name))
-            else:
-                put(s, 3, ("h", v.name))
-        elif flavor == PLUS:
-            if v.kind == FULLY_REDUCIBLE:
-                put(s, 0, ("V", v.name))
-            elif v.kind == REDUCIBLE:
-                put(s, 0, ("W", v.name))
-            else:
-                put(s, 0, ("g", v.name))
-        else:
-            if v.kind == FULLY_REDUCIBLE:
-                put(s, 0, ("T", v.name))
-            elif v.kind == REDUCIBLE:
-                put(s, 0, ("S", v.name))
+    for v in model.sgraph.vertices:
+        orbit = ORBITS[v.kind]
+        letter = orbit.letter(flavor)
+        if letter is not None:
+            t = orbit.delta if flavor == MINUS else 0
+            out.setdefault((model.base_level(v.name) % 8, t), []).append((letter, v.name))
     return out
 
 
@@ -90,10 +73,8 @@ class MinusPages:
             s = model.base_level(v.name) % 8
             if v.kind == IRREDUCIBLE:
                 self.h_basis[s].append(v.name)
-            elif v.kind == FULLY_REDUCIBLE:
-                self.tower_gens[s].append(("U", v.name))
             else:
-                self.tower_gens[s].append(("Z", v.name))
+                self.tower_gens[s].append((ORBITS[v.kind].minus, v.name))
         # walk matrices on the vertex space; the same coefficients give the
         # boundary into the t-line
         names = [v.name for v in sg.vertices]
@@ -212,40 +193,22 @@ class MinusPages:
 def run_to_einfty(model: DonaldsonModel, flavor, field=QQ):
     """Iterate pages to degeneration; returns (page data, degeneration page).
 
-    On the reversed orientation the '+' and Tate entries all sit in even
-    total degree, so those pages degenerate immediately; the same parity
-    argument settles the standard-orientation '-' and Tate flavors.  The
+    On the reversed orientation the '+' and Tate E^1 entries (e1_entries)
+    all sit in even total degree s + t, so those pages degenerate
+    immediately; the same parity argument settles the standard-orientation
+    '-' and Tate flavors.  The
     standard-orientation '+' flavor does carry odd-page differentials and
     its assembly goes through the duality with the other orientation, so it
     is rejected here rather than misreported as degenerate.
     """
-    def check_even_total_degrees(offsets):
-        # offsets: kind -> degree offset of the entries, or None when the
-        # kind contributes nothing to the page
-        for v in model.sgraph.vertices:
-            off = offsets[v.kind]
-            if off is None:
-                continue
-            if (model.base_level(v.name) + off) % 2:
-                raise NonDegeneration("parity argument fails for %s" % v.name)
-
-    if model.orientation == BAR:
-        if flavor == MINUS:
-            pages = MinusPages(model, field)
-            return pages, pages.degeneration_page
-        if flavor == PLUS:
-            check_even_total_degrees({IRREDUCIBLE: 0, REDUCIBLE: 0, FULLY_REDUCIBLE: 0})
-            return None, 1
-        if flavor == TATE:
-            check_even_total_degrees({IRREDUCIBLE: None, REDUCIBLE: 0, FULLY_REDUCIBLE: 0})
-            return None, 1
-    else:
-        if flavor == MINUS:
-            check_even_total_degrees({IRREDUCIBLE: 3, REDUCIBLE: 0, FULLY_REDUCIBLE: 0})
-            return None, 1
-        if flavor == TATE:
-            check_even_total_degrees({IRREDUCIBLE: None, REDUCIBLE: 0, FULLY_REDUCIBLE: 0})
-            return None, 1
+    if model.orientation == BAR and flavor == MINUS:
+        pages = MinusPages(model, field)
+        return pages, pages.degeneration_page
+    if (model.orientation, flavor) != (STD, PLUS):
+        for (s, t), entries in sorted(e1_entries(model, flavor).items()):
+            if (s + t) % 2:
+                raise NonDegeneration("parity argument fails for %s" % entries[0][1])
+        return None, 1
     raise WrongFlavor(
         "no page iteration for (%s, %s); the standard-orientation '+' module "
         "is assembled through duality" % (model.orientation, flavor)
@@ -339,7 +302,7 @@ def duality_pairing_report(g, field=QQ):
     kind-offset shifted columns, and the degree -4 rules transpose.
 
     An orbit copy at level l pairs with the copy at level -l-delta, where
-    delta is the orbit's top internal degree (0, 2 or 3 by kind); so per
+    delta is the orbit's top internal degree (groups.ORBITS); so per
     vertex the tower parameters and every correction coefficient must match
     under transposition.  Returns a list of discrepancies (empty = pass).
     """
@@ -347,13 +310,11 @@ def duality_pairing_report(g, field=QQ):
     plus = positive_bar_module(g)
     minus = negative_std_module(g)
     out = []
-    offsets = {FULLY_REDUCIBLE: 0, REDUCIBLE: 2, IRREDUCIBLE: 3}
-    prefix_plus = {FULLY_REDUCIBLE: "V_", REDUCIBLE: "W_", IRREDUCIBLE: "g_"}
-    prefix_minus = {FULLY_REDUCIBLE: "U_", REDUCIBLE: "Z_", IRREDUCIBLE: "h_"}
     for v in sg.vertices:
-        delta = offsets[v.kind]
-        fp = plus.family(prefix_plus[v.kind] + v.name)
-        fm = minus.family(prefix_minus[v.kind] + v.name)
+        orbit = ORBITS[v.kind]
+        delta = orbit.delta
+        fp = plus.family(orbit.label(PLUS, v.name))
+        fm = minus.family(orbit.label(MINUS, v.name))
         # columns: i = j - delta mod 8; degrees: tower tops negate up to the
         # copy pairing l <-> -l-delta, i.e. base_minus = delta - 0 relative
         if (fm.column - (fp.column - delta)) % 8:
@@ -373,12 +334,13 @@ def duality_pairing_report(g, field=QQ):
 
     for v in sg.vertices:
         for w in sg.vertices:
+            ov, ow = ORBITS[v.kind], ORBITS[w.kind]
             for kp in range(0, 3):
                 for km in range(0, 3):
-                    src_p = (prefix_plus[v.kind] + v.name, kp)
-                    tgt_p = (prefix_plus[w.kind] + w.name, km)
-                    src_m = (prefix_minus[w.kind] + w.name, km)
-                    tgt_m = (prefix_minus[v.kind] + v.name, kp)
+                    src_p = (ov.label(PLUS, v.name), kp)
+                    tgt_p = (ow.label(PLUS, w.name), km)
+                    src_m = (ow.label(MINUS, w.name), km)
+                    tgt_m = (ov.label(MINUS, v.name), kp)
                     try:
                         a = coeff(plus, src_p, tgt_p)
                         b = coeff(minus, src_m, tgt_m)
@@ -398,11 +360,10 @@ def duality_transpose_check(g, win: Window, field=QQ):
     std = build_model(g, STD)
     bar = build_model(g, BAR)
     wstd = std.window(win, field)
-    offsets = {FULLY_REDUCIBLE: 0, REDUCIBLE: 2, IRREDUCIBLE: 3}
     sg = std.sgraph
 
     def partner(gen):
-        delta = offsets[sg.vertex(gen.vertex).kind]
+        delta = ORBITS[sg.vertex(gen.vertex).kind].delta
         return Gen(gen.vertex, delta - gen.t, -gen.level - delta)
 
     mism = []
@@ -433,26 +394,35 @@ def direct_homology_window(group, orientation, flavor, win: Window, field=QQ):
 PAIRS = tuple((o, f) for o in (BAR, STD) for f in (MINUS, PLUS, TATE))
 
 
-def closed_form_reports(group, field=QQ):
-    """Every encoded closed form against the routes independent of it.
+def pair_reports(group, orientation, flavor, win: Window, margin, field=QQ):
+    """One pair's encoded closed form against every route independent of it,
+    on win with the given level margin: [(route, CompareReport)].
 
-    Returns [(route, orientation, flavor, CompareReport)]: "chain" is the
-    chain-level window homology, run for all six pairs; "pages" is the
-    page-assembled (bar, -) module.  All share one comparison_window.
+    "pages" is the page-assembled module and runs for (bar, -) only; "chain"
+    is the chain-level window homology and runs for every pair.  The
+    page-assembled (std, +) module is the dual of the (bar, -) one, and so
+    is its closed form (theorems.positive_std_module), so comparing those
+    two would only check dual() against itself.
     """
-    bar = build_model(group, BAR)
+    enc = ModuleWindow(encoded_module(group, orientation, flavor), win, field)
+    sides = []
+    if (orientation, flavor) == (BAR, MINUS):
+        asm = assemble(build_model(group, BAR), MINUS, field)
+        sides.append(("pages", ModuleWindow(asm, win, field)))
+    sides.append(("chain", direct_homology_window(group, orientation, flavor, win, field)))
+    return [(route, compare_windows(side, enc, win, 4, margin)) for route, side in sides]
+
+
+def closed_form_reports(group, field=QQ):
+    """Every encoded closed form against the routes independent of it, on one
+    comparison_window: [(route, orientation, flavor, CompareReport)], the
+    pair_reports of the six pairs in PAIRS order ("pages" for (bar, -), then
+    "chain" for each pair).
+    """
     win, margin = comparison_window(group, field)
-
-    def against(side, orientation, flavor):
-        enc = ModuleWindow(encoded_module(group, orientation, flavor), win, field)
-        return compare_windows(side, enc, win, 4, margin)
-
-    asm = ModuleWindow(assemble(bar, MINUS, field), win, field)
-    out = [("pages", BAR, MINUS, against(asm, BAR, MINUS))]
-    for orientation, flavor in PAIRS:
-        hw = direct_homology_window(group, orientation, flavor, win, field)
-        out.append(("chain", orientation, flavor, against(hw, orientation, flavor)))
-    return out
+    return [(route, orientation, flavor, rep)
+            for orientation, flavor in PAIRS
+            for route, rep in pair_reports(group, orientation, flavor, win, margin, field)]
 
 
 def norm_vanishing_and_splitting(group, field=QQ):

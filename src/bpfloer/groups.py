@@ -31,6 +31,48 @@ REDUCIBLE = "reducible"
 IRREDUCIBLE = "irreducible"
 
 
+@dataclass(frozen=True)
+class Orbit:
+    """The critical orbit of a flat connection of one kind.
+
+    delta is the orbit's top degree: 0 for a point (fully reducible), 2 for
+    a two-sphere (reducible), 3 for a free orbit (irreducible).  The orbit
+    has generators at t = 0 and t = delta, its standard grading is
+    i = j - delta, and the orientation duality pairs a copy at level l with
+    level -l - delta.  minus, plus and tate are its family letters in I^-,
+    I^+ and I^inf; a free orbit has no Tate family.
+    """
+
+    delta: int
+    minus: str
+    plus: str
+    tate: str | None
+
+    @property
+    def slots(self):
+        """The internal degrees t of the orbit's generators."""
+        return (0, self.delta) if self.delta else (0,)
+
+    def letter(self, flavor):
+        """The family letter in flavor "-", "+" or "inf" (None: no family)."""
+        return {"-": self.minus, "+": self.plus, "inf": self.tate}[flavor]
+
+    def label(self, flavor, vertex):
+        """The family of the orbit at vertex in flavor, e.g. "V_theta"."""
+        return "%s_%s" % (self.letter(flavor), vertex)
+
+
+# the one orbit table: every route reads delta and the family letters here
+ORBITS = {
+    FULLY_REDUCIBLE: Orbit(0, "U", "V", "T"),
+    REDUCIBLE: Orbit(2, "Z", "W", "S"),
+    IRREDUCIBLE: Orbit(3, "h", "g", None),
+}
+ORBIT_OF_LETTER = {
+    x: o for o in ORBITS.values() for x in (o.minus, o.plus, o.tate) if x is not None
+}
+
+
 @dataclass(frozen=True, order=True)
 class GroupId:
     family: str

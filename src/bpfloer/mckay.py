@@ -21,7 +21,7 @@ from .fields import QQ
 from .groups import (
     CYCLIC,
     IRREDUCIBLE,
-    REDUCIBLE,
+    ORBITS,
     GroupId,
     binary_dihedral,
     character_table,
@@ -406,14 +406,6 @@ def _tree_paths(root, neighbors):
     return paths
 
 
-def _grade_i(kind, j):
-    if kind == IRREDUCIBLE:
-        return (j - 3) % 8
-    if kind == REDUCIBLE:
-        return (j - 2) % 8
-    return j % 8
-
-
 @lru_cache(maxsize=None)
 def s_graph(g: GroupId) -> SGraph:
     table = character_table(g)
@@ -453,7 +445,7 @@ def s_graph(g: GroupId) -> SGraph:
     vertices = []
     for q in quats:
         j = (4 * (len(from_theta[q.name]) - 1)) % 8
-        vertices.append(SVertex(q.name, q.kind, j, _grade_i(q.kind, j)))
+        vertices.append(SVertex(q.name, q.kind, j, (j - ORBITS[q.kind].delta) % 8))
     # labels on edges with an irreducible endpoint
     labels = {}
     for a, b in edges:

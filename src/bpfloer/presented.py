@@ -8,24 +8,27 @@ into other families.  Window realizations enumerate the finitely many
 elements with level in (q, p] and degree in [n_lo, n_hi].
 
 Both window views (ModuleWindow for a presentation, HomologyWindow for a
-computed window homology) answer dims and u_power_ranks(n, kmax), the ranks
-of U^1..U^kmax out of degree n from a single walk down from n; the walk keeps
-only a basis of the current image, since rank U^{k+1} = rank of U on
-im U^k.  compare_windows asks each side once per degree.
+computed window homology) answer dims and share one U walk (_UWalk):
+u_power_ranks(n, kmax), the ranks of U^1..U^kmax out of degree n from a
+single walk down from n.  compare_windows asks each side once per degree.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .donaldson import Window
 from .errors import BPFloerError
 from .fields import QQ
+from .groups import ORBIT_OF_LETTER
 from .sparse import TrackedEchelon, _apply_columns
 
 PI8 = "pi8"
 OPLUS8 = "oplus8"
 PIINF8 = "piinf8"
 FINITE = "finite"
+
+_ORBIT_LETTER = re.compile(r"([A-Za-z])_")  # the letter of each "U_theta"-style component
 
 
 @dataclass(frozen=True)
@@ -94,22 +97,68 @@ class PresentedModule:
         return True
 
     def dual(self):
-        """Degree-negated dual; only for plain free-tower presentations."""
+        """The orientation dual of a module of floor-0 free towers.
+
+        An orbit copy at level l pairs with level -l - delta (groups.ORBITS),
+        so a tower with degree d, step s and column c becomes one with degree
+        -d, step -s and column -c - delta.  For a family naming several
+        orbits ("3U_theta^0-Z_lambda^1") delta is the largest of theirs: a
+        dual copy lies inside a window only when its lowest standard level
+        does.
+        """
         if self.corrections:
             raise BPFloerError("dual() supports only free-tower modules")
         fams, shifts = [], {}
         for f in self.families:
             if f.floor != 0 or f.top is not None:
-                if f.top == 0 and f.floor == 0:
-                    fams.append(Family(f.label, -f.base_degree, 0, -f.column, 0, 0))
-                    continue
                 raise BPFloerError("dual() expects towers with floor 0")
-            fams.append(Family(f.label, -f.base_degree, -f.step, -f.column, 0, None))
+            delta = max(ORBIT_OF_LETTER[x].delta for x in _ORBIT_LETTER.findall(f.label))
+            fams.append(Family(f.label, -f.base_degree, -f.step, -f.column - delta, 0, None))
             shifts[f.label] = -self.shifts[f.label]
         return PresentedModule(self.flavor_tag, fams, shifts, {})
 
 
-class ModuleWindow:
+class _UWalk:
+    """The U-power ranks of a window view, from one walk down per degree.
+
+    A view gives its field, dim(n) and _u_columns(n): the columns of U out
+    of degree n (one per basis element there, each a dict from positions in
+    degree n - 4 to values), or None where U leaves the window.
+    """
+
+    def u_power_ranks(self, n, kmax):
+        """[rank U^k out of degree n for k = 1..kmax], one walk down.
+
+        The walk keeps only a basis of the current image, since rank U^{k+1}
+        is the rank of U on im U^k.  Once the image is zero (for instance
+        when the degree is empty) the remaining ranks are 0; a power whose
+        walk has to leave the window through a nonzero class has no rank
+        (None), nor has any higher power.
+        """
+        f = self.field
+        vectors = [{i: f.one} for i in range(self.dim(n))]
+        ranks = []
+        for k in range(kmax):
+            if vectors:
+                cols = self._u_columns(n - 4 * k)
+                if cols is None:
+                    return ranks + [None] * (kmax - k)
+                vectors = _independent(f, [_apply_columns(f, cols, v) for v in vectors])
+            ranks.append(len(vectors))
+        return ranks
+
+    def u_power_rank(self, k, n):
+        """rank of U^k from the degree-n slice to degree n-4k (None: no rank)."""
+        return self.u_power_ranks(n, k)[-1]
+
+
+def _independent(f, vectors):
+    """The vectors independent of the ones before them; they span the same space."""
+    _, pivots = TrackedEchelon(f).kernel_of_columns(vectors)
+    return [vectors[j] for j in pivots]
+
+
+class ModuleWindow(_UWalk):
     """Finite realization of a PresentedModule inside a window."""
 
     def __init__(self, module: PresentedModule, win: Window, field=QQ):
@@ -128,10 +177,11 @@ class ModuleWindow:
                 for k in ks:
                     basis.append((f.label, k, s))
         self.basis = sorted(basis, key=lambda b: (self._deg(b), b))
-        self.index = {b: i for i, b in enumerate(self.basis)}
         self.by_degree = {}
         for b in self.basis:
             self.by_degree.setdefault(self._deg(b), []).append(b)
+        # position of each element among the basis elements of its degree
+        self.index = {b: i for bs in self.by_degree.values() for i, b in enumerate(bs)}
         self._u_cols = {}
 
     def _indices(self, f: Family, shift):
@@ -165,14 +215,14 @@ class ModuleWindow:
     def dim(self, n):
         return len(self.by_degree.get(n, []))
 
-    def u_matrix(self, n):
-        """Columns of U restricted to degree n, into degree n-4 (index dicts)."""
+    def _u_columns(self, n):
+        """Columns of U restricted to degree n, into degree n-4 (memoized)."""
         cols = self._u_cols.get(n)
         if cols is None:
-            cols = self._u_cols[n] = self._build_u_matrix(n)
+            cols = self._u_cols[n] = self._build_u_columns(n)
         return cols
 
-    def _build_u_matrix(self, n):
+    def _build_u_columns(self, n):
         f = self.field
         cols = []
         for label, k, s in self.by_degree.get(n, []):
@@ -191,30 +241,8 @@ class ModuleWindow:
             cols.append({p: v for p, v in col.items() if not f.is_zero(v)})
         return cols
 
-    def u_power_ranks(self, n, kmax):
-        """[rank U^k from degree n to n-4k for k = 1..kmax], one walk down."""
-        f = self.field
-        vectors = [{self.index[b]: f.one} for b in self.by_degree.get(n, [])]
-        ranks = []
-        for deg in range(n, n - 4 * kmax, -4):
-            positions = [self.index[b] for b in self.by_degree.get(deg, [])]
-            cols = dict(zip(positions, self.u_matrix(deg)))
-            vectors = _independent(f, [_apply_columns(f, cols, v) for v in vectors])
-            ranks.append(len(vectors))
-        return ranks
 
-    def u_power_rank(self, k, n):
-        """rank of U^k from the degree-n slice to degree n-4k."""
-        return self.u_power_ranks(n, k)[-1]
-
-
-def _independent(f, vectors):
-    """The vectors independent of the ones before them; they span the same space."""
-    _, pivots = TrackedEchelon(f).kernel_of_columns(vectors)
-    return [vectors[j] for j in pivots]
-
-
-class HomologyWindow:
+class HomologyWindow(_UWalk):
     """dims / U^k-rank view of a computed window homology."""
 
     def __init__(self, homology, u_chain_map):
@@ -235,27 +263,8 @@ class HomologyWindow:
     def dims(self):
         return self.h.dims()
 
-    def u_power_ranks(self, n, kmax):
-        """[rank U^k out of degree n for k = 1..kmax], one walk down.
-
-        Once the image is zero (for instance when H_n = 0) the remaining
-        ranks are 0; a power whose walk has to leave the window through a
-        nonzero class has no rank (None), nor has any higher power.
-        """
-        f = self.field
-        vectors = [{i: f.one} for i in range(self.h.dim(n))]
-        ranks = []
-        for k in range(kmax):
-            if vectors:
-                cols = self._u.get(n - 4 * k)
-                if cols is None:
-                    return ranks + [None] * (kmax - k)
-                vectors = _independent(f, [_apply_columns(f, cols, v) for v in vectors])
-            ranks.append(len(vectors))
-        return ranks
-
-    def u_power_rank(self, k, n):
-        return self.u_power_ranks(n, k)[-1]
+    def _u_columns(self, n):
+        return self._u.get(n)
 
 
 MIN_CHECKED_DEGREES = 8  # one mod-8 period; a comparison over fewer degrees fails

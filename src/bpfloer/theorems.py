@@ -3,16 +3,17 @@
 These tables are entered directly from the published statements, family by
 family, and are the only implementation of each closed form.  They serve as
 the golden side of two comparisons: against the page-assembled (bar, -)
-module and its (std, +) dual (floer.assemble), and, for all six
-(orientation, flavor) pairs, against the chain-level window homology
-(floer.direct_homology_window).  All modules are mod-8 periodic; a generator
+module (floer.assemble), and, for all six (orientation, flavor) pairs,
+against the chain-level window homology (floer.direct_homology_window).
+The (std, +) table is the dual of the (bar, -) one, so only the chain
+route checks it.  All modules are mod-8 periodic; a generator
 is recorded with the degree and filtration column of its shift-0 copy.
 """
 from __future__ import annotations
 
 from .donaldson import BAR, STD
 from .errors import BPFloerError
-from .groups import CYCLIC, FULLY_REDUCIBLE, GroupId, IRREDUCIBLE, REDUCIBLE
+from .groups import CYCLIC, FULLY_REDUCIBLE, GroupId, IRREDUCIBLE, ORBITS, REDUCIBLE
 from .mckay import s_graph
 from .presented import OPLUS8, PI8, PIINF8, Family, PresentedModule
 
@@ -92,7 +93,7 @@ def positive_bar_module(g: GroupId) -> PresentedModule:
             for w in sg.neighbors(v.name)
             if sg.vertex(w).kind == IRREDUCIBLE and sg.label(w, v.name)
         ]
-        key = {FULLY_REDUCIBLE: "V_%s", REDUCIBLE: "W_%s", IRREDUCIBLE: "g_%s"}[v.kind] % v.name
+        key = ORBITS[v.kind].label("+", v.name)
         corr[(key, 0)] = images
         if v.kind == REDUCIBLE:
             corr[(key, 1)] = []
@@ -142,16 +143,14 @@ def negative_std_module(g: GroupId) -> PresentedModule:
             n = sg.label(v.name, w)
             if not n:
                 continue
-            kind = sg.vertex(w).kind
-            pref = {FULLY_REDUCIBLE: "U_%s", REDUCIBLE: "Z_%s", IRREDUCIBLE: "h_%s"}[kind]
-            images.append((pref % w, 0, n))
+            images.append((ORBITS[sg.vertex(w).kind].label("-", w), 0, n))
         corr[("h_%s" % v.name, 0)] = images
     return PresentedModule(OPLUS8, fams, shifts, corr)
 
 
 def positive_std_module(g: GroupId) -> PresentedModule:
     """I^+ of the standard-orientation space via the duality with the
-    reversed-orientation '-' module."""
+    reversed-orientation '-' module (PresentedModule.dual)."""
     return negative_bar_module(g).dual()
 
 

@@ -96,6 +96,20 @@ def test_cyclo_rejects_floats():
         one - 0.5
 
 
+def test_cyclo_equality_is_by_value():
+    one = Cyclo.integer(1, 6)
+    assert one == 1 and 1 == one and one != 2
+    half = Cyclo.integer(Fraction(1, 2), 6)
+    assert half == Fraction(1, 2) and half != 0
+    # the primitive cube roots z6^2 + z6^4 sum to -1; z6 itself is irrational
+    assert Cyclo(6, [0, 0, 1, 0, 1, 0]) == -1
+    assert Cyclo.root_power(1, 6) != 1
+    assert hash(one) == hash(1) and hash(half) == hash(Fraction(1, 2))
+    assert {1: "one"}[one] == "one"
+    with pytest.raises(TypeError, match="with float"):
+        one == 1.0
+
+
 def test_cyclo_coefficients_are_int_when_integral():
     a = Cyclo(6, [Fraction(1, 2), 0, Fraction(3, 2), 0, Fraction(4, 2), 0])
     for v in (a, a * 2, 2 * a, a * Fraction(1, 3), a + a, a * a, a * 2 - a, -a, a.conj()):

@@ -26,7 +26,7 @@ from bpfloer.floer import (
 )
 from bpfloer.groups import I_STAR, O_STAR, T_STAR, binary_dihedral, cyclic, parse_group
 from bpfloer.presented import ModuleWindow, PresentedModule, compare_windows
-from bpfloer.theorems import encoded_module
+from bpfloer.theorems import encoded_module, negative_bar_module, positive_std_module
 
 
 def kernel_spans_equal(pages, col, r, expected_vectors):
@@ -201,34 +201,46 @@ def test_direct_homology_vs_encoded(g):
             str(g), orientation, flavor, rep.mismatches[:4])
 
 
-# (std, +) cases of the residue sweep where the chain route is one dim low
-# in the even degrees of the interior: ROADMAP item 1, not yet diagnosed
-STD_PLUS_DEFECT = {"C_3": {6, 7}, "T*": {6, 7}, "C_5": {2, 3, 6, 7}, "D*_5": {2, 3}}
-
-
 def residue_cases():
-    defect = pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: (std, +) chain route at this lower-cut residue")
-    for name in ("C_3", "T*", "O*", "C_5", "D*_5"):
-        for c in range(1, 8):
-            for orientation, flavor in PAIRS:
-                bad = (orientation, flavor) == (STD, PLUS) and c in STD_PLUS_DEFECT.get(name, ())
-                yield pytest.param(name, c, orientation, flavor, marks=[defect] if bad else [],
-                                   id="%s-c%d-%s-%s" % (name, c, orientation, flavor))
+    # D*_3 and D*_7 carry the mixed point/two-sphere family
+    # 2U_theta^q-Z_lambda^(2q+1); over F_3 the U part of T*'s
+    # 3U_theta^0-Z_lambda^1 vanishes
+    for p in (None, 3):
+        for name in ("C_3", "T*", "O*", "C_5", "D*_5", "D*_3", "D*_7"):
+            for c in range(1, 8):
+                for orientation, flavor in PAIRS:
+                    ident = "%s-c%d-%s-%s" % (name, c, orientation, flavor)
+                    yield pytest.param(name, c, orientation, flavor, p,
+                                       id=ident if p is None else "%s-F%d" % (ident, p))
 
 
-@pytest.mark.parametrize("name, offset, orientation, flavor", residue_cases())
-def test_chain_route_at_every_residue(name, offset, orientation, flavor):
+@pytest.mark.parametrize("name, offset, orientation, flavor, p", residue_cases())
+def test_chain_route_at_every_residue(name, offset, orientation, flavor, p):
     # the lower cut of comparison_window(g) shifted by c runs through all 8
     # residues mod 8 as c does; the unshifted gates see only c = 0
     g = parse_group(name)
-    win, margin = comparison_window(g, QQ)
+    field = QQ if p is None else PrimeField(p)
+    win, margin = comparison_window(g, field)
     win = win.shifted(offset)
-    hw = direct_homology_window(g, orientation, flavor, win)
-    enc = ModuleWindow(encoded_module(g, orientation, flavor), win)
+    hw = direct_homology_window(g, orientation, flavor, win, field)
+    enc = ModuleWindow(encoded_module(g, orientation, flavor), win, field)
     rep = compare_windows(hw, enc, win, 4, margin)
     assert rep.checked_degrees == list(range(-7 + offset, 8 + offset))
     assert rep.ok, rep.mismatches[:4]
+
+
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=str)
+def test_positive_std_is_the_shifted_dual(g):
+    # each (std, +) family negates its (bar, -) family's degree and step and
+    # sits at column -c - delta: delta = 2 when the family has a two-sphere
+    # (Z) component, else 0 (the (bar, -) tables name no free orbit)
+    minus, plus = negative_bar_module(g), positive_std_module(g)
+    assert [f.label for f in plus.families] == [f.label for f in minus.families]
+    for fm in minus.families:
+        fp = plus.family(fm.label)
+        delta = 2 if "Z_" in fm.label else 0
+        assert (fp.base_degree, fp.step, fp.column) == (
+            -fm.base_degree, -fm.step, -fm.column - delta), (str(g), fm.label)
 
 
 def test_compare_needs_a_full_period():
