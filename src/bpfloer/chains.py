@@ -11,6 +11,17 @@ from .fields import QQ
 from .sparse import TrackedEchelon, _apply_columns
 
 
+def _column(f, index, image):
+    """A dict label -> value as a column over the positions of index; labels
+    outside index (truncated away by the window) and zero values drop out."""
+    col = {}
+    for lab, v in image.items():
+        v = f.of(v)
+        if lab in index and not f.is_zero(v):
+            col[index[lab]] = v
+    return col
+
+
 class FiniteComplex:
     def __init__(self, field=QQ):
         self.field = field
@@ -31,17 +42,8 @@ class FiniteComplex:
 
     def set_boundary(self, degree, label, image):
         """image: dict target-label -> coefficient (targets in degree-1)."""
-        f = self.field
         pos = self.index[degree][label]
-        tgt = self.index.get(degree - 1, {})
-        col = {}
-        for lab, v in image.items():
-            v = f.of(v)
-            if lab not in tgt:
-                continue  # target truncated away by the window
-            if not f.is_zero(v):
-                col[tgt[lab]] = v
-        self.boundary[degree][pos] = col
+        self.boundary[degree][pos] = _column(self.field, self.index.get(degree - 1, {}), image)
 
     def degrees(self):
         return sorted(self.basis)
@@ -75,29 +77,19 @@ class ChainMap:
         self.columns = {}  # source degree -> list of column dicts (target pos -> value)
 
     def set_image(self, degree, label, image):
-        f = self.source.field
         pos = self.source.index[degree][label]
         cols = self.columns.setdefault(degree, [dict() for _ in self.source.basis[degree]])
         tgt = self.target.index.get(degree + self.degree, {})
-        col = {}
-        for lab, v in image.items():
-            v = f.of(v)
-            if lab in tgt and not f.is_zero(v):
-                col[tgt[lab]] = v
-        cols[pos] = col
+        cols[pos] = _column(self.source.field, tgt, image)
 
     def column(self, degree, pos):
         cols = self.columns.get(degree)
-        if cols is None:
-            return {}
-        return cols[pos]
+        return {} if cols is None else cols[pos]
 
     def apply(self, degree, vec):
         """Apply to a sparse vector in source degree; result in degree+self.degree."""
         cols = self.columns.get(degree)
-        if cols is None:
-            return {}
-        return _apply_columns(self.source.field, cols, vec)
+        return {} if cols is None else _apply_columns(self.source.field, cols, vec)
 
     def is_chain_map(self, sign=1):
         """Check f d = sign * d f degreewise (sign -1 for odd-degree maps)."""
@@ -113,38 +105,40 @@ class ChainMap:
 
 
 class HomologyData:
-    """Homology of a FiniteComplex: dims, representatives and coordinates."""
+    """Homology of a FiniteComplex: dims, representatives and coordinates.
+
+    One elimination per degree: kernel_of_columns(d_n) with rows keyed by -r
+    gives the cycle basis, one z_j = e_j - (earlier pivot columns) with top
+    (largest position) j per dependent column j, and rows spanning B_{n-1}
+    that pivot at their tops.  z_j is a representative iff j is no boundary
+    top: that is the greedy rule z_j not in B + span(z_i, i < j), since a
+    boundary with top j less a multiple of z_j is a cycle below j.  Boundary
+    rows plus the representatives at their tops (tagged) reduce coordinates.
+    """
 
     def __init__(self, complex_):
         self.complex = complex_
         f = complex_.field
         self.cycle_basis = {}
         self.rank_boundary = {}
-        degrees = complex_.degrees()
-        for n in degrees:
-            cols = complex_.boundary_columns(n)
-            kernel, pivots = TrackedEchelon(f).kernel_of_columns(cols)
+        boundaries = {}  # n -> rows spanning B_n, keyed by -r
+        for n in complex_.degrees():
+            ech = TrackedEchelon(f)
+            kernel, pivots = ech.kernel_of_columns(
+                {-r: v for r, v in col.items()} for col in complex_.boundary_columns(n))
             self.cycle_basis[n] = kernel
             self.rank_boundary[n] = len(pivots)  # rank of d_n : C_n -> C_{n-1}
-        self.reps = {}
-        self._coord = {}
-        for n in degrees:
-            tracked = TrackedEchelon(f)
-            # boundaries first, untagged
-            if n + 1 in self.basis_degrees():
-                for j, col in enumerate(complex_.boundary_columns(n + 1)):
-                    if col:
-                        tracked.insert(dict(col))
-            reps = []
-            for vec in self.cycle_basis.get(n, []):
-                tag = len(reps)
-                if tracked.insert(dict(vec), tag=tag) is not None:
-                    reps.append(vec)
-            self.reps[n] = reps
-            self._coord[n] = tracked
-
-    def basis_degrees(self):
-        return self.complex.basis.keys()
+            boundaries[n - 1] = [row for row, _ in ech.rows.values()]  # tags dropped
+        self.reps, self._coord = {}, {}
+        for n, kernel in self.cycle_basis.items():
+            coord = self._coord[n] = TrackedEchelon(f)
+            for row in boundaries.get(n, ()):
+                coord.add_row(row)
+            reps = self.reps[n] = []
+            for z in kernel:
+                if -max(z) not in coord.rows:
+                    coord.add_row({-r: v for r, v in z.items()}, tag=len(reps))
+                    reps.append(z)
 
     def dim(self, n):
         return len(self.reps.get(n, []))
@@ -157,10 +151,10 @@ class HomologyData:
 
         Returns None when vec is not a cycle class of this complex.
         """
-        vec = {k: v for k, v in vec.items() if not self.complex.field.is_zero(v)}
+        vec = {-r: v for r, v in vec.items() if not self.complex.field.is_zero(v)}
         if n not in self._coord:
             return {} if not vec else None
-        residue, coeffs = self._coord[n].reduce(dict(vec))
+        residue, coeffs = self._coord[n].reduce(vec)
         if residue:
             return None
         return coeffs

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from operator import add, sub
 
 from .errors import NonRationalResult
@@ -111,6 +112,20 @@ def _min_relation(order: int):
     return _exact(g)
 
 
+@lru_cache(maxsize=None)
+def _trace_weights(order: int):
+    """mu(m)/phi(m), m = N/gcd(k, N), for k = 0..N-1: the normalized trace
+    (mean over the Galois conjugates) of x^k, a primitive m-th root of unity."""
+    out = []
+    for k in range(order):
+        m = order // gcd(k, order)
+        phi, mu = m, 1
+        for p in _prime_factors(m):
+            phi, mu = phi // p * (p - 1), 0 if m % (p * p) == 0 else -mu
+        out.append(Fraction(mu, phi))
+    return tuple(out)
+
+
 class Cyclo:
     """An element of Q[x]/(x^N - 1); immutable."""
 
@@ -205,11 +220,18 @@ class Cyclo:
         v = self.rational_value()
         return Cyclo.integer(v if v is not None else 0, self.order)
 
+    def _lift(self, order):
+        """The same value in Q[x]/(x^L - 1), L = order a multiple of N."""
+        out = [0] * order
+        out[:: order // self.order] = self.coeffs  # x_N -> x_L^(L/N)
+        return Cyclo._raw(order, tuple(out))
+
     def __eq__(self, other):
-        """Equality of values: another Cyclo of the same order, or an int or
-        Fraction by its value; a float raises TypeError, as + does."""
+        """Equality of values with a Cyclo of any order (compared at the lcm of
+        the orders), an int or a Fraction; a float raises TypeError, as + does."""
         if isinstance(other, Cyclo):
-            return other.order == self.order and (self - other).reduced().is_zero()
+            order = lcm(self.order, other.order)
+            return (self._lift(order) - other._lift(order)).reduced().is_zero()
         if isinstance(other, (int, Fraction)):
             return self.rational_value() == other
         if isinstance(other, float):
@@ -217,10 +239,10 @@ class Cyclo:
         return NotImplemented
 
     def __hash__(self):
-        # a rational value hashes as that int or Fraction, so that hash
-        # agrees with == on them
-        red = self.reduced().coeffs
-        return hash(red[0]) if not any(red[1:]) else hash((self.order, red))
+        # the normalized trace depends on the value alone, in any order, and
+        # is the value when that is rational: hash agrees with ==
+        w = _trace_weights(self.order)
+        return hash(sum(a * w[k] for k, a in enumerate(self.coeffs) if a))
 
     def __repr__(self):
         terms = []

@@ -44,55 +44,42 @@ class FunctorModel:
         self.flavor = flavor
         self.source = source_complex
         self.source_u = source_u
-        field = source_complex.field
+        f = source_complex.field
         src_degrees = source_complex.degrees()
         self.deg_lo, self.deg_hi = deg_lo, deg_hi
-        cx = FiniteComplex(field)
-        cols = {}
+        cx = FiniteComplex(f)
+        start = {}  # (n, p) -> position of column p's first generator in degree n
         for n in range(deg_lo, deg_hi + 1):
             for d in src_degrees:
-                p = (n - d) // 4
-                if (n - d) % 4 != 0:
+                p, rem = divmod(n - d, 4)
+                if rem or (flavor == PLUS and p < 0) or (flavor == MINUS and p > 0):
                     continue
-                if flavor == PLUS and p < 0:
-                    continue
-                if flavor == MINUS and p > 0:
-                    continue
-                for i, g in enumerate(source_complex.basis[d]):
-                    lev = source_complex.levels[d][i]
+                start[n, p] = cx.dim(n)
+                for g, lev in zip(source_complex.basis[d], source_complex.levels[d]):
                     cx.add_generator(n, ColGen(p, g), level=lev)
-                cols.setdefault(n, []).append(p)
-        f = field
-        for n in range(deg_lo, deg_hi + 1):
-            for cg in cx.basis.get(n, []):
-                d = n - 4 * cg.p
-                img = {}
-                pos = source_complex.index[d][cg.gen]
-                for row, v in source_complex.boundary_columns(d)[pos].items():
-                    img[ColGen(cg.p, source_complex.basis[d - 1][row])] = v
-                if self._col_ok(cg.p - 1):
-                    sgn = f.of(1 if (n + 1) % 2 == 0 else -1)
-                    for row, v in source_u.column(d, pos).items():
-                        tgt = ColGen(cg.p - 1, source_complex.basis[d + 3][row])
-                        img[tgt] = f.add(img.get(tgt, f.zero), f.mul(sgn, v))
-                cx.set_boundary(n, cg, img)
-        self.complex = cx
+        # Generator i of column p in degree n: its boundary is the source
+        # boundary moved into block (n-1, p) plus (-1)^(n+1) u moved into
+        # block (n-1, p-1), and U sends it to i in block (n-4, p-1).
         u = ChainMap(cx, cx, -4)
-        for n in range(deg_lo, deg_hi + 1):
-            for cg in cx.basis.get(n, []):
-                img = {}
-                if self._col_ok(cg.p - 1):
-                    img[ColGen(cg.p - 1, cg.gen)] = 1
-                u.set_image(n, cg, img)
+        for n, gens in cx.basis.items():
+            u.columns[n] = [{} for _ in gens]
+        for (n, p), at in start.items():
+            d = n - 4 * p
+            down, left = start.get((n - 1, p)), start.get((n - 1, p - 1))
+            u_at = start.get((n - 4, p - 1))
+            sgn = f.of(1 if (n + 1) % 2 == 0 else -1)
+            bcols, ucols = cx.boundary[n], u.columns[n]
+            for i, scol in enumerate(source_complex.boundary_columns(d)):
+                col = {} if down is None else {down + r: v for r, v in scol.items()}
+                if left is not None:
+                    for r, v in source_u.column(d, i).items():
+                        col[left + r] = f.mul(sgn, v)
+                bcols[at + i] = col
+                if u_at is not None:
+                    ucols[at + i] = {u_at + i: f.one}
+        self.complex = cx
         self.u = u
         self._homology = None
-
-    def _col_ok(self, p):
-        if self.flavor == PLUS:
-            return p >= 0
-        if self.flavor == MINUS:
-            return p <= 0
-        return True
 
     def homology(self) -> HomologyData:
         if self._homology is None:

@@ -121,10 +121,16 @@ class PresentedModule:
 class _UWalk:
     """The U-power ranks of a window view, from one walk down per degree.
 
-    A view gives its field, dim(n) and _u_columns(n): the columns of U out
-    of degree n (one per basis element there, each a dict from positions in
-    degree n - 4 to values), or None where U leaves the window.
+    A view gives its field, dim(n), a dict _u_cols and _build_u_columns(n),
+    built when a walk first reaches n: the columns of U out of degree n (one
+    per basis element there, each a dict from positions in degree n - 4 to
+    values), or None where U leaves the window.
     """
+
+    def _u_columns(self, n):
+        if n not in self._u_cols:
+            self._u_cols[n] = self._build_u_columns(n)
+        return self._u_cols[n]
 
     def u_power_ranks(self, n, kmax):
         """[rank U^k out of degree n for k = 1..kmax], one walk down.
@@ -209,18 +215,8 @@ class ModuleWindow(_UWalk):
         label, k, s = b
         return self.module.family(label).degree(k) + 8 * s
 
-    def dims(self):
-        return {n: len(v) for n, v in self.by_degree.items()}
-
     def dim(self, n):
         return len(self.by_degree.get(n, []))
-
-    def _u_columns(self, n):
-        """Columns of U restricted to degree n, into degree n-4 (memoized)."""
-        cols = self._u_cols.get(n)
-        if cols is None:
-            cols = self._u_cols[n] = self._build_u_columns(n)
-        return cols
 
     def _build_u_columns(self, n):
         f = self.field
@@ -246,25 +242,22 @@ class HomologyWindow(_UWalk):
     """dims / U^k-rank view of a computed window homology."""
 
     def __init__(self, homology, u_chain_map):
-        from .chains import induced_map_between
-
         self.h = homology
+        self.u = u_chain_map
         self.field = homology.complex.field
-        self._u = {}
-        for n in homology.complex.degrees():
-            try:
-                self._u[n] = induced_map_between(homology, homology, u_chain_map, n)
-            except BPFloerError:
-                self._u[n] = None  # boundary degree; U image leaves the window
+        self._u_cols = {}
 
     def dim(self, n):
         return self.h.dim(n)
 
-    def dims(self):
-        return self.h.dims()
+    def _build_u_columns(self, n):
+        """The induced U out of degree n; None off the complex or where U leaves it."""
+        from .chains import induced_map_between
 
-    def _u_columns(self, n):
-        return self._u.get(n)
+        try:
+            return induced_map_between(self.h, self.h, self.u, n) if n in self.h.reps else None
+        except BPFloerError:
+            return None
 
 
 MIN_CHECKED_DEGREES = 8  # one mod-8 period; a comparison over fewer degrees fails

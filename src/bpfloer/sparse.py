@@ -92,8 +92,7 @@ def dense_rank(matrix_rows, field=QQ):
     if not rows:
         return 0
     ncols = len(rows[0])
-    rank = 0
-    lead = 0
+    lead = 0  # the rank so far
     for j in range(ncols):
         pivot = None
         for i in range(lead, len(rows)):
@@ -110,8 +109,7 @@ def dense_rank(matrix_rows, field=QQ):
                 coef = rows[i][j]
                 rows[i] = [f.sub(a, f.mul(coef, b)) for a, b in zip(rows[i], rows[lead])]
         lead += 1
-        rank += 1
-    return rank
+    return lead
 
 
 class TrackedEchelon:
@@ -135,13 +133,14 @@ class TrackedEchelon:
         f = self.field
         v = {c: x for c, x in vec.items() if not f.is_zero(x)}
         coeffs = {}
+        rows = self.rows
         while True:
-            hits = set(v) & set(self.rows)
+            hits = [c for c in v if c in rows]  # O(|v|), not O(rank)
             if not hits:
                 return v, coeffs
             c = min(hits)
             coef = v[c]
-            row, rc = self.rows[c]
+            row, rc = rows[c]
             for cc, rv in row.items():
                 nv = f.sub(v.get(cc, f.zero), f.mul(coef, rv))
                 if f.is_zero(nv):
@@ -154,7 +153,6 @@ class TrackedEchelon:
                     coeffs.pop(tag, None)
                 else:
                     coeffs[tag] = nv
-        return v, coeffs
 
     def _store(self, residue, coeffs, tag):
         """Store a nonzero residue as the row of its smallest column."""
@@ -167,6 +165,10 @@ class TrackedEchelon:
             rc[tag] = inv
         self.rows[c] = (row, rc)
         return c, row, rc
+
+    def add_row(self, row, tag=None):
+        """Store row, 1 at its smallest column (no stored pivot), tagged by tag."""
+        self.rows[min(row)] = (row, {} if tag is None else {tag: self.field.one})
 
     def insert(self, vec, tag=None):
         """Reduce and store vec; returns its pivot col, or None if dependent.

@@ -110,6 +110,28 @@ def test_cyclo_equality_is_by_value():
         one == 1.0
 
 
+def test_cyclo_equality_across_orders():
+    # x_N is x_L^(L/N) in any order L that N divides; values compare alike
+    assert len({Cyclo.integer(1, 4), 1, Cyclo.integer(1, 6)}) == 1
+    assert Cyclo.root_power(1, 4) == Cyclo.root_power(3, 12)
+    assert Cyclo.root_power(1, 4) != Cyclo.root_power(1, 12)
+    # primitive cube roots: z6^2 is z3, and z4^2 = -1 = z6^3
+    assert Cyclo.root_power(2, 6) == Cyclo.root_power(1, 3)
+    assert Cyclo.root_power(2, 4) == Cyclo.root_power(3, 6) == -1
+    assert len({Cyclo.root_power(2, 6), Cyclo.root_power(1, 3), Cyclo.root_power(4, 12)}) == 1
+    rng = random.Random(8)
+    for _ in range(40):
+        n, k = rng.choice([3, 4, 5, 6, 8, 12]), rng.randint(2, 3)
+        a = Cyclo(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
+        lifted = Cyclo(k * n, [a.coeffs[i // k] if i % k == 0 else 0 for i in range(k * n)])
+        assert a == lifted and lifted == a and hash(a) == hash(lifted)
+        b = a + Cyclo.root_power(rng.randrange(n), n)
+        assert a != b and b != lifted
+        v = a.rational_value()
+        if v is not None:
+            assert hash(a) == hash(v) and a == v
+
+
 def test_cyclo_coefficients_are_int_when_integral():
     a = Cyclo(6, [Fraction(1, 2), 0, Fraction(3, 2), 0, Fraction(4, 2), 0])
     for v in (a, a * 2, 2 * a, a * Fraction(1, 3), a + a, a * a, a * 2 - a, -a, a.conj()):
@@ -283,6 +305,79 @@ def test_rank_kernel_and_homology_over_q_with_non_unit_pivots():
         for v in kernel + h.cycle_basis[1]:
             assert v and m.apply(v) == {}
             assert all(sum(rows[i][j] * x for j, x in v.items()) == 0 for i in range(nrows))
+
+
+def _random_complex(rng, f, dims):
+    """A complex with dims[n] generators in degree n over f: d_1 has entries
+    in -4..4 (so pivots 2, 3 and 4 occur), and each higher d_n has columns
+    that are small combinations of a kernel basis of d_(n-1)."""
+    cx = FiniteComplex(f)
+    for n, k in enumerate(dims):
+        for i in range(k):
+            cx.add_generator(n, i)
+    for j in range(dims[1]):
+        cx.set_boundary(1, j, {i: rng.randint(-4, 4) for i in range(dims[0]) if rng.random() < 0.7})
+    for n in range(2, len(dims)):
+        _, kernel, _ = rank_kernel_image(SparseMat(
+            dims[n - 2], dims[n - 1],
+            {(i, j): v for j, col in enumerate(cx.boundary[n - 1]) for i, v in col.items()}, f))
+        for j in range(dims[n]):
+            img = {}
+            for vec in kernel:
+                c = rng.randint(-2, 2)
+                for i, v in vec.items():
+                    img[i] = f.add(img.get(i, f.zero), f.mul(f.of(c), v))
+            cx.set_boundary(n, j, img)
+    cx.check_dd_zero()
+    return cx
+
+
+def _dense(vec, size, f):
+    return [vec.get(i, f.zero) for i in range(size)]
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=str)
+def test_homology_data_against_the_dense_oracle(f):
+    rng = random.Random(21)
+    for _ in range(25):
+        dims = [rng.randint(1, 6) for _ in range(4)]
+        cx = _random_complex(rng, f, dims)
+        h = HomologyData(cx)
+        for n, size in enumerate(dims):
+            d_n = [_dense(col, dims[n - 1], f) for col in cx.boundary_columns(n)] if n else []
+            bounds = [_dense(col, size, f) for col in cx.boundary_columns(n + 1)]
+            rank_d = dense_rank(d_n, f) if n else 0
+            rank_b = dense_rank(bounds, f) if bounds else 0
+            assert h.rank_boundary[n] == rank_d
+            assert h.dim(n) == (size - rank_d) - rank_b
+            # greedy rule: a cycle is kept iff it is independent of the
+            # boundaries plus the representatives kept before it
+            kept = []
+            for z in h.cycle_basis[n]:
+                rows = bounds + [_dense(r, size, f) for r in kept]
+                before = dense_rank(rows, f) if rows else 0
+                grows = dense_rank(rows + [_dense(z, size, f)], f) > before
+                assert grows == any(z is r for r in h.reps[n])
+                if grows:
+                    kept.append(z)
+            assert kept == h.reps[n]
+            # coords of a combination of representatives plus a boundary
+            want = {i: f.of(rng.randint(-3, 3)) for i in range(len(kept))}
+            want = {i: c for i, c in want.items() if not f.is_zero(c)}
+            vec = {}
+            for i, c in want.items():
+                for r, v in kept[i].items():
+                    vec[r] = f.add(vec.get(r, f.zero), f.mul(c, v))
+            for col in cx.boundary_columns(n + 1):
+                c = f.of(rng.randint(-2, 2))
+                for r, v in col.items():
+                    vec[r] = f.add(vec.get(r, f.zero), f.mul(c, v))
+            assert h.coords(n, vec) == want
+            # a chain with a nonzero boundary is no cycle class
+            for j, col in enumerate(cx.boundary_columns(n)):
+                if col:
+                    assert h.coords(n, {**vec, j: f.add(vec.get(j, f.zero), f.one)}) is None
+                    break
 
 
 def _rebuilt(cx, coerce, store_raw=False):

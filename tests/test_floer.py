@@ -264,6 +264,31 @@ def test_closed_form_reports_make_every_u_rank(g):
                 str(g), field.name, route, orientation, flavor)
 
 
+def test_chain_route_computes_u_only_where_the_comparison_walks(monkeypatch):
+    # HomologyWindow computes the induced U out of a degree on first use, so
+    # a comparison pays for at most the degrees it walks (all inside its
+    # interior), not for every degree of the window complex
+    import bpfloer.chains as chains
+
+    calls = []
+    real = chains.induced_map_between
+
+    def counted(hs, ht, cmap, n):
+        calls.append(n)
+        return real(hs, ht, cmap, n)
+
+    monkeypatch.setattr(chains, "induced_map_between", counted)
+    win, margin = comparison_window(T_STAR)
+    hw = direct_homology_window(T_STAR, BAR, TATE, win)
+    assert calls == []
+    enc = ModuleWindow(encoded_module(T_STAR, BAR, TATE), win)
+    rep = compare_windows(hw, enc, win, 4, margin, 6)
+    assert rep.ok and rep.urank_made > 0
+    assert len(calls) == len(set(calls)) <= len(rep.checked_degrees)
+    assert set(calls) <= set(rep.checked_degrees)
+    assert len(calls) < len(hw.h.complex.degrees())
+
+
 def zeroed_label_model(g, edge):
     """build_model, except that the s-graph of g has the label of edge zeroed."""
     sg = mk.s_graph(g)
