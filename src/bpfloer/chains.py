@@ -172,7 +172,7 @@ def induced_map_between(h_source: HomologyData, h_target: HomologyData, cmap: Ch
 
 
 def matrix_rank(cols, field):
-    return len(TrackedEchelon(field).kernel_of_columns(cols)[1])
+    return len(TrackedEchelon(field).independent(cols))
 
 
 # ---------------------------------------------------------------------------

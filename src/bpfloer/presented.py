@@ -8,9 +8,14 @@ into other families.  Window realizations enumerate the finitely many
 elements with level in (q, p] and degree in [n_lo, n_hi].
 
 Both window views (ModuleWindow for a presentation, HomologyWindow for a
-computed window homology) answer dims and share one U walk (_UWalk):
-u_power_ranks(n, kmax), the ranks of U^1..U^kmax out of degree n from a
-single walk down from n.  compare_windows asks each side once per degree.
+computed window homology) answer dims and share one U pass (_UWalk).  Its
+U-ranks are the rank invariant of the persistence module formed, along each
+residue class mod 4, by the groups H_m and the degree -4 maps U between
+them: one elimination per degree keeps a basis of H_m adapted to the image
+filtration I_k(m) = im(U^k: H_{m+4k} -> H_m), and rank U^k out of n is
+dim I_k(n - 4k).  Where U leaves the window through a nonzero class, that
+power and every higher one from the same degree have no rank (None).
+compare_windows asks each side for one table over its interior.
 """
 from __future__ import annotations
 
@@ -119,12 +124,25 @@ class PresentedModule:
 
 
 class _UWalk:
-    """The U-power ranks of a window view, from one walk down per degree.
+    """The U-power ranks of a window view, from one pass down a residue chain.
 
     A view gives its field, dim(n), a dict _u_cols and _build_u_columns(n),
-    built when a walk first reaches n: the columns of U out of degree n (one
-    per basis element there, each a dict from positions in degree n - 4 to
-    values), or None where U leaves the window.
+    built when a pass first applies U out of n: the columns of U out of
+    degree n (one per basis element there, each a dict from positions in
+    degree n - 4 to values), or None where U leaves the window.
+
+    The pass starts at the top degree of a chain n, n - 4, n - 8, ... with
+    every basis vector tagged 0 and keeps, at each degree m, a basis of H_m
+    adapted to the image filtration I_k(m) = im(U^k: H_{m+4k} -> H_m): the
+    vectors tagged k or more span I_k(m).  Stepping to m - 4 applies U to the
+    basis in descending tag order, keeps the independent images tagged one
+    higher (each prefix of the order spans its I_k, so the images of the
+    prefix span I_{k+1}(m - 4)), and completes them with unit vectors tagged
+    0.  rank U^k out of n is the number of vectors at n - 4k tagged k or more.
+    An empty basis requests no U: the ranks that pass through it are 0.
+    Where U out of m is None, a power that has to carry a nonzero class of
+    I_j(m) out of m has no rank (None), nor has any higher power from the
+    same degree; the filtration restarts below m.
     """
 
     def _u_columns(self, n):
@@ -132,36 +150,60 @@ class _UWalk:
             self._u_cols[n] = self._build_u_columns(n)
         return self._u_cols[n]
 
-    def u_power_ranks(self, n, kmax):
-        """[rank U^k out of degree n for k = 1..kmax], one walk down.
+    def u_rank_table(self, lo, hi, kmax):
+        """{(k, n): rank of U^k out of n (None: no rank)} for lo <= n <= hi
+        and 1 <= k <= kmax with n - 4k >= lo: one pass per residue chain."""
+        table = {}
+        for top in range(max(lo, hi - 3), hi + 1):
+            table.update(self._rank_pass(top, lo, kmax, every_start=True))
+        return table
 
-        The walk keeps only a basis of the current image, since rank U^{k+1}
-        is the rank of U on im U^k.  Once the image is zero (for instance
-        when the degree is empty) the remaining ranks are 0; a power whose
-        walk has to leave the window through a nonzero class has no rank
-        (None), nor has any higher power.
-        """
-        f = self.field
-        vectors = [{i: f.one} for i in range(self.dim(n))]
-        ranks = []
-        for k in range(kmax):
-            if vectors:
-                cols = self._u_columns(n - 4 * k)
-                if cols is None:
-                    return ranks + [None] * (kmax - k)
-                vectors = _independent(f, [_apply_columns(f, cols, v) for v in vectors])
-            ranks.append(len(vectors))
-        return ranks
+    def u_power_ranks(self, n, kmax):
+        """[rank U^k out of degree n for k = 1..kmax], None where there is no
+        rank: the pass down n's chain with n as its only start."""
+        table = self._rank_pass(n, n - 4 * kmax, kmax, every_start=False)
+        return [table[k, n] for k in range(1, kmax + 1)]
 
     def u_power_rank(self, k, n):
         """rank of U^k from the degree-n slice to degree n-4k (None: no rank)."""
         return self.u_power_ranks(n, k)[-1]
 
-
-def _independent(f, vectors):
-    """The vectors independent of the ones before them; they span the same space."""
-    _, pivots = TrackedEchelon(f).kernel_of_columns(vectors)
-    return [vectors[j] for j in pivots]
+    def _rank_pass(self, top, bottom, kmax, every_start):
+        """The ranks of U^k (k <= kmax) out of the starts n of the chain
+        top, top - 4, ... >= bottom that stay at or above bottom.  The starts
+        are all the chain's degrees (every_start), whose bases are completed
+        by unit vectors, or top alone, where only the images are kept."""
+        f = self.field
+        ranks = {}
+        seg = top  # where the filtration last (re)started
+        tagged = [(0, {i: f.one}) for i in range(self.dim(top))]
+        m = top
+        while True:
+            tags = [t for t, _ in tagged]
+            starts = [n for n in range(m, min(seg, m + 4 * kmax) + 1, 4)
+                      if every_start or n == top]
+            for n in starts:
+                j = (n - m) // 4
+                if j:
+                    ranks[j, n] = sum(t >= j for t in tags)
+            if m - 4 < bottom:
+                return ranks
+            cols = self._u_columns(m) if tagged else []
+            if cols is None:  # U leaves the window out of m
+                for n in starts:
+                    j = (n - m) // 4
+                    lost = any(t >= j for t in tags)
+                    for k in range(j + 1, min(kmax, (n - bottom) // 4) + 1):
+                        ranks[k, n] = None if lost else 0
+                seg, tagged, pivots = m - 4, [], {}
+            else:  # tagged is in descending tag order: images first, then units
+                ech = TrackedEchelon(f)
+                pivots = ech.independent([_apply_columns(f, cols, v) for _, v in tagged])
+                tagged = [(tagged[j][0] + 1, ech.rows[c][0]) for j, c in pivots.items()]
+            if every_start:
+                taken = set(pivots.values())
+                tagged += [(0, {i: f.one}) for i in range(self.dim(m - 4)) if i not in taken]
+            m -= 4
 
 
 class ModuleWindow(_UWalk):
@@ -279,12 +321,13 @@ def compare_windows(left, right, win: Window, degree_margin=4, level_margin=4, u
     """PASS iff the safe interior (Window.interior) holds at least
     MIN_CHECKED_DEGREES degrees and dims and rank U^k agree on it.
 
-    Each side walks each degree once for all its U powers; a U^k pair where
-    either side has no rank is counted as skipped.  Rank mismatches are
-    listed after the dim mismatches, by (k, n).
+    Each side gives one U-rank table for the interior (one pass per residue
+    chain); a U^k pair where either side has no rank is counted as skipped.
+    Rank mismatches are listed after the dim mismatches, by (k, n).
     """
     interior = win.interior(degree_margin, level_margin)
     lo, degrees = interior.start, list(interior)
+    ta, tb = (side.u_rank_table(lo, interior.stop - 1, u_powers) for side in (left, right))
     mismatches = []
     ranked = []
     made = skipped = 0
@@ -292,9 +335,8 @@ def compare_windows(left, right, win: Window, degree_margin=4, level_margin=4, u
         a, b = left.dim(n), right.dim(n)
         if a != b:
             mismatches.append(("dim", n, a, b))
-        kmax = min(u_powers, (n - lo) // 4)
-        ras, rbs = left.u_power_ranks(n, kmax), right.u_power_ranks(n, kmax)
-        for k, ra, rb in zip(range(1, kmax + 1), ras, rbs):
+        for k in range(1, min(u_powers, (n - lo) // 4) + 1):
+            ra, rb = ta[k, n], tb[k, n]
             if ra is None or rb is None:
                 skipped += 1
                 continue

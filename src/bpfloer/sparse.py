@@ -201,6 +201,20 @@ class TrackedEchelon:
                     orc[t] = nv
         return c
 
+    def independent(self, vectors):
+        """Store each vector independent of the ones before it, untagged.
+
+        Returns {position in vectors: pivot column of its stored row} for the
+        independent vectors; the stored rows span the same space as all the
+        vectors.  No tag coefficients and no kernel vectors are built.
+        """
+        pivots = {}
+        for j, vec in enumerate(vectors):
+            residue, _ = self.reduce(vec)
+            if residue:
+                pivots[j] = self._store(residue, {}, None)[0]
+        return pivots
+
     def kernel_of_columns(self, columns):
         """Kernel of the map sending basis vector j to columns[j].
 

@@ -91,6 +91,23 @@ def test_floer_raw(capsys):
     assert code == 0 and doc["homology_dims"]
 
 
+def test_floer_raw_builds_each_flavor_once(capsys, monkeypatch):
+    # the shown flavor's model and homology are handed to the cone triangle
+    # check, which builds only the other two flavors
+    from bpfloer.chains import HomologyData
+    from bpfloer.equivariant import FunctorModel
+
+    built = []
+    for cls in (FunctorModel, HomologyData):
+        def counted(self, *args, real=cls.__init__, name=cls.__name__):
+            built.append(name)
+            real(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    code, _ = run_cli(capsys, "floer-raw", "T*", "--flavor", "-")
+    assert code == 0
+    assert (built.count("FunctorModel"), built.count("HomologyData")) == (3, 3)
+
+
 def test_cs_command(capsys):
     code, out = run_cli(capsys, "cs", "T*", "--format", "json")
     doc = json.loads(out)

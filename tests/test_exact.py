@@ -255,6 +255,14 @@ def test_rank_agrees_with_dense_oracle():
             m = SparseMat.from_rows(rows, f)
             rank, _, _ = rank_kernel_image(m)
             assert rank == dense_rank(rows, f), f
+            # the untagged elimination keeps the same columns and spans them
+            cols = m.columns()
+            ech = TrackedEchelon(f)
+            pivots = ech.independent(cols)
+            assert list(pivots) == TrackedEchelon(f).kernel_of_columns(cols)[1]
+            assert sorted(pivots.values()) == sorted(ech.rows)
+            assert all(not ech.reduce(c)[0] for c in cols)
+            assert all(not rc for _, rc in ech.rows.values())
 
 
 def test_kernel_basis_normal_form():

@@ -25,7 +25,8 @@ from bpfloer.floer import (
     ss_accounting,
 )
 from bpfloer.groups import I_STAR, O_STAR, T_STAR, binary_dihedral, cyclic, parse_group
-from bpfloer.presented import ModuleWindow, PresentedModule, compare_windows
+from bpfloer.presented import ModuleWindow, PresentedModule, _UWalk, compare_windows
+from bpfloer.sparse import TrackedEchelon, _apply_columns
 from bpfloer.theorems import encoded_module, negative_bar_module, positive_std_module
 
 
@@ -289,6 +290,129 @@ def test_chain_route_computes_u_only_where_the_comparison_walks(monkeypatch):
     assert len(calls) < len(hw.h.complex.degrees())
 
 
+def walked_u_ranks(view, n, kmax):
+    """Reference for the U-rank table: the walk down from n alone, which
+    pushes a basis of im U^k one power further per step and eliminates once
+    per step.  An empty image stops asking for U; a None U out of a degree
+    the image still reaches leaves that power and the higher ones unranked."""
+    f = view.field
+    vectors = [{i: f.one} for i in range(view.dim(n))]
+    ranks = []
+    for k in range(kmax):
+        if vectors:
+            cols = view._u_columns(n - 4 * k)
+            if cols is None:
+                return ranks + [None] * (kmax - k)
+            images = [_apply_columns(f, cols, v) for v in vectors]
+            _, pivots = TrackedEchelon(f).kernel_of_columns(images)
+            vectors = [images[j] for j in pivots]
+        ranks.append(len(vectors))
+    return ranks
+
+
+class RandomUView(_UWalk):
+    """A synthetic window view on degrees lo..hi: dims 0-6 per degree, U
+    entries in -3..3 with some columns multiples of earlier ones (so ranks
+    drop), and U = None out of about one degree in twelve."""
+
+    def __init__(self, seed, field, lo, hi):
+        rng = random.Random(seed)
+        self.field = field
+        self.dims = {n: rng.randint(0, 6) for n in range(lo - 4, hi + 1)}
+        self.cols = {}
+        for n in range(lo, hi + 1):
+            if rng.random() < 1 / 12:
+                self.cols[n] = None
+                continue
+            cols = self.cols[n] = []
+            for _ in range(self.dims[n]):
+                if cols and rng.random() < 0.3:
+                    c, s = rng.choice(cols), field.of(rng.randint(-2, 2))
+                    col = {i: field.mul(s, v) for i, v in c.items()}
+                else:
+                    col = {i: field.of(rng.choice([0, 0, 0, -3, -2, -1, 1, 2, 3]))
+                           for i in range(self.dims[n - 4])}
+                cols.append({i: v for i, v in col.items() if not field.is_zero(v)})
+        self._u_cols = {}
+        self.built = []
+
+    def dim(self, n):
+        return self.dims.get(n, 0)
+
+    def _build_u_columns(self, n):
+        self.built.append(n)
+        return self.cols[n]
+
+
+def table_against_walks(table, view, interior, kmax=6):
+    """[(n, table ranks, walked ranks)] for every interior degree n."""
+    lo = interior.start
+    out = []
+    for n in interior:
+        km = min(kmax, (n - lo) // 4)
+        out.append((n, [table[k, n] for k in range(1, km + 1)], walked_u_ranks(view, n, km)))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=lambda f: f.name)
+def test_u_rank_table_matches_the_walk_on_random_views(field):
+    # one pass per residue chain against one walk per degree on synthetic
+    # views, None U included: every (n, k <= 6), the same ranks and Nones,
+    # and U asked for out of the same degrees
+    nones = drops = 0
+    for seed in range(60):
+        hi = random.Random(seed).randint(0, 40)
+        interior = range(0, hi + 1)
+        view, ref = RandomUView(seed, field, 0, hi), RandomUView(seed, field, 0, hi)
+        table = view.u_rank_table(0, hi, 6)
+        for n, got, want in table_against_walks(table, ref, interior):
+            assert got == want, (seed, n)
+            assert RandomUView(seed, field, 0, hi).u_power_ranks(n, len(want)) == want
+            nones += want.count(None)
+            drops += any(r is not None and r < min(ref.dim(n), ref.dim(n - 4)) for r in want[:1])
+        assert sorted(view.built) == sorted(ref.built), seed
+    assert nones and drops
+
+
+@pytest.mark.parametrize("g", [T_STAR, cyclic(5), binary_dihedral(7)], ids=str)
+def test_u_rank_table_matches_the_walk_on_real_windows(g):
+    win, margin = comparison_window(g)
+    interior = win.interior(4, margin)
+    for orientation, flavor in PAIRS:
+        views = (direct_homology_window(g, orientation, flavor, win),
+                 ModuleWindow(encoded_module(g, orientation, flavor), win))
+        for view in views:
+            table = view.u_rank_table(interior.start, interior.stop - 1, 6)
+            for n, got, want in table_against_walks(table, view, interior):
+                assert got == want, (orientation, flavor, type(view).__name__, n)
+
+
+def test_u_rank_table_eliminates_once_per_degree(monkeypatch):
+    # the width-48 chain-route comparison of T* (bar, inf): each side's table
+    # makes at most one elimination per interior degree, where one walk per
+    # degree made one per step, up to six per degree
+    g = T_STAR
+    _, margin = comparison_window(g)
+    win = Window(-24, 24, -24, 24)
+    interior = win.interior(4, margin)
+    hw = direct_homology_window(g, BAR, TATE, win)
+    mw = ModuleWindow(encoded_module(g, BAR, TATE), win)
+    calls = []
+    for name in ("independent", "kernel_of_columns"):
+        def counted(self, vectors, real=getattr(TrackedEchelon, name)):
+            calls.append(1)
+            return real(self, vectors)
+        monkeypatch.setattr(TrackedEchelon, name, counted)
+    for side in (hw, mw):
+        calls.clear()
+        side.u_rank_table(interior.start, interior.stop - 1, 6)
+        assert 0 < len(calls) <= len(interior)
+    calls.clear()
+    rep = compare_windows(hw, mw, win, 4, margin, 6)
+    assert rep.ok and rep.urank_made > 3 * len(interior)
+    assert len(calls) <= 2 * len(interior)
+
+
 def zeroed_label_model(g, edge):
     """build_model, except that the s-graph of g has the label of edge zeroed."""
     sg = mk.s_graph(g)
@@ -337,8 +461,8 @@ def test_compare_self_and_mutation(monkeypatch):
 
 
 def test_compare_lists_rank_mismatches_by_power_then_degree(monkeypatch):
-    # compare_windows walks each degree once for all U powers; the report
-    # still lists rank mismatches by (k, n).  I* with (beta, alpha) zeroed
+    # compare_windows reads all U powers from one table per side; the
+    # report still lists rank mismatches by (k, n).  I* with (beta, alpha) zeroed
     # on a width-48 window gives rank-U^k mismatches for (bar, +) at several
     # k, with degrees that do not increase along the list
     g = I_STAR
