@@ -280,7 +280,7 @@ def cmd_floer_raw(args, cfg):
         r = hw.u_power_rank(1, n)
         if r is not None:
             uranks[n] = r
-    triangle = exact_triangle_check(w, win.n_lo, win.n_hi, built=(fm,))
+    triangle = exact_triangle_check(w, win.n_lo, win.n_hi, shown=fm)
     fmt = _merged(args, cfg, "format", "text")
     if fmt == "json":
         print(serialize.to_json({

@@ -379,14 +379,14 @@ class NormData:
         return True
 
 
-def exact_triangle_check(window: WindowedComplex, deg_lo, deg_hi, built=()):
+def exact_triangle_check(window: WindowedComplex, deg_lo, deg_hi, shown=None):
     """Verify the cone long exact sequence on a window, flavorwise.
 
     For every degree n in interior(4, 4) of the window with its degree span
     cut to [deg_lo, deg_hi]:
         dim Hinf_n = dim coker(H(nu) -> Hminus_n) + dim ker(H(nu) on Hplus_{n-4}).
-    built holds FunctorModels of this window and degree range that the
-    caller already has; the other flavors are built here.
+    shown is a FunctorModel of this window and degree range that the caller
+    already has; the other two flavors are built here.
     Returns a dict report; raises TriangleViolation on an interior failure.
     """
     report = {"checked": [], "flagged_boundary": []}
@@ -394,11 +394,11 @@ def exact_triangle_check(window: WindowedComplex, deg_lo, deg_hi, built=()):
     lo, hi = max(deg_lo, win.n_lo), min(deg_hi, win.n_hi)
     if lo > hi:
         return report
-    models = {fm.flavor: fm for fm in built}
-    if any(fm.source is not window.complex or (fm.deg_lo, fm.deg_hi) != (deg_lo, deg_hi)
-           for fm in built):
-        raise BPFloerError("a given functor model is not on this window and degree range")
-    plus, minus, tate = (models[fl] if fl in models else functor_model(window, fl, deg_lo, deg_hi)
+    if shown is not None and (shown.source is not window.complex
+                              or (shown.deg_lo, shown.deg_hi) != (deg_lo, deg_hi)):
+        raise BPFloerError("the given functor model is not on this window and degree range")
+    plus, minus, tate = (shown if shown is not None and shown.flavor == fl
+                         else functor_model(window, fl, deg_lo, deg_hi)
                          for fl in (PLUS, MINUS, TATE))
     norm = NormData(plus, minus)
     hp, hm, ht = plus.homology(), minus.homology(), tate.homology()

@@ -155,24 +155,22 @@ class _UWalk:
         and 1 <= k <= kmax with n - 4k >= lo: one pass per residue chain."""
         table = {}
         for top in range(max(lo, hi - 3), hi + 1):
-            table.update(self._rank_pass(top, lo, kmax, every_start=True))
+            table.update(self._rank_pass(top, lo, kmax))
         return table
 
     def u_power_ranks(self, n, kmax):
         """[rank U^k out of degree n for k = 1..kmax], None where there is no
-        rank: the pass down n's chain with n as its only start."""
-        table = self._rank_pass(n, n - 4 * kmax, kmax, every_start=False)
+        rank: read from the pass down n's chain."""
+        table = self._rank_pass(n, n - 4 * kmax, kmax)
         return [table[k, n] for k in range(1, kmax + 1)]
 
     def u_power_rank(self, k, n):
         """rank of U^k from the degree-n slice to degree n-4k (None: no rank)."""
         return self.u_power_ranks(n, k)[-1]
 
-    def _rank_pass(self, top, bottom, kmax, every_start):
-        """The ranks of U^k (k <= kmax) out of the starts n of the chain
-        top, top - 4, ... >= bottom that stay at or above bottom.  The starts
-        are all the chain's degrees (every_start), whose bases are completed
-        by unit vectors, or top alone, where only the images are kept."""
+    def _rank_pass(self, top, bottom, kmax):
+        """{(k, n): rank of U^k out of n} for k <= kmax and the degrees n of
+        the chain top, top - 4, ... with n - 4k >= bottom."""
         f = self.field
         ranks = {}
         seg = top  # where the filtration last (re)started
@@ -180,8 +178,7 @@ class _UWalk:
         m = top
         while True:
             tags = [t for t, _ in tagged]
-            starts = [n for n in range(m, min(seg, m + 4 * kmax) + 1, 4)
-                      if every_start or n == top]
+            starts = range(m, min(seg, m + 4 * kmax) + 1, 4)
             for n in starts:
                 j = (n - m) // 4
                 if j:
@@ -200,9 +197,8 @@ class _UWalk:
                 ech = TrackedEchelon(f)
                 pivots = ech.independent([_apply_columns(f, cols, v) for _, v in tagged])
                 tagged = [(tagged[j][0] + 1, ech.rows[c][0]) for j, c in pivots.items()]
-            if every_start:
-                taken = set(pivots.values())
-                tagged += [(0, {i: f.one}) for i in range(self.dim(m - 4)) if i not in taken]
+            taken = set(pivots.values())
+            tagged += [(0, {i: f.one}) for i in range(self.dim(m - 4)) if i not in taken]
             m -= 4
 
 

@@ -18,7 +18,7 @@ from bpfloer.equivariant import (
     functor_model,
     orbit_homology,
 )
-from bpfloer.errors import OracleMismatch
+from bpfloer.errors import BPFloerError, OracleMismatch
 from bpfloer.fields import PrimeField, QQ
 from bpfloer.groups import (
     FULLY_REDUCIBLE,
@@ -269,6 +269,17 @@ def test_exact_triangle(g):
     w = model.window(Window(-9, 15, -8, 18))
     report = exact_triangle_check(w, -12, 12)
     assert report["checked"]
+
+
+def test_exact_triangle_takes_the_shown_model():
+    # a model of the same window and range stands in for its flavor; one of
+    # another degree range is refused
+    w = build_model(T_STAR, BAR).window(Window(-9, 15, -8, 18))
+    report = exact_triangle_check(w, -12, 12)
+    for flavor in (PLUS, MINUS, TATE):
+        assert exact_triangle_check(w, -12, 12, shown=functor_model(w, flavor, -12, 12)) == report
+    with pytest.raises(BPFloerError):
+        exact_triangle_check(w, -12, 12, shown=functor_model(w, PLUS, -12, 8))
 
 
 def test_triangle_single_orbit_cases():
