@@ -114,34 +114,60 @@ class HomologyData:
     top: that is the greedy rule z_j not in B + span(z_i, i < j), since a
     boundary with top j less a multiple of z_j is a cycle below j.  Boundary
     rows plus the representatives at their tops (tagged) reduce coordinates.
+
+    Degrees are computed lazily: the first read of dim, coords or reps_in of
+    degree n eliminates d_n and d_{n+1}, once each.  cycle_basis,
+    rank_boundary, reps and dims() fill every degree.
     """
 
     def __init__(self, complex_):
         self.complex = complex_
-        f = complex_.field
-        self.cycle_basis = {}
-        self.rank_boundary = {}
-        boundaries = {}  # n -> rows spanning B_n, keyed by -r
-        for n in complex_.degrees():
-            ech = TrackedEchelon(f)
+        self._kernels = {}  # n -> (cycle basis of C_n, rank d_n, rows spanning B_{n-1})
+        self._reps, self._coord = {}, {}
+
+    def _eliminate(self, n):
+        got = self._kernels.get(n)
+        if got is None:
+            ech = TrackedEchelon(self.complex.field)
             kernel, pivots = ech.kernel_of_columns(
-                {-r: v for r, v in col.items()} for col in complex_.boundary_columns(n))
-            self.cycle_basis[n] = kernel
-            self.rank_boundary[n] = len(pivots)  # rank of d_n : C_n -> C_{n-1}
-            boundaries[n - 1] = [row for row, _ in ech.rows.values()]  # tags dropped
-        self.reps, self._coord = {}, {}
-        for n, kernel in self.cycle_basis.items():
-            coord = self._coord[n] = TrackedEchelon(f)
-            for row in boundaries.get(n, ()):
+                {-r: v for r, v in col.items()} for col in self.complex.boundary_columns(n))
+            # tags dropped from the boundary rows
+            got = self._kernels[n] = (kernel, len(pivots), [row for row, _ in ech.rows.values()])
+        return got
+
+    def reps_in(self, n):
+        """Cycles representing a basis of H_n; [] off the complex."""
+        reps = self._reps.get(n)
+        if reps is not None:
+            return reps
+        if n not in self.complex.basis:
+            return []
+        coord = self._coord[n] = TrackedEchelon(self.complex.field)
+        if n + 1 in self.complex.basis:
+            for row in self._eliminate(n + 1)[2]:
                 coord.add_row(row)
-            reps = self.reps[n] = []
-            for z in kernel:
-                if -max(z) not in coord.rows:
-                    coord.add_row({-r: v for r, v in z.items()}, tag=len(reps))
-                    reps.append(z)
+        reps = self._reps[n] = []
+        for z in self._eliminate(n)[0]:
+            if -max(z) not in coord.rows:
+                coord.add_row({-r: v for r, v in z.items()}, tag=len(reps))
+                reps.append(z)
+        return reps
+
+    @property
+    def cycle_basis(self):
+        return {n: self._eliminate(n)[0] for n in self.complex.degrees()}
+
+    @property
+    def rank_boundary(self):
+        """rank of d_n : C_n -> C_{n-1}, per degree n."""
+        return {n: self._eliminate(n)[1] for n in self.complex.degrees()}
+
+    @property
+    def reps(self):
+        return {n: self.reps_in(n) for n in self.complex.degrees()}
 
     def dim(self, n):
-        return len(self.reps.get(n, []))
+        return len(self.reps_in(n))
 
     def dims(self):
         return {n: self.dim(n) for n in self.complex.degrees()}
@@ -152,6 +178,7 @@ class HomologyData:
         Returns None when vec is not a cycle class of this complex.
         """
         vec = {-r: v for r, v in vec.items() if not self.complex.field.is_zero(v)}
+        self.reps_in(n)  # builds the reducer of degree n
         if n not in self._coord:
             return {} if not vec else None
         residue, coeffs = self._coord[n].reduce(vec)
@@ -159,10 +186,11 @@ class HomologyData:
             return None
         return coeffs
 
+
 def induced_map_between(h_source: HomologyData, h_target: HomologyData, cmap: ChainMap, n):
     """Induced map H_n(source) -> H_{n+d}(target) as a list of coordinate dicts."""
     cols = []
-    for vec in h_source.reps.get(n, []):
+    for vec in h_source.reps_in(n):
         img = cmap.apply(n, vec)
         coords = h_target.coords(n + cmap.degree, img)
         if coords is None:

@@ -21,9 +21,8 @@ from .equivariant import MINUS, PLUS, TATE, bar_oracle, functor_model
 from .errors import BPFloerError, WrongFlavor
 from .fields import parse_field
 from .floer import (
-    assemble,
+    GroupRun,
     closed_form_reports,
-    comparison_window,
     duality_pairing_report,
     duality_transpose_check,
     norm_vanishing_and_splitting,
@@ -202,22 +201,22 @@ def cmd_floer(args, cfg):
     orientation = _merged(args, cfg, "orientation", BAR)
     flavor = FLAVORS[_merged(args, cfg, "flavor", "-")]
     field = parse_field(_merged(args, cfg, "coeff", "q"))
-    win, margin = comparison_window(g, field)
+    run = GroupRun(g, field)
+    win, margin = run.comparison_window()
     if any(_merged(args, cfg, key, None) is not None for key in ("window", "degrees")):
         win = _window_from(args, cfg)
-    model = build_model(g, orientation)
     if orientation == STD and flavor == PLUS:
         pages, degen = None, None  # assembled through duality, no page run
     else:
-        pages, degen = run_to_einfty(model, flavor, field)
+        pages, degen = run_to_einfty(run.model(orientation), flavor, field, run.pages)
     try:
-        shown, what = assemble(model, flavor, field), "assembled"
+        shown, what = run.assembled(orientation, flavor), "assembled"
     except WrongFlavor:  # no page derivation: show the closed form
         shown, what = encoded_module(g, orientation, flavor), "closed-form"
     reports = [({"pages": "assembly", "chain": "chain-route"}[route], rep,
                 "%d safe degrees, %d U-rank comparisons made, %d skipped"
                 % (len(rep.checked_degrees), rep.urank_made, rep.urank_skipped))
-               for route, rep in pair_reports(g, orientation, flavor, win, margin, field)]
+               for route, rep in pair_reports(g, orientation, flavor, win, margin, field, run)]
     fmt = _merged(args, cfg, "format", "text")
     if fmt == "json":
         print(serialize.presented_json(shown, "%s %s %s %s" % (what, g, orientation, flavor)))
@@ -328,16 +327,21 @@ def cmd_cs(args, cfg):
 
 
 def _verify_group(g: GroupId, field):
-    """All per-group checks; returns a list of (check, target, status, detail)."""
+    """All per-group checks; returns a list of (check, target, status, detail,
+    wall_s).  The assembly and triangle checks read one GroupRun, dropped
+    when the group is done."""
     checks = []
     name = str(g)
+    shared = GroupRun(g, field)
 
     def run(tag, fn, detail=""):
+        t0 = time.perf_counter()
         try:
             extra = fn()
-            checks.append((tag, name, "PASS", extra if isinstance(extra, str) else detail))
+            row = (tag, name, "PASS", extra if isinstance(extra, str) else detail)
         except Exception as e:  # noqa: BLE001 - report, do not crash the pipeline
-            checks.append((tag, name, "FAIL", "%s: %s" % (type(e).__name__, e)))
+            row = (tag, name, "FAIL", "%s: %s" % (type(e).__name__, e))
+        checks.append(row + (time.perf_counter() - t0,))
 
     run("character-table-orthogonality", lambda: (verify_orthogonality(g), "")[1])
 
@@ -377,7 +381,7 @@ def _verify_group(g: GroupId, field):
     run("spectral-sequence-accounting", accounting)
 
     def assembly():
-        reports = closed_form_reports(g, field)
+        reports = closed_form_reports(g, field, shared)
         bad = [(route, o, f, rep.mismatches[:3] or "empty interior")
                for route, o, f, rep in reports if not rep.ok]
         if bad:
@@ -390,7 +394,7 @@ def _verify_group(g: GroupId, field):
     run("assembly-vs-closed-form", assembly)
 
     def triangle():
-        checked = norm_vanishing_and_splitting(g, field)
+        checked = norm_vanishing_and_splitting(g, field, shared)
         return "norm zero + splitting dims; %d degrees" % len(checked)
     run("triangle-and-norm", triangle)
 
@@ -443,9 +447,9 @@ def cmd_verify(args, cfg):
     if fmt == "json":
         print(serialize.report_json(all_checks, {
             "groups": ",".join(str(g) for g in groups),
-            "coeff": field.name, "jobs": jobs}, elapsed))
+            "coeff": field.name, "jobs": jobs}, elapsed, serialize.VERIFY_SCHEMA_VERSION))
     else:
-        for tag, target, status, detail in all_checks:
+        for tag, target, status, detail, _ in all_checks:
             print("%-34s %-6s %s %s" % (tag, target, status, detail))
         print("verify: %s in %.1fs (%d checks)" % ("PASS" if ok else "FAIL", elapsed, len(all_checks)))
     return 0 if ok else 1

@@ -10,7 +10,7 @@ coincide degreewise, so the flavor only selects the column range.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chains import ChainMap, FiniteComplex, HomologyData, induced_map_between, matrix_rank
 from .donaldson import Window, WindowedComplex
@@ -24,8 +24,7 @@ MINUS = "-"
 TATE = "inf"
 
 
-@dataclass(frozen=True)
-class ColGen:
+class ColGen(NamedTuple):
     """Column-p copy of a source generator."""
 
     p: int
@@ -50,13 +49,18 @@ class FunctorModel:
         cx = FiniteComplex(f)
         start = {}  # (n, p) -> position of column p's first generator in degree n
         for n in range(deg_lo, deg_hi + 1):
+            basis, levels = [], []
             for d in src_degrees:
                 p, rem = divmod(n - d, 4)
                 if rem or (flavor == PLUS and p < 0) or (flavor == MINUS and p > 0):
                     continue
-                start[n, p] = cx.dim(n)
-                for g, lev in zip(source_complex.basis[d], source_complex.levels[d]):
-                    cx.add_generator(n, ColGen(p, g), level=lev)
+                start[n, p] = len(basis)
+                basis += [ColGen(p, g) for g in source_complex.basis[d]]
+                levels += source_complex.levels[d]
+            if basis:
+                cx.basis[n], cx.levels[n] = basis, levels
+                cx.index[n] = {lab: i for i, lab in enumerate(basis)}
+                cx.boundary[n] = [None] * len(basis)  # every column is set below
         # Generator i of column p in degree n: its boundary is the source
         # boundary moved into block (n-1, p) plus (-1)^(n+1) u moved into
         # block (n-1, p-1), and U sends it to i in block (n-4, p-1).

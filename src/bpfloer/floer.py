@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .chains import FilteredPages
 from .donaldson import BAR, STD, DonaldsonModel, Window, build_model
-from .equivariant import MINUS, PLUS, TATE, functor_model
+from .equivariant import MINUS, PLUS, TATE, FunctorModel, functor_model
 from .errors import (
     BPFloerError,
     FreenessFailure,
@@ -190,8 +190,10 @@ class MinusPages:
         return "+".join(terms).replace("+-", "-")
 
 
-def run_to_einfty(model: DonaldsonModel, flavor, field=QQ):
+def run_to_einfty(model: DonaldsonModel, flavor, field=QQ, pages=None):
     """Iterate pages to degeneration; returns (page data, degeneration page).
+
+    pages: the model's (bar, -) MinusPages over field, if the caller has them.
 
     On the reversed orientation the '+' and Tate E^1 entries (e1_entries)
     all sit in even total degree s + t, so those pages degenerate
@@ -202,7 +204,7 @@ def run_to_einfty(model: DonaldsonModel, flavor, field=QQ):
     is rejected here rather than misreported as degenerate.
     """
     if model.orientation == BAR and flavor == MINUS:
-        pages = MinusPages(model, field)
+        pages = pages or MinusPages(model, field)
         return pages, pages.degeneration_page
     if (model.orientation, flavor) != (STD, PLUS):
         for (s, t), entries in sorted(e1_entries(model, flavor).items()):
@@ -219,10 +221,9 @@ def run_to_einfty(model: DonaldsonModel, flavor, field=QQ):
 # Assembly of the closed-form answers.
 
 
-def assemble_minus_bar(model: DonaldsonModel, field=QQ) -> PresentedModule:
+def assemble_minus_bar(pages: MinusPages) -> PresentedModule:
     """Extension step for the '-' flavor: free towers on E-infinity columns."""
-    pages = MinusPages(model, field)
-    f = field
+    f = pages.field
     fams, shifts = [], {}
     used = set()
     for col in (0, 4):
@@ -265,13 +266,17 @@ def assemble_minus_bar(model: DonaldsonModel, field=QQ) -> PresentedModule:
     return PresentedModule(OPLUS8, fams, shifts, {})
 
 
-def assemble(model: DonaldsonModel, flavor, field=QQ) -> PresentedModule:
+def assemble(model: DonaldsonModel, flavor, field=QQ, pages=None) -> PresentedModule:
     """The module the page engine derives: the reversed-orientation '-' flavor,
-    and its dual, the standard-orientation '+' flavor."""
+    and its dual, the standard-orientation '+' flavor.
+
+    pages: the group's (bar, -) MinusPages over field, if the caller has them.
+    """
     if flavor == MINUS and model.orientation == BAR:
-        return assemble_minus_bar(model, field)
+        return assemble_minus_bar(pages or MinusPages(model, field))
     if flavor == PLUS and model.orientation == STD:
-        return assemble_minus_bar(build_model(model.group, BAR), field).dual()
+        return assemble_minus_bar(
+            pages or MinusPages(build_model(model.group, BAR), field)).dual()
     raise WrongFlavor(
         "no page derivation for (%s, %s): theorems.encoded_module gives the closed "
         "form and direct_homology_window the chain-level route"
@@ -291,9 +296,66 @@ def comparison_window(group, field=QQ):
     (bar, -) pages the level margin is 4*r_last + 4; the half-width
     12 + 4*r_last keeps window.interior(4, margin) at degrees -7..7.
     """
-    r_last = MinusPages(build_model(group, BAR), field).r_last
-    h = 12 + 4 * r_last
-    return Window(-h, h, -h, h), 4 * r_last + 4
+    return GroupRun(group, field).comparison_window()
+
+
+class GroupRun:
+    """The computations that the comparison checks of one group share, over
+    one field, each made once on first use.
+
+    It holds the (bar, -) page run and the comparison window it sets, the
+    assembled modules, each orientation's source window and each flavor's
+    FunctorModel, keyed by (orientation, window) and (orientation, flavor,
+    window); a FunctorModel keeps its HomologyData, which computes a degree
+    when it is first read.  verify and the floer command make one per group
+    and drop it when the group is done.  The independent routes (bar_oracle,
+    ss_accounting) build their own, so that no cross-check compares an
+    object with itself.
+    """
+
+    def __init__(self, group, field=QQ):
+        self.group = group
+        self.field = field
+        self._models, self._windows, self._functors, self._assembled = {}, {}, {}, {}
+        self._pages = None
+
+    def model(self, orientation) -> DonaldsonModel:
+        if orientation not in self._models:
+            self._models[orientation] = build_model(self.group, orientation)
+        return self._models[orientation]
+
+    @property
+    def pages(self) -> MinusPages:
+        """The (bar, -) page run."""
+        if self._pages is None:
+            self._pages = MinusPages(self.model(BAR), self.field)
+        return self._pages
+
+    def comparison_window(self):
+        """See comparison_window."""
+        r_last = self.pages.r_last
+        h = 12 + 4 * r_last
+        return Window(-h, h, -h, h), 4 * r_last + 4
+
+    def assembled(self, orientation, flavor) -> PresentedModule:
+        """assemble() on the owner's pages."""
+        key = orientation, flavor
+        if key not in self._assembled:
+            self._assembled[key] = assemble(self.model(orientation), flavor, self.field,
+                                            self.pages)
+        return self._assembled[key]
+
+    def functor(self, orientation, flavor, win: Window) -> FunctorModel:
+        """The flavor's model on win: the source window is win.source, and the
+        degree range [win.n_lo, win.n_hi] applies to the totalization."""
+        key = orientation, flavor, win
+        if key not in self._functors:
+            source = orientation, win.source
+            if source not in self._windows:
+                self._windows[source] = self.model(orientation).window(win.source, self.field)
+            self._functors[key] = functor_model(self._windows[source], flavor,
+                                                win.n_lo, win.n_hi)
+        return self._functors[key]
 
 
 def duality_pairing_report(g, field=QQ):
@@ -378,23 +440,21 @@ def duality_transpose_check(g, win: Window, field=QQ):
     return mism
 
 
-def direct_homology_window(group, orientation, flavor, win: Window, field=QQ):
+def direct_homology_window(group, orientation, flavor, win: Window, field=QQ, run=None):
     """Window homology of the materialized functor model, as a rank view.
 
     The model is materialized on win.source, so that only the filtration
     truncation is active on the source; the requested degree range applies
-    to the totalization.
+    to the totalization.  run is the group's GroupRun, if the caller has one.
     """
-    model = build_model(group, orientation)
-    w = model.window(win.source, field)
-    fm = functor_model(w, flavor, win.n_lo, win.n_hi)
+    fm = (run or GroupRun(group, field)).functor(orientation, flavor, win)
     return HomologyWindow(fm.homology(), fm.u)
 
 
 PAIRS = tuple((o, f) for o in (BAR, STD) for f in (MINUS, PLUS, TATE))
 
 
-def pair_reports(group, orientation, flavor, win: Window, margin, field=QQ):
+def pair_reports(group, orientation, flavor, win: Window, margin, field=QQ, run=None):
     """One pair's encoded closed form against every route independent of it,
     on win with the given level margin: [(route, CompareReport)].
 
@@ -402,43 +462,44 @@ def pair_reports(group, orientation, flavor, win: Window, margin, field=QQ):
     is the chain-level window homology and runs for every pair.  The
     page-assembled (std, +) module is the dual of the (bar, -) one, and so
     is its closed form (theorems.positive_std_module), so comparing those
-    two would only check dual() against itself.
+    two would only check dual() against itself.  run is the group's GroupRun
+    over field, if the caller has one.
     """
+    run = run or GroupRun(group, field)
     enc = ModuleWindow(encoded_module(group, orientation, flavor), win, field)
     sides = []
     if (orientation, flavor) == (BAR, MINUS):
-        asm = assemble(build_model(group, BAR), MINUS, field)
-        sides.append(("pages", ModuleWindow(asm, win, field)))
-    sides.append(("chain", direct_homology_window(group, orientation, flavor, win, field)))
+        sides.append(("pages", ModuleWindow(run.assembled(BAR, MINUS), win, field)))
+    sides.append(("chain", direct_homology_window(group, orientation, flavor, win, field, run)))
     return [(route, compare_windows(side, enc, win, 4, margin)) for route, side in sides]
 
 
-def closed_form_reports(group, field=QQ):
+def closed_form_reports(group, field=QQ, run=None):
     """Every encoded closed form against the routes independent of it, on one
     comparison_window: [(route, orientation, flavor, CompareReport)], the
     pair_reports of the six pairs in PAIRS order ("pages" for (bar, -), then
-    "chain" for each pair).
+    "chain" for each pair).  run is the group's GroupRun over field, if the
+    caller has one.
     """
-    win, margin = comparison_window(group, field)
+    run = run or GroupRun(group, field)
+    win, margin = run.comparison_window()
     return [(route, orientation, flavor, rep)
             for orientation, flavor in PAIRS
-            for route, rep in pair_reports(group, orientation, flavor, win, margin, field)]
+            for route, rep in pair_reports(group, orientation, flavor, win, margin, field, run)]
 
 
-def norm_vanishing_and_splitting(group, field=QQ):
+def norm_vanishing_and_splitting(group, field=QQ, run=None):
     """Even-degree concentration of the closed-form answers plus the interior
     dimension accounting dim Hinf_n = dim Hminus_n + dim Hplus_{n-4}, on the
-    safe interior of the comparison window.  Returns the degrees checked."""
-    model = build_model(group, BAR)
+    safe interior of the comparison window.  Returns the degrees checked.
+    run is the group's GroupRun over field, if the caller has one."""
+    run = run or GroupRun(group, field)
     for flavor, pm in ((PLUS, encoded_module(group, BAR, PLUS)),
-                       (MINUS, assemble(model, MINUS, field))):
+                       (MINUS, run.assembled(BAR, MINUS))):
         if not pm.even_degrees_only():
             raise SplittingViolation("%s flavor %s has odd-degree classes" % (group, flavor))
-    win, margin = comparison_window(group, field)
-    w = model.window(win.source, field)
-    hp = functor_model(w, PLUS, win.n_lo, win.n_hi).homology()
-    hm = functor_model(w, MINUS, win.n_lo, win.n_hi).homology()
-    ht = functor_model(w, TATE, win.n_lo, win.n_hi).homology()
+    win, margin = run.comparison_window()
+    hp, hm, ht = (run.functor(BAR, fl, win).homology() for fl in (PLUS, MINUS, TATE))
     checked = []
     for n in win.interior(4, margin):
         if ht.dim(n) != hm.dim(n) + hp.dim(n - 4):

@@ -546,15 +546,20 @@ def verify_orthogonality(g: GroupId):
         raise BPFloerError("dimension-square sum mismatch for %s" % g)
     if sum(t.sizes) != t.order:
         raise BPFloerError("class sizes do not sum to the order for %s" % g)
+    # Both pairings are Hermitian in Q[x]/(x^N - 1), whatever the values:
+    # <chi_j, chi_i> is the conjugate (x -> x^-1) of <chi_i, chi_j>, and
+    # reducing mod the self-reciprocal Phi_N commutes with conjugation, so a
+    # pair is rational with value v iff its transpose is.  The lower triangle
+    # (j < i, c' < c) is implied by the upper one and is not computed.
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             want = QQ.one if i == j else QQ.zero
             if t.inner(t.irreps[i].values, t.irreps[j].values) != want:
                 raise BPFloerError("row orthogonality fails for %s at (%d,%d)" % (g, i, j))
     # column orthogonality: sum_i chi_i(c) conj(chi_i(c')) = |G|/|c| delta
     N = g.root_order
     for c in range(len(t.classes)):
-        for cp in range(len(t.classes)):
+        for cp in range(c, len(t.classes)):
             acc = Cyclo.integer(0, N)
             for ir in t.irreps:
                 acc = acc + ir.values[c] * ir.values[cp].conj()

@@ -292,8 +292,10 @@ class HomologyWindow(_UWalk):
         """The induced U out of degree n; None off the complex or where U leaves it."""
         from .chains import induced_map_between
 
+        if n not in self.h.complex.basis:
+            return None
         try:
-            return induced_map_between(self.h, self.h, self.u, n) if n in self.h.reps else None
+            return induced_map_between(self.h, self.h, self.u, n)
         except BPFloerError:
             return None
 

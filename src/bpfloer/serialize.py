@@ -11,10 +11,11 @@ from .groups import character_table
 from .mckay import mckay_graph, s_graph
 
 SCHEMA_VERSION = 1
+VERIFY_SCHEMA_VERSION = 2  # each check of a verify report carries its wall_s
 
 
-def to_json(obj) -> str:
-    doc = {"schema_version": SCHEMA_VERSION}
+def to_json(obj, schema_version=SCHEMA_VERSION) -> str:
+    doc = {"schema_version": schema_version}
     doc.update(obj)
     return json.dumps(doc, sort_keys=True, indent=2, default=str)
 
@@ -214,9 +215,12 @@ def presented_json(pm, label):
     )
 
 
-def report_json(checks, config, elapsed):
+def report_json(checks, config, elapsed, schema_version=SCHEMA_VERSION):
+    """checks: rows (check, target, status, detail), or with a fifth field,
+    the check's wall time in seconds, written as wall_s."""
     from . import __version__
 
+    keys = ("check", "target", "status", "detail", "wall_s")
     return to_json(
         {
             "tool": "bpfloer",
@@ -224,9 +228,10 @@ def report_json(checks, config, elapsed):
             "config": config,
             "wall_time_s": round(elapsed, 3),
             "checks": [
-                {"check": name, "target": target, "status": status, "detail": detail}
-                for name, target, status, detail in checks
+                dict(zip(keys, row[:4] + tuple(round(w, 4) for w in row[4:])))
+                for row in checks
             ],
             "all_pass": all(c[2] == "PASS" for c in checks),
-        }
+        },
+        schema_version,
     )

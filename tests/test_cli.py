@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, determinism, exit codes."""
 import json
 import os
+import sys
 
 import pytest
 
@@ -91,21 +92,71 @@ def test_floer_raw(capsys):
     assert code == 0 and doc["homology_dims"]
 
 
+def count_builds(monkeypatch, *classes):
+    """Record every instance of the classes built from now on, by class name,
+    with the names of the functions on the stack when it was built."""
+    built = []
+    for cls in classes:
+        def counted(self, *args, real=cls.__init__, name=cls.__name__):
+            frame, callers = sys._getframe(1), set()
+            while frame is not None:
+                callers.add(frame.f_code.co_name)
+                frame = frame.f_back
+            built.append((name, self, callers))
+            real(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
 def test_floer_raw_builds_each_flavor_once(capsys, monkeypatch):
     # the shown flavor's model and homology are handed to the cone triangle
     # check, which builds only the other two flavors
     from bpfloer.chains import HomologyData
     from bpfloer.equivariant import FunctorModel
 
-    built = []
-    for cls in (FunctorModel, HomologyData):
-        def counted(self, *args, real=cls.__init__, name=cls.__name__):
-            built.append(name)
-            real(self, *args)
-        monkeypatch.setattr(cls, "__init__", counted)
+    built = count_builds(monkeypatch, FunctorModel, HomologyData)
     code, _ = run_cli(capsys, "floer-raw", "T*", "--flavor", "-")
     assert code == 0
-    assert (built.count("FunctorModel"), built.count("HomologyData")) == (3, 3)
+    names = [name for name, _, _ in built]
+    assert (names.count("FunctorModel"), names.count("HomologyData")) == (3, 3)
+
+
+def test_floer_builds_the_pages_once(capsys, monkeypatch):
+    # the page table, the assembly, the comparison window and the pages
+    # route of (bar, -) all read one MinusPages
+    from bpfloer.floer import MinusPages
+
+    built = count_builds(monkeypatch, MinusPages)
+    code, out = run_cli(capsys, "floer", "D*_7", "--flavor", "-")
+    assert code == 0 and "degeneration page" in out
+    assert len(built) == 1
+    built.clear()
+    code, out = run_cli(capsys, "floer", "D*_7", "--orientation", "std", "--flavor", "+")
+    assert code == 0 and len(built) == 1
+
+
+def test_verify_shares_one_computation_per_group(capsys, monkeypatch):
+    # the assembly and triangle checks read one GroupRun, which builds the
+    # six pairs' window models once (the triangle check reads the three bar
+    # ones again) and the (bar, -) pages once.  The bar oracle and the
+    # accounting build their own: 2 models each, and besides their homologies
+    # the oracle computes those of its 2 bar complexes.  Before the sharing
+    # this was 13 models, 15 homologies and 4 page runs.
+    from bpfloer.chains import HomologyData
+    from bpfloer.equivariant import FunctorModel
+    from bpfloer.floer import GroupRun, MinusPages
+
+    built = count_builds(monkeypatch, FunctorModel, HomologyData, MinusPages, GroupRun)
+    code, out = run_cli(capsys, "verify", "--groups", "T*")
+    assert code == 0 and "verify: PASS" in out
+    count = lambda name: sum(b[0] == name for b in built)
+    assert (count("FunctorModel"), count("HomologyData"), count("MinusPages")) == (10, 12, 1)
+    (owner,) = [b[1] for b in built if b[0] == "GroupRun"]
+    shared = {id(fm) for fm in owner._functors.values()}
+    assert len(shared) == 6
+    for callers in ("bar_oracle", "ss_accounting"):
+        own = [b[1] for b in built if b[0] == "FunctorModel" and callers in b[2]]
+        assert len(own) == 2 and not shared & {id(fm) for fm in own}, callers
 
 
 def test_cs_command(capsys):
@@ -124,6 +175,18 @@ def test_json_determinism(capsys):
     _, out4 = run_cli(capsys, "floer-raw", "C_4", "--window=-6:6", "--degrees=-6:6",
                       "--format", "json")
     assert out3 == out4
+    # verify reports equal once the wall times are masked
+    docs = []
+    for _ in range(2):
+        _, out = run_cli(capsys, "verify", "--groups", "C_3,T*", "--format", "json")
+        doc = json.loads(out)
+        assert doc["schema_version"] == 2 and doc["wall_time_s"] >= 0
+        assert all(c["wall_s"] >= 0 for c in doc["checks"])
+        doc["wall_time_s"] = None
+        for c in doc["checks"]:
+            c["wall_s"] = None
+        docs.append(doc)
+    assert docs[0] == docs[1]
 
 
 def test_usage_errors():
@@ -216,7 +279,7 @@ def test_verify_fail_names_the_exception_class(monkeypatch):
     checks = _verify_group(T_STAR, QQ)
     rows = [c for c in checks if c[0] == "character-table-orthogonality"]
     assert len(rows) == 1
-    _, _, status, detail = rows[0]
+    _, _, status, detail, _ = rows[0]
     assert status == "FAIL"
     assert detail.startswith("ZeroDivisionError")
     # the other checks still run and pass

@@ -388,6 +388,77 @@ def test_homology_data_against_the_dense_oracle(f):
                     break
 
 
+def test_homology_reads_eliminate_one_degree_and_the_one_above(monkeypatch):
+    # a read of degree n eliminates d_n (its cycles) and d_(n+1) (its
+    # boundaries), once each, and no other degree
+    cx = _random_complex(random.Random(4), QQ, [3, 5, 6, 5, 4, 2])
+    calls, degrees = [], []
+    real_kernel, real_columns = TrackedEchelon.kernel_of_columns, cx.boundary_columns
+
+    def kernel_of_columns(self, columns):
+        calls.append(1)
+        return real_kernel(self, columns)
+
+    def boundary_columns(n):
+        degrees.append(n)
+        return real_columns(n)
+
+    monkeypatch.setattr(TrackedEchelon, "kernel_of_columns", kernel_of_columns)
+    monkeypatch.setattr(cx, "boundary_columns", boundary_columns)
+    h = HomologyData(cx)
+    assert calls == [] and degrees == []
+    h.dim(2)
+    assert len(calls) == 2 and sorted(degrees) == [2, 3]
+    h.coords(2, {})
+    h.reps_in(2)
+    assert len(calls) == 2
+    h.dim(3)  # d_3 is known: only d_4 is new
+    assert len(calls) == 3 and sorted(degrees) == [2, 3, 4]
+    h.dim(5)  # the top degree has no boundaries
+    assert len(calls) == 4 and sorted(degrees) == [2, 3, 4, 5]
+    assert h.dim(7) == 0 and h.coords(7, {}) == {} and len(calls) == 4
+    h.dims()
+    assert len(calls) == 6 and sorted(degrees) == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=str)
+def test_lazy_homology_matches_the_forced_one(f):
+    # degrees read one at a time, in a random order and through each reader,
+    # give what a HomologyData with every degree filled first gives
+    rng = random.Random(33)
+    for _ in range(25):
+        dims = [rng.randint(1, 6) for _ in range(5)]
+        cx = _random_complex(rng, f, dims)
+        forced = HomologyData(cx)
+        forced.dims()
+        lazy = HomologyData(cx)
+        order = list(range(-1, len(dims) + 1))
+        rng.shuffle(order)
+        for n in order:
+            vec = {i: f.of(rng.randint(-2, 2)) for i in range(dims[n] if 0 <= n < len(dims) else 0)}
+            for z in forced.reps_in(n):  # a cycle: a combination of representatives
+                c = f.of(rng.randint(-2, 2))
+                for r, v in z.items():
+                    vec[r] = f.add(vec.get(r, f.zero), f.mul(c, v))
+            reader = rng.choice(("dim", "coords", "reps_in"))
+            if reader == "dim":
+                assert lazy.dim(n) == forced.dim(n)
+            elif reader == "coords":
+                assert lazy.coords(n, vec) == forced.coords(n, vec)
+            else:
+                assert lazy.reps_in(n) == forced.reps_in(n)
+        assert lazy.reps == forced.reps
+        assert lazy.rank_boundary == forced.rank_boundary
+        assert lazy.cycle_basis == forced.cycle_basis
+        for n in cx.degrees():
+            cycle = {}
+            for z in forced.reps_in(n):
+                c = f.of(rng.randint(-2, 2))
+                for r, v in z.items():
+                    cycle[r] = f.add(cycle.get(r, f.zero), f.mul(c, v))
+            assert lazy.coords(n, cycle) == forced.coords(n, cycle)
+
+
 def _rebuilt(cx, coerce, store_raw=False):
     """A copy of cx whose boundary values are coerce(v); with store_raw the
     values bypass the field's coercion and are stored as given."""

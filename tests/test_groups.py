@@ -1,7 +1,9 @@
 """Character tables, types, tensor decomposition, quaternionic representations."""
+import dataclasses
+
 import pytest
 
-from bpfloer.errors import DecompositionFailure
+from bpfloer.errors import BPFloerError, DecompositionFailure
 from bpfloer.groups import (
     FULLY_REDUCIBLE,
     I_STAR,
@@ -30,6 +32,43 @@ ALL_GROUPS = (
 @pytest.mark.parametrize("g", ALL_GROUPS, ids=str)
 def test_orthogonality_all_tables(g):
     assert verify_orthogonality(g)
+
+
+def corrupted_table(t, how):
+    """t with one irrep corrupted: its first non-real value replaced by the
+    conjugate ("conjugate"), or the values of its first two classes that
+    differ swapped ("swap")."""
+    for i, ir in enumerate(t.irreps):
+        vals = list(ir.values)
+        if how == "conjugate":
+            bad = [c for c, v in enumerate(vals) if v != v.conj()]
+            if not bad:
+                continue
+            vals[bad[0]] = vals[bad[0]].conj()
+        else:
+            pairs = [(c, d) for c in range(len(vals)) for d in range(c + 1, len(vals))
+                     if vals[c] != vals[d]]
+            if not pairs:
+                continue
+            c, d = pairs[0]
+            vals[c], vals[d] = vals[d], vals[c]
+        irreps = t.irreps[:i] + (dataclasses.replace(ir, values=tuple(vals)),) + t.irreps[i + 1:]
+        return dataclasses.replace(t, irreps=irreps)
+    raise AssertionError("no entry to corrupt")
+
+
+@pytest.mark.parametrize("how", ["conjugate", "swap"])
+@pytest.mark.parametrize("g", [cyclic(5), binary_dihedral(5)], ids=str)
+def test_orthogonality_catches_one_corrupted_entry(g, how, monkeypatch):
+    # verify_orthogonality computes each conjugate pair once (the upper
+    # triangle); one wrong entry must still fail it
+    import bpfloer.groups as groups
+
+    bad = corrupted_table(character_table(g), how)
+    assert bad != character_table(g)
+    monkeypatch.setattr(groups, "character_table", lambda group: bad)
+    with pytest.raises(BPFloerError, match="orthogonality|not rational"):
+        verify_orthogonality(g)
 
 
 @pytest.mark.parametrize("g", ALL_GROUPS, ids=str)
