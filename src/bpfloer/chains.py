@@ -226,6 +226,9 @@ class FilteredPages:
 
     def _z_basis(self, s, n, r):
         """Basis of Z^r_s in degree n: x in F_s C_n with dx in F_{s-r} C_{n-1}."""
+        # once s - r < min_level the row filter below keeps every row, so
+        # Z^r_s no longer depends on r: clamp it to share one cache entry
+        r = min(r, s - self.min_level + 1)
         key = (s, n, r)
         got = self._z_cache.get(key)
         if got is not None:

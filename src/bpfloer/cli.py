@@ -36,6 +36,7 @@ from .groups import (
     O_STAR,
     I_STAR,
     binary_dihedral,
+    character_table,
     cyclic,
     parse_group,
     verify_orthogonality,
@@ -343,7 +344,11 @@ def _verify_group(g: GroupId, field):
             row = (tag, name, "FAIL", "%s: %s" % (type(e).__name__, e))
         checks.append(row + (time.perf_counter() - t0,))
 
-    run("character-table-orthogonality", lambda: (verify_orthogonality(g), "")[1])
+    def orthogonality_check():
+        verify_orthogonality(g)
+        n = len(character_table(g).irreps)
+        return "rows: %d pairs of a square %dx%d table" % (n * (n + 1) // 2, n, n)
+    run("character-table-orthogonality", orthogonality_check)
 
     def sgraph_check():
         ok, msg = s_graph_matches_expected(g)

@@ -271,6 +271,13 @@ def test_report_carries_tool_version(capsys):
     assert "wall_time_s" in doc and doc["config"]["groups"] == "C_3"
 
 
+def test_verify_orthogonality_pass_reports_its_coverage():
+    # T* has 7 irreps and 7 classes: 7 * 8 / 2 row pairs are compared
+    checks = _verify_group(T_STAR, QQ)
+    rows = [c for c in checks if c[0] == "character-table-orthogonality"]
+    assert [c[2:4] for c in rows] == [("PASS", "rows: 28 pairs of a square 7x7 table")]
+
+
 def test_verify_fail_names_the_exception_class(monkeypatch):
     def broken(g):
         raise ZeroDivisionError("inverse of zero")

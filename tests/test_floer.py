@@ -496,6 +496,21 @@ def test_page_periodicity_truncated():
                 assert a == b, (r, s, t, a, b)
 
 
+def test_stable_z_basis_computed_once():
+    # Z^r_s stops depending on r once s - r < min_level; the pages share
+    # one basis for all such r, and E^infty still matches direct homology
+    model = build_model(T_STAR, BAR)
+    fm = functor_model(model.window(Window(-7, 7, -6, 6)), MINUS, -6, 6)
+    pages = FilteredPages(fm.complex)
+    h = fm.homology()
+    for n in fm.complex.degrees():
+        assert pages.einfty_total(n) == h.dim(n), n
+    for s in range(pages.min_level, pages.max_level + 1):
+        for n in fm.complex.degrees():
+            for r in range(s - pages.min_level + 1, pages.stable_r() + 1):
+                assert pages._z_basis(s, n, r) is pages._z_basis(s, n, r + 1), (s, n, r)
+
+
 def test_ss_accounting_randomized():
     rng = random.Random(5)
     groups = [cyclic(k) for k in range(2, 9)] + [binary_dihedral(k) for k in range(2, 8)] + [

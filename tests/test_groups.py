@@ -37,7 +37,18 @@ def test_orthogonality_all_tables(g):
 def corrupted_table(t, how):
     """t with one irrep corrupted: its first non-real value replaced by the
     conjugate ("conjugate"), or the values of its first two classes that
-    differ swapped ("swap")."""
+    differ swapped ("swap"); or ("split") its first class of size >= 2 split
+    into two classes with the same values, moving one element to a new last
+    class, so the rows and both sums still hold and only squareness fails."""
+    if how == "split":
+        c = next(c for c, cl in enumerate(t.classes) if cl.size >= 2)
+        cl = t.classes[c]
+        classes = (t.classes[:c] + (dataclasses.replace(cl, size=cl.size - 1),)
+                   + t.classes[c + 1:] + (dataclasses.replace(cl, label=cl.label + "'", size=1),))
+        irreps = tuple(dataclasses.replace(ir, values=ir.values + (ir.values[c],))
+                       for ir in t.irreps)
+        return dataclasses.replace(t, classes=classes, irreps=irreps,
+                                   squares=t.squares + (t.squares[c],))
     for i, ir in enumerate(t.irreps):
         vals = list(ir.values)
         if how == "conjugate":
@@ -57,17 +68,22 @@ def corrupted_table(t, how):
     raise AssertionError("no entry to corrupt")
 
 
-@pytest.mark.parametrize("how", ["conjugate", "swap"])
-@pytest.mark.parametrize("g", [cyclic(5), binary_dihedral(5)], ids=str)
+CORRUPTIONS = [(g, how) for g in (cyclic(5), binary_dihedral(5)) for how in ("conjugate", "swap")]
+# C_5 has no class of size >= 2 to split
+CORRUPTIONS += [(binary_dihedral(5), "split"), (T_STAR, "split")]
+
+
+@pytest.mark.parametrize("g,how", CORRUPTIONS, ids=["%s-%s" % c for c in CORRUPTIONS])
 def test_orthogonality_catches_one_corrupted_entry(g, how, monkeypatch):
     # verify_orthogonality computes each conjugate pair once (the upper
-    # triangle); one wrong entry must still fail it
+    # triangle) and no column sums; one wrong entry, or a split class that
+    # keeps every row, must still fail it
     import bpfloer.groups as groups
 
     bad = corrupted_table(character_table(g), how)
     assert bad != character_table(g)
     monkeypatch.setattr(groups, "character_table", lambda group: bad)
-    with pytest.raises(BPFloerError, match="orthogonality|not rational"):
+    with pytest.raises(BPFloerError, match="orthogonality|not rational|not square"):
         verify_orthogonality(g)
 
 
