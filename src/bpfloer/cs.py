@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .donaldson import BAR, STD
 from .errors import BPFloerError
 from .groups import GroupId, quaternionic_reps
 from .mckay import VirtualRep, s_graph, solve_rep_equation
-
-STD = "std"
-BAR = "bar"
 
 
 @dataclass(frozen=True)

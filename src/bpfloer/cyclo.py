@@ -1,22 +1,26 @@
 """Cyclotomic arithmetic in the quotient ring Q[x]/(x^N - 1).
 
 Elements represent complex numbers via x -> exp(2*pi*i/N).  Only ring
-operations and conjugation are needed.  Coefficients follow the rule of
-fields.Rationals: an int when the value is integral, a Fraction otherwise,
-and never a float.  Character values are sums of roots of unity, so they live
-in Z[x]/(x^N - 1) and their arithmetic is plain int arithmetic.  Rationality
-of a value is decided by reducing modulo the minimal relation of x, the monic
-cyclotomic polynomial Phi_N with int coefficients, which needs no division.
-Phi_N is obtained once per order as the polynomial gcd of the sparse
-relations 1 + x^(N/d) + x^(2N/d) + ... for the primes d | N (no factoring of
-x^N - 1 into irreducibles is ever performed).
+operations and conjugation are needed.  A value is stored by its nonzero
+terms, {exponent k in [0, N): coefficient of x^k}, so a character value (one
+or two roots of unity) costs one or two entries whatever N is.  Coefficients
+follow the rule of fields.Rationals: an int when the value is integral, a
+Fraction otherwise, and never a float; character values live in
+Z[x]/(x^N - 1), so their arithmetic is plain int arithmetic.  Rationality of
+a value is decided by reducing modulo the minimal relation of x, the monic
+cyclotomic polynomial Phi_N with int coefficients, which needs no division;
+this reduction (rational_value, ==, reduced) is the one dense step.  Phi_N is
+obtained once per order as the polynomial gcd of the sparse relations
+1 + x^(N/d) + x^(2N/d) + ... for the primes d | N (no factoring of x^N - 1
+into irreducibles is ever performed).
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
-from operator import add, sub
 
 from .errors import NonRationalResult
 from .fields import QQ
@@ -33,16 +37,13 @@ def _coeff(x):
     return QQ.of(x)
 
 
-_INT = frozenset((int,))
-
-
-def _exact(c):
-    """The coefficients c as a tuple, each integral Fraction turned into an int."""
-    c = tuple(c)
-    # all-int is the common case; one C-level pass over the types finds it
-    if _INT.issuperset(map(type, c)):
-        return c
-    return tuple(map(QQ.of, c))
+def _collect(pairs):
+    """The terms dict of the sum of (exponent, coefficient) pairs: equal
+    exponents added, zero sums dropped, integral Fractions made ints."""
+    acc = defaultdict(int)
+    for k, a in pairs:
+        acc[k] += a
+    return {k: QQ.of(a) for k, a in acc.items() if a}
 
 
 def _poly_trim(c):
@@ -109,7 +110,7 @@ def _min_relation(order: int):
             rel[i * step] = 1
         rel = _poly_trim(rel)
         g = rel if g is None else _poly_gcd(g, rel)
-    return _exact(g)
+    return tuple(map(QQ.of, g))
 
 
 @lru_cache(maxsize=None)
@@ -127,37 +128,43 @@ def _trace_weights(order: int):
 
 
 class Cyclo:
-    """An element of Q[x]/(x^N - 1); immutable."""
+    """An element of Q[x]/(x^N - 1); immutable.  terms maps each exponent
+    with a nonzero coefficient to that coefficient."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "terms")
 
     def __init__(self, order, coeffs):
-        self.order = order
         c = tuple(map(_coeff, coeffs))
         if len(c) != order:
             raise ValueError("coefficient vector must have length %d" % order)
-        self.coeffs = c
+        self.order = order
+        self.terms = {k: a for k, a in enumerate(c) if a}
 
     @classmethod
-    def _raw(cls, order, coeffs):
-        """Trusted constructor: coeffs is already a tuple of exact coefficients."""
+    def _raw(cls, order, terms):
+        """Trusted constructor: terms is already zero-free with exact coefficients."""
         out = object.__new__(cls)
         out.order = order
-        out.coeffs = coeffs
+        out.terms = terms
         return out
+
+    @property
+    def coeffs(self):
+        """The dense coefficient tuple of x^0, ..., x^(N-1)."""
+        c = [0] * self.order
+        for k, a in self.terms.items():
+            c[k] = a
+        return tuple(c)
 
     @classmethod
     def integer(cls, n, order):
-        c = [0] * order
-        c[0] = n
-        return cls(order, c)
+        n = _coeff(n)
+        return cls._raw(order, {0: n} if n else {})
 
     @classmethod
     def root_power(cls, k, order):
         """x^k, i.e. the root of unity exp(2*pi*i*k/N)."""
-        c = [0] * order
-        c[k % order] = 1
-        return cls(order, c)
+        return cls._raw(order, {k % order: 1})
 
     def _check(self, other):
         if not isinstance(other, Cyclo):
@@ -167,53 +174,46 @@ class Cyclo:
 
     def __add__(self, other):
         self._check(other)
-        return Cyclo._raw(self.order, _exact(map(add, self.coeffs, other.coeffs)))
+        return Cyclo._raw(self.order, _collect(chain(self.terms.items(), other.terms.items())))
 
     def __sub__(self, other):
         self._check(other)
-        return Cyclo._raw(self.order, _exact(map(sub, self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self):
-        return Cyclo._raw(self.order, tuple(-a for a in self.coeffs))
+        return Cyclo._raw(self.order, {k: -a for k, a in self.terms.items()})
 
     def __mul__(self, other):
+        n = self.order
         if not isinstance(other, Cyclo):
             s = _coeff(other)
-            return Cyclo._raw(self.order, _exact(a * s for a in self.coeffs))
+            return Cyclo._raw(n, _collect((k, a * s) for k, a in self.terms.items()))
         self._check(other)
-        n = self.order
-        left = [(i, a) for i, a in enumerate(self.coeffs) if a]
-        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        out = [0] * n
-        for i, a in left:
-            for j, b in right:
-                out[(i + j) % n] += a * b
-        return Cyclo._raw(n, _exact(out))
+        return Cyclo._raw(n, _collect(
+            ((i + j) % n, a * b) for i, a in self.terms.items() for j, b in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 
     def conj(self):
-        """Complex conjugation: basis index k -> N - k mod N."""
+        """Complex conjugation: exponent k -> N - k mod N."""
         n = self.order
-        out = [0] * n
-        for k, a in enumerate(self.coeffs):
-            out[(n - k) % n] = a
-        return Cyclo._raw(n, tuple(out))
+        return Cyclo._raw(n, {(n - k) % n: a for k, a in self.terms.items()})
 
     def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
+        return not self.terms
 
     def reduced(self):
         """Canonical representative modulo the minimal relation of x."""
         _, r = _poly_divmod(self.coeffs, _min_relation(self.order))
-        return Cyclo._raw(self.order, _exact(r) + (0,) * (self.order - len(r)))
+        return Cyclo._raw(self.order, _collect(enumerate(r)))
 
     def rational_value(self):
         """The value as an int or Fraction, or None when the value is irrational."""
-        red = self.reduced()
-        if any(red.coeffs[1:]):
+        terms = self.reduced().terms
+        if terms.keys() - {0}:
             return None
-        return red.coeffs[0]
+        return terms.get(0, 0)
 
     def rational_part(self):
         """Projection onto the rational span; idempotent on rational elements."""
@@ -222,9 +222,8 @@ class Cyclo:
 
     def _lift(self, order):
         """The same value in Q[x]/(x^L - 1), L = order a multiple of N."""
-        out = [0] * order
-        out[:: order // self.order] = self.coeffs  # x_N -> x_L^(L/N)
-        return Cyclo._raw(order, tuple(out))
+        step = order // self.order  # x_N -> x_L^(L/N)
+        return Cyclo._raw(order, {k * step: a for k, a in self.terms.items()})
 
     def __eq__(self, other):
         """Equality of values with a Cyclo of any order (compared at the lcm of
@@ -242,13 +241,11 @@ class Cyclo:
         # the normalized trace depends on the value alone, in any order, and
         # is the value when that is rational: hash agrees with ==
         w = _trace_weights(self.order)
-        return hash(sum(a * w[k] for k, a in enumerate(self.coeffs) if a))
+        return hash(sum(a * w[k] for k, a in self.terms.items()))
 
     def __repr__(self):
         terms = []
-        for k, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
+        for k, a in sorted(self.terms.items()):
             if k == 0:
                 terms.append(str(a))
             else:
@@ -268,19 +265,13 @@ def cyclo_inner(chi, psi, class_sizes, group_order):
     if sum(class_sizes) != group_order:
         raise ValueError("class sizes do not sum to the group order")
     order = chi[0].order
-    acc = [0] * order
-    for a, b, size in zip(chi, psi, class_sizes):
-        left = [(i, x) for i, x in enumerate(a.coeffs) if x]
-        if not left:
-            continue
-        for j, y in enumerate(b.coeffs):
-            if not y:
-                continue
-            w = size * y
-            jj = (order - j) % order  # conjugation of the second argument
-            for i, x in left:
-                acc[(i + jj) % order] += x * w
-    total = Cyclo._raw(order, tuple(acc))
+    # x^i conj(x^j) = x^(i - j): every term pair of every class in one sum
+    total = Cyclo._raw(order, _collect(
+        ((i - j) % order, x * y * size)
+        for a, b, size in zip(chi, psi, class_sizes)
+        for i, x in a.terms.items()
+        for j, y in b.terms.items()
+    ))
     val = total.rational_value()
     if val is None:
         raise NonRationalResult("inner product is not rational: %r" % (total,))

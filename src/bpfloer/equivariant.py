@@ -221,21 +221,35 @@ class BarComplexes:
 def bar_oracle(window: WindowedComplex, flavor, deg_lo, deg_hi):
     """Build the literal bar complexes and verify the sign isomorphism.
 
-    Returns (bar, model, iso); raises OracleMismatch naming the first
-    offending generator when a square fails to commute.
+    In every degree the two complexes must have equal dimensions and iso must
+    send each model generator to its own bar generator with sign +-1, and
+    both squares (d and the degree -4 action) must commute.  Together these
+    make iso a chain isomorphism, so the two homologies agree without being
+    computed.  Returns (bar, model, iso); raises OracleMismatch naming the
+    first offending degree or generator.
     """
     bar = BarComplexes(window, flavor, deg_lo, deg_hi)
     model = FunctorModel(window.complex, window.u, flavor, deg_lo, deg_hi)
     iso = bar.sign_iso(model)
     f = model.complex.field
-    for n in model.complex.degrees():
-        for pos, cg in enumerate(model.complex.basis[n]):
-            lhs = _apply_columns(f, bar.complex.boundary_columns(n), iso.column(n, pos))
+    signs = (f.of(1), f.of(-1))
+    for n in sorted(set(model.complex.degrees()) | set(bar.complex.degrees())):
+        if model.complex.dim(n) != bar.complex.dim(n):
+            raise OracleMismatch("degree %d has %d model and %d bar generators"
+                                 % (n, model.complex.dim(n), bar.complex.dim(n)))
+        targets = set()
+        for pos, cg in enumerate(model.complex.basis.get(n, [])):
+            col = iso.column(n, pos)
+            if len(col) != 1 or col.keys() & targets or next(iter(col.values())) not in signs:
+                raise OracleMismatch("iso does not send %r in degree %d to its own "
+                                     "bar generator with sign +-1" % (cg, n))
+            targets |= col.keys()
+            lhs = _apply_columns(f, bar.complex.boundary_columns(n), col)
             rhs = iso.apply(n - 1, model.complex.boundary_columns(n)[pos])
             if lhs != rhs:
                 raise OracleMismatch("differential square fails at %r in degree %d" % (cg, n))
             if n - 4 >= deg_lo:
-                lhs = bar.u.apply(n, iso.column(n, pos))
+                lhs = bar.u.apply(n, col)
                 rhs = iso.apply(n - 4, model.u.column(n, pos))
                 if lhs != rhs:
                     raise OracleMismatch("degree -4 action square fails at %r in degree %d" % (cg, n))

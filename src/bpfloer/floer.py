@@ -112,17 +112,12 @@ class MinusPages:
         Returns a vector over the h-basis of the target column; Z towers feed
         the same walk formula as U towers.
         """
-        kind, vname = gen
-        col_tgt = (col_src - 4 * r) % 8
-        walk = self._psi_power_column(vname, r - 1)
-        out = {}
-        hidx = self._h_index(col_tgt)
-        for w, c in walk.items():
-            for tgt, n in self.psi.items():
-                if w in n and tgt in hidx:
-                    out[hidx[tgt]] = out.get(hidx[tgt], 0) + c * n[w]
+        _, vname = gen
+        hidx = self._h_index((col_src - 4 * r) % 8)
         f = self.field
-        return {k: f.of(v) for k, v in out.items() if not f.is_zero(f.of(v))}
+        walk = self._psi_power_column(vname, r)
+        return {hidx[w]: f.of(c) for w, c in walk.items()
+                if w in hidx and not f.is_zero(f.of(c))}
 
     def _run(self):
         f = self.field

@@ -139,9 +139,10 @@ def test_verify_shares_one_computation_per_group(capsys, monkeypatch):
     # the assembly and triangle checks read one GroupRun, which builds the
     # six pairs' window models once (the triangle check reads the three bar
     # ones again) and the (bar, -) pages once.  The bar oracle and the
-    # accounting build their own: 2 models each, and besides their homologies
-    # the oracle computes those of its 2 bar complexes.  Before the sharing
-    # this was 13 models, 15 homologies and 4 page runs.
+    # accounting build their own: 2 models each.  The oracle proves a chain
+    # isomorphism and computes no homology (it used to eliminate its 2 models
+    # and 2 bar complexes, 4 more).  Before the sharing this was 13 models,
+    # 15 homologies and 4 page runs.
     from bpfloer.chains import HomologyData
     from bpfloer.equivariant import FunctorModel
     from bpfloer.floer import GroupRun, MinusPages
@@ -150,7 +151,7 @@ def test_verify_shares_one_computation_per_group(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "--groups", "T*")
     assert code == 0 and "verify: PASS" in out
     count = lambda name: sum(b[0] == name for b in built)
-    assert (count("FunctorModel"), count("HomologyData"), count("MinusPages")) == (10, 12, 1)
+    assert (count("FunctorModel"), count("HomologyData"), count("MinusPages")) == (10, 8, 1)
     (owner,) = [b[1] for b in built if b[0] == "GroupRun"]
     shared = {id(fm) for fm in owner._functors.values()}
     assert len(shared) == 6

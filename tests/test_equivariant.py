@@ -223,6 +223,23 @@ def test_bar_oracle_detects_corruption():
     raise AssertionError("no boundary entry found to corrupt")
 
 
+@pytest.mark.parametrize("flavor", [PLUS, MINUS])
+def test_bar_oracle_catches_an_extra_generator(monkeypatch, flavor):
+    # an isolated bar generator commutes with every square but is not in the
+    # image of iso; the homologies then differ, and the oracle must say so
+    import bpfloer.equivariant as equivariant
+
+    class Padded(BarComplexes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.complex.add_generator(0, "extra")
+
+    monkeypatch.setattr(equivariant, "BarComplexes", Padded)
+    w = build_model(T_STAR, BAR).window(Window(-9, 7, -8, 10))
+    with pytest.raises(OracleMismatch, match="degree 0 has"):
+        bar_oracle(w, flavor, -8, 10)
+
+
 def _recheck(bar, model, iso):
     f = model.complex.field
     for n in model.complex.degrees():

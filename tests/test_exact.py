@@ -140,6 +140,52 @@ def test_cyclo_coefficients_are_int_when_integral():
     assert type((a * 2).rational_part().coeffs[0]) is int
 
 
+def test_cyclo_terms_store_no_zero():
+    # values are stored by their nonzero terms: every result drops the
+    # exponents whose coefficients cancel
+    rng = random.Random(5)
+    N = 12
+    pool = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(4, 2)]
+    for _ in range(40):
+        a, b = (Cyclo(N, [rng.choice(pool) for _ in range(N)]) for _ in range(2))
+        k = rng.randrange(N)
+        x, y = Cyclo.root_power(k, N), Cyclo.root_power(-k, N)
+        results = (a + b, a - b, a + -a, a * b, x * y, x + y, (x + y) * (x - y),
+                   a * 3, 3 * a, a * 0, a * Fraction(1, 2), a.conj(), a.reduced(),
+                   Cyclo.integer(0, N), a - a)
+        for v in results:
+            assert set(v.terms) <= set(range(N)), v
+            assert all(c != 0 and type(c) is (int if c.denominator == 1 else Fraction)
+                       for c in v.terms.values()), v
+    assert (a - a).terms == {} and Cyclo.integer(0, N).terms == {} and (a * 0).terms == {}
+
+
+@pytest.mark.parametrize("c", [
+    [0, 3, 0, 0, -1, 0],
+    [0, 0, 0, 0, 0, 0],
+    [Fraction(1, 2), 0, Fraction(-3, 4), 0, Fraction(6, 3), 0],
+])
+def test_cyclo_coeffs_round_trip(c):
+    v = Cyclo(len(c), c)
+    assert v.coeffs == tuple(c)
+    assert v.terms == {k: x for k, x in enumerate(c) if x}
+
+
+def test_cyclo_product_at_large_order_stays_sparse():
+    # a dense vector of length 10^6 would take megabytes; two roots of unity
+    # and their product take a few entries
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        v = Cyclo.root_power(3, 10**6) * Cyclo.root_power(5, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.terms == {8: 1} and v.order == 10**6
+    assert peak < 10**5, peak
+
+
 def _phi_by_division(n):
     """Phi_n as int coefficients (low degree first): x^n - 1 divided exactly
     by Phi_d for every proper divisor d of n."""
