@@ -10,8 +10,8 @@ from bpfloer.cs import c2_class, cs_table, q_vertex
 from bpfloer.groups import binary_dihedral, cyclic, parse_group
 
 print("=" * 72)
-print("The invariant accumulates augmentation/order ratios of minimal")
-print("equation solutions along the tree path from the trivial connection.")
+print("The invariant is the augmentation/order ratio of one minimal solution")
+print("of the representation-ring equation against the trivial connection.")
 print("=" * 72)
 for name in ("T*", "O*", "I*", "D*_4", "C_7"):
     g = parse_group(name)

@@ -12,9 +12,10 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 from . import serialize
-from .cs import cs_table, q_vertex
+from .cs import chern_simons, cs_difference, cs_table, q_vertex
 from .donaldson import BAR, STD, Window, build_model, toi_multicomplex_matches
 from .equivariant import MINUS, PLUS, TATE, bar_oracle, functor_model
 from .errors import BPFloerError, WrongFlavor
@@ -40,7 +41,7 @@ from .groups import (
     parse_group,
     verify_orthogonality,
 )
-from .mckay import s_graph_matches_expected
+from .mckay import s_graph, s_graph_matches_expected
 from .presented import MIN_CHECKED_DEGREES
 from .theorems import encoded_module
 
@@ -397,8 +398,7 @@ def _verify_group(g: GroupId, field):
         return "norm zero + splitting dims; %d degrees" % len(checked)
     run("triangle-and-norm", triangle)
 
-    run("cs-golden-values", lambda: (
-        _check_cs(g), "Q-vertex and path independence")[1])
+    run("cs-golden-values", lambda: _check_cs(g))
 
     def duality():
         rep = duality_pairing_report(g, field)
@@ -413,13 +413,20 @@ def _verify_group(g: GroupId, field):
 
 
 def _check_cs(g):
-    from .cs import chern_simons
-    from fractions import Fraction
-
-    v = chern_simons(g, q_vertex(g))
+    """The Q-vertex golden value, and on every labeled-graph edge (a, b) the
+    vertex values against the edge's own solve: cs(b) - cs(a) = cs_difference."""
+    sg = s_graph(g)
+    cs = {v.name: chern_simons(g, v.name).value for v in sg.vertices}
+    got = cs[q_vertex(g)]
     want = Fraction(g.order - 1, g.order) if g.order > 1 else Fraction(0)
-    if v.value != want:
-        raise BPFloerError("cs(Q-vertex) = %s, wanted %s" % (v, want))
+    if got != want:
+        raise BPFloerError("cs(Q-vertex) = %s, wanted %s" % (got, want))
+    for a, b in sg.edges:
+        step = cs_difference(g, b, a)
+        if (cs[b] - cs[a] - step) % 1:
+            raise BPFloerError("edge %s-%s: vertex values differ by %s, the edge solve gives %s"
+                               " (mod 1)" % (a, b, (cs[b] - cs[a]) % 1, step % 1))
+    return "Q-vertex golden; %d tree edges: vertex values vs edge solves" % len(sg.edges)
 
 
 def cmd_verify(args, cfg):

@@ -1,9 +1,9 @@
 """Chern-Simons invariants of flat connections and group-cohomology classes.
 
-The invariant of a flat connection is computed by walking the unique tree
-path from the trivial vertex and accumulating augmentation/order ratios of
-the minimal solutions of the representation-ring equation along the edges.
-Values live in Q/Z with the canonical representative in [0, 1).
+The invariant of a flat connection is the augmentation/order ratio of one
+solution of the representation-ring equation against the trivial vertex
+theta: one solve per flat connection. Values live in Q/Z with the canonical
+representative in [0, 1).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 from .donaldson import BAR, STD
 from .errors import BPFloerError
 from .groups import GroupId, quaternionic_reps
-from .mckay import VirtualRep, s_graph, solve_rep_equation
+from .mckay import VirtualRep, solve_rep_equation
 
 
 @dataclass(frozen=True)
@@ -53,31 +53,29 @@ class CohClass:
         return "%d (mod %d)" % (self.residue, self.modulus)
 
 
-def _quat_by_name(g: GroupId):
-    return {q.name: q for q in quaternionic_reps(g)}
+def _vrep(g: GroupId, name: str) -> VirtualRep:
+    for q in quaternionic_reps(g):
+        if q.name == name:
+            return VirtualRep.of_quat(g, q)
+    raise BPFloerError("%s has no flat connection %r" % (g, name))
 
 
 def cs_difference(g: GroupId, a_name: str, b_name: str) -> Fraction:
-    """cs(a) - cs(b) modulo 1, from the direct equation solve."""
-    quats = _quat_by_name(g)
-    h = solve_rep_equation(
-        g, VirtualRep.of_quat(g, quats[a_name]), VirtualRep.of_quat(g, quats[b_name])
-    )
+    """An unreduced representative of cs(a) - cs(b) mod 1: eps(H)/|G|, (2 - Q)H = a - b."""
+    h = solve_rep_equation(g, _vrep(g, a_name), _vrep(g, b_name))
     return Fraction(h.epsilon(), g.order)
 
 
 def chern_simons(g: GroupId, vertex_name: str, orientation: str = STD) -> CsValue:
     """The invariant of one flat connection, for either orientation."""
-    sg = s_graph(g)
-    path = sg.path("theta", vertex_name)
-    total = Fraction(0)
-    for a, b in zip(path, path[1:]):
-        total += cs_difference(g, b, a)
-    if orientation == BAR:
-        total = -total
-    elif orientation != STD:
+    if orientation not in (STD, BAR):
         raise BPFloerError("orientation must be 'std' or 'bar'")
-    return CsValue.of(total)
+    # One solve against theta: summing the edge equations along any path
+    # theta -> v telescopes to (2 - Q)(sum H_e) = v - theta; the kernel of
+    # (2 - Q) is spanned by the regular representation, with eps = sum d_i^2
+    # = |G|, so every integral solution gives the same eps(H)/|G| mod 1.
+    cs = cs_difference(g, vertex_name, "theta")
+    return CsValue.of(-cs if orientation == BAR else cs)
 
 
 def cs_table(g: GroupId, orientation: str = STD):

@@ -292,3 +292,27 @@ def test_verify_fail_names_the_exception_class(monkeypatch):
     assert detail.startswith("ZeroDivisionError")
     # the other checks still run and pass
     assert all(c[2] == "PASS" for c in checks if c is not rows[0])
+
+
+def test_verify_cs_pass_reports_its_edges():
+    # T*'s labeled graph is the path theta - alpha - lambda
+    rows = [c for c in _verify_group(T_STAR, QQ) if c[0] == "cs-golden-values"]
+    assert [c[2:4] for c in rows] == [
+        ("PASS", "Q-vertex golden; 2 tree edges: vertex values vs edge solves")]
+
+
+def test_verify_cs_catches_a_corrupted_edge_solve(monkeypatch):
+    from fractions import Fraction
+
+    from bpfloer.cs import cs_difference
+
+    def corrupted(g, a, b):
+        bump = Fraction(1, g.order) if {a, b} == {"alpha", "lambda"} else 0
+        return cs_difference(g, a, b) + bump
+
+    monkeypatch.setattr("bpfloer.cli.cs_difference", corrupted)
+    rows = [c for c in _verify_group(T_STAR, QQ) if c[0] == "cs-golden-values"]
+    assert len(rows) == 1
+    _, _, status, detail, _ = rows[0]
+    assert status == "FAIL"
+    assert detail.startswith("BPFloerError: edge alpha-lambda")

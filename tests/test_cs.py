@@ -15,6 +15,7 @@ from bpfloer.cs import (
     group_cohomology,
     q_vertex,
 )
+from bpfloer.errors import BPFloerError
 from bpfloer.groups import (
     I_STAR,
     O_STAR,
@@ -23,6 +24,7 @@ from bpfloer.groups import (
     cyclic,
     quaternionic_reps,
 )
+from bpfloer.mckay import s_graph
 
 ALL_GROUPS = (
     [cyclic(k) for k in range(1, 13)]
@@ -98,6 +100,39 @@ def test_cs_table_walks_each_path_once(monkeypatch, orientation):
     monkeypatch.setattr(cs, "chern_simons", counting)
     assert cs_table(g, orientation) == want
     assert sorted(calls) == sorted(q.name for q in quaternionic_reps(g))
+
+
+@pytest.mark.parametrize("g", ALL_GROUPS, ids=str)
+def test_direct_solve_matches_the_tree_walk(g):
+    sg = s_graph(g)
+    for v in sg.vertices:
+        path = sg.path("theta", v.name)
+        walk = sum(cs_difference(g, b, a) for a, b in zip(path, path[1:]))
+        assert chern_simons(g, v.name, STD).value == walk % 1
+        assert chern_simons(g, v.name, BAR).value == -walk % 1
+
+
+def test_cs_table_solves_once_per_flat_connection(monkeypatch):
+    import bpfloer.cs as cs
+
+    g = binary_dihedral(8)
+    calls = []
+    real = cs.solve_rep_equation
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cs, "solve_rep_equation", counting)
+    cs_table(g)
+    assert len(calls) == len(quaternionic_reps(g)) == 8
+
+
+def test_unknown_flat_connection_is_an_error():
+    with pytest.raises(BPFloerError, match=r"T\* has no flat connection 'nope'"):
+        cs_difference(T_STAR, "nope", "theta")
+    with pytest.raises(BPFloerError, match=r"T\* has no flat connection 'nope'"):
+        chern_simons(T_STAR, "nope")
 
 
 def test_cohomology_table():

@@ -337,11 +337,13 @@ def test_two_minus_q_is_factored_once_per_group(monkeypatch):
     s_graph.cache_clear()
     mckay._two_minus_q.cache_clear()
     try:
+        s_graph(g)
         cs_table(g)
     finally:
         s_graph.cache_clear()
         mckay._two_minus_q.cache_clear()
-    # the graphical oracle's Cartan systems lose beta's vertices, so only the
+    # s_graph's label solves and cs_table's solves share one factorization; the
+    # graphical oracle's Cartan systems lose beta's vertices, so only the
     # (2 - Q) system has all n columns
     assert sizes.count(n) == 1
     assert len(sizes) > 1
