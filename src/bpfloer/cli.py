@@ -39,6 +39,7 @@ from .groups import (
     character_table,
     cyclic,
     parse_group,
+    q_tensor_matrix,
     verify_orthogonality,
 )
 from .mckay import s_graph, s_graph_matches_expected
@@ -354,7 +355,13 @@ def _verify_group(g: GroupId, field):
         ok, msg = s_graph_matches_expected(g)
         if not ok:
             raise BPFloerError(msg)
-        return "vertices+labels+gradings"
+        # s_graph reads the McKay matrix for D*, T*, O*, I* only; computing it
+        # here makes the certificate hold for C_n too: each row is accepted
+        # only when it re-sums to Q (x) R_i on every class
+        n = len(q_tensor_matrix(g))
+        t = character_table(g)
+        return "McKay %dx%d re-summed on %d classes; vertices+labels+gradings" % (
+            n, n, len(t.classes))
     run("sgraph-structure", sgraph_check)
 
     if name in ("T*", "O*", "I*"):

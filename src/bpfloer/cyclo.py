@@ -8,11 +8,18 @@ follow the rule of fields.Rationals: an int when the value is integral, a
 Fraction otherwise, and never a float; character values live in
 Z[x]/(x^N - 1), so their arithmetic is plain int arithmetic.  Rationality of
 a value is decided by reducing modulo the minimal relation of x, the monic
-cyclotomic polynomial Phi_N with int coefficients, which needs no division;
-this reduction (rational_value, ==, reduced) is the one dense step.  Phi_N is
-obtained once per order as the polynomial gcd of the sparse relations
-1 + x^(N/d) + x^(2N/d) + ... for the primes d | N (no factoring of x^N - 1
-into irreducibles is ever performed).
+cyclotomic polynomial Phi_N with int coefficients, which needs no division.
+This reduction (rational_value, ==, reduced) is dense in N, so it is skipped
+where it cannot change the answer: a value with only a constant term is that
+rational.  Phi_N is obtained once per order as the polynomial gcd of the
+sparse relations 1 + x^(N/d) + x^(2N/d) + ... for the primes d | N (no
+factoring of x^N - 1 into irreducibles is ever performed).
+
+evaluation_point gives a prime p = 1 (mod N) and a primitive N-th root of
+unity w mod p; Cyclo.evaluate is then the ring homomorphism
+Z[x]/(x^N - 1) -> F_p, x -> w, which kills Phi_N and so factors through
+Z[zeta_N].  It proposes values (groups.product_decompose); it never decides
+one, since distinct values can share an image.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import NonRationalResult
 from .fields import QQ
@@ -127,6 +134,24 @@ def _trace_weights(order: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def evaluation_point(order: int, floor: int):
+    """(p, powers): the least prime p > floor with p = 1 (mod N), and
+    powers[k] = w^k mod p for the least primitive N-th root of unity w mod p
+    (w = h^((p-1)/N) for the least h whose power has order exactly N)."""
+    p = order + 1
+    while p <= floor or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        p += order
+    for h in range(2, p):
+        w = pow(h, (p - 1) // order, p)
+        if all(pow(w, order // d, p) != 1 for d in _prime_factors(order)):
+            break
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * w % p)
+    return p, tuple(powers)
+
+
 class Cyclo:
     """An element of Q[x]/(x^N - 1); immutable.  terms maps each exponent
     with a nonzero coefficient to that coefficient."""
@@ -160,6 +185,14 @@ class Cyclo:
     def integer(cls, n, order):
         n = _coeff(n)
         return cls._raw(order, {0: n} if n else {})
+
+    @classmethod
+    def combination(cls, order, pairs):
+        """sum s * v over the (scalar, value) pairs, collected in one pass."""
+        pairs = [(_coeff(c), v) for c, v in pairs]
+        return cls._raw(order, _collect(
+            (k, a * c) for c, v in pairs for k, a in v.terms.items()
+        ))
 
     @classmethod
     def root_power(cls, k, order):
@@ -208,9 +241,24 @@ class Cyclo:
         _, r = _poly_divmod(self.coeffs, _min_relation(self.order))
         return Cyclo._raw(self.order, _collect(enumerate(r)))
 
+    def evaluate(self, p, powers):
+        """The image in F_p under x -> w, as an int in [0, p), given
+        (p, powers) from evaluation_point.  A Fraction coefficient maps
+        through the inverse of its denominator mod p (ValueError when p
+        divides it)."""
+        s = 0
+        for k, a in self.terms.items():
+            if type(a) is not int:
+                a = a.numerator * pow(a.denominator, -1, p)
+            s += a * powers[k]
+        return s % p
+
     def rational_value(self):
         """The value as an int or Fraction, or None when the value is irrational."""
-        terms = self.reduced().terms
+        terms = self.terms
+        if terms.keys() - {0}:
+            # a constant is already reduced: Phi_N has degree >= 1
+            terms = self.reduced().terms
         if terms.keys() - {0}:
             return None
         return terms.get(0, 0)

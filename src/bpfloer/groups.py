@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .cyclo import Cyclo, cyclo_inner
+from .cyclo import Cyclo, cyclo_inner, evaluation_point
 from .errors import BPFloerError, DecompositionFailure
 from .fields import QQ
 
@@ -440,24 +441,62 @@ def fs_indicator(g: GroupId, irr_index: int) -> int:
     return int(val)
 
 
-def product_decompose(g: GroupId, values1, values2):
-    """Decompose a product of characters into irreducible multiplicities."""
+@lru_cache(maxsize=None)
+def _modular_pairing(g: GroupId, floor: int):
+    """(p, powers, rows) for the evaluation point (p, powers) of
+    cyclo.evaluation_point(N, floor): rows[j][c] = |c| conj(chi_j(c)) / |G|
+    evaluated in F_p, so the pairing <psi, chi_j> maps to
+    sum_c psi(c) rows[j][c] mod p.  p > N >= |G|, so |G| is invertible."""
     t = character_table(g)
+    p, powers = evaluation_point(g.root_order, floor)
+    inv = pow(t.order, -1, p)
+    rows = tuple(
+        tuple(size * inv * v.conj().evaluate(p, powers) % p
+              for size, v in zip(t.sizes, ir.values))
+        for ir in t.irreps
+    )
+    return p, powers, rows
+
+
+def product_decompose(g: GroupId, values1, values2):
+    """Decompose a product of characters into irreducible multiplicities.
+
+    The candidates come from one evaluation in F_p; the exact re-summation
+    decides.  x -> w, w a primitive N-th root of unity mod a prime
+    p = 1 (mod N), is a ring homomorphism Z[x]/(x^N - 1) -> F_p that kills
+    Phi_N, so it factors through Z[zeta_N].  When the product is a character
+    of degree d and the table is right, each pairing <prod, chi_j> is an
+    integer m_j in [0, d] (m_j d_j <= d), and its image is m_j mod p; with
+    p > 2 max(d, N) the least absolute residue is m_j itself.  A residue
+    outside [0, d] is rejected as a bad multiplicity.  The image cannot tell
+    values apart that differ by a multiple of p (or of Phi_N), so no
+    candidate is accepted until prod(c) = sum_j m_j chi_j(c) holds exactly in
+    Q(zeta_N) on every class c.  That identity is the decomposition itself,
+    whatever the evaluation proposed.
+    """
+    t = character_table(g)
+    if not len(values1) == len(values2) == len(t.classes):
+        raise DecompositionFailure("a product needs one value per class of %s" % g)
     prod = [a * b for a, b in zip(values1, values2)]
+    deg = prod[0].rational_value()  # the identity class comes first
+    if type(deg) is not int or deg < 0:
+        raise DecompositionFailure("product degree %s is not a nonnegative integer" % deg)
+    p, powers, rows = _modular_pairing(g, 2 * max(deg, g.root_order))
+    at = [v.evaluate(p, powers) for v in prod]
     mults = []
-    for ir in t.irreps:
-        m = t.inner(prod, ir.values)
-        if m.denominator != 1 or m < 0:
+    for row in rows:
+        m = sum(map(mul, at, row)) % p
+        if m > p // 2:
+            m -= p
+        if not 0 <= m <= deg:
             raise DecompositionFailure("bad multiplicity %s" % m)
-        mults.append(int(m))
+        mults.append(m)
     # re-summation check: the decomposition reproduces the product exactly
-    N = g.root_order
-    for c in range(len(t.classes)):
-        acc = Cyclo.integer(0, N)
-        for m, ir in zip(mults, t.irreps):
-            if m:
-                acc = acc + ir.values[c] * m
-        if (acc - prod[c]).rational_value() != 0:
+    support = [(m, ir.values) for m, ir in zip(mults, t.irreps) if m]
+    for c, target in enumerate(prod):
+        diff = Cyclo.combination(
+            g.root_order, [(-1, target)] + [(m, values[c]) for m, values in support])
+        if diff.rational_value() != 0:
             raise DecompositionFailure("re-summation mismatch in class %d" % c)
     return tuple(mults)
 

@@ -6,8 +6,9 @@ import sys
 import pytest
 
 from bpfloer.cli import _verify_group, main
+from bpfloer.errors import DecompositionFailure
 from bpfloer.fields import QQ
-from bpfloer.groups import T_STAR
+from bpfloer.groups import T_STAR, cyclic
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +278,23 @@ def test_verify_orthogonality_pass_reports_its_coverage():
     checks = _verify_group(T_STAR, QQ)
     rows = [c for c in checks if c[0] == "character-table-orthogonality"]
     assert [c[2:4] for c in rows] == [("PASS", "rows: 28 pairs of a square 7x7 table")]
+
+
+def test_verify_sgraph_pass_reports_its_mckay_certificate(monkeypatch):
+    # T*'s McKay matrix is 7x7, every row re-summed on its 7 classes
+    checks = _verify_group(T_STAR, QQ)
+    rows = [c for c in checks if c[0] == "sgraph-structure"]
+    assert [c[2:4] for c in rows] == [
+        ("PASS", "McKay 7x7 re-summed on 7 classes; vertices+labels+gradings")]
+
+    # s_graph of C_n never reads the McKay matrix, so the check computes it
+    def refused(g):
+        raise DecompositionFailure("re-summation mismatch in class 1")
+
+    monkeypatch.setattr("bpfloer.cli.q_tensor_matrix", refused)
+    rows = [c for c in _verify_group(cyclic(5), QQ) if c[0] == "sgraph-structure"]
+    assert [c[2:4] for c in rows] == [
+        ("FAIL", "DecompositionFailure: re-summation mismatch in class 1")]
 
 
 def test_verify_fail_names_the_exception_class(monkeypatch):

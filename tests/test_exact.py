@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bpfloer.chains import FiniteComplex, HomologyData
-from bpfloer.cyclo import Cyclo, _min_relation, cyclo_inner
+from bpfloer.cyclo import Cyclo, _min_relation, cyclo_inner, evaluation_point
 from bpfloer.donaldson import BAR, Window, build_model
 from bpfloer.equivariant import MINUS, PLUS, functor_model
 from bpfloer.errors import BPFloerError, NonRationalResult
@@ -243,6 +243,62 @@ def test_sqrt2_is_not_rational():
     s2 = Cyclo.root_power(6, 48) + Cyclo.root_power(42, 48)
     assert s2.rational_value() is None
     assert (s2 * s2).rational_value() == 2
+
+
+def test_rational_value_of_a_constant_makes_no_reduction(monkeypatch):
+    # Phi_N at N = 10^6 is dense; a constant is rational without it
+    def no_reduction(self):
+        raise AssertionError("reduced() called on a constant")
+
+    monkeypatch.setattr(Cyclo, "reduced", no_reduction)
+    assert Cyclo.integer(5, 10**6).rational_value() == 5
+    assert Cyclo.integer(0, 10**6).rational_value() == 0
+    assert Cyclo.integer(Fraction(1, 3), 10**6).rational_value() == Fraction(1, 3)
+    assert Cyclo.integer(5, 10**6) == 5
+
+
+def test_rational_value_still_reduces_a_nonconstant():
+    # 1 + x^(N/2) is 0 in Q(zeta_N) though it has two terms
+    assert (Cyclo.integer(1, 120) + Cyclo.root_power(60, 120)).rational_value() == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 48, 96, 120, 192, 240])
+def test_evaluation_point_is_a_primitive_root_mod_a_prime(n):
+    p, powers = evaluation_point(n, 2 * n)
+    assert p > 2 * n and (p - 1) % n == 0
+    assert all(p % d for d in range(2, int(p ** 0.5) + 1))
+    assert len(powers) == n and powers[0] == 1
+    assert powers[1 % n] * powers[-1] % p == 1
+    assert len(set(powers)) == n  # w has order exactly n
+    # the least such prime
+    assert not any(all(q % d for d in range(2, int(q ** 0.5) + 1))
+                   for q in range(n + 1, p, n) if q > 2 * n)
+
+
+def test_evaluate_is_a_ring_homomorphism_killing_phi():
+    rng = random.Random(7)
+    for n in (12, 24, 30):
+        p, powers = evaluation_point(n, 2 * n)
+        phi = Cyclo(n, list(_min_relation(n)) + [0] * (n - len(_min_relation(n))))
+        assert phi.evaluate(p, powers) == 0
+        for _ in range(10):
+            a = Cyclo(n, [rng.randint(-3, 3) for _ in range(n)])
+            b = Cyclo(n, [rng.randint(-3, 3) for _ in range(n)])
+            assert (a * b).evaluate(p, powers) == a.evaluate(p, powers) * b.evaluate(p, powers) % p
+            assert (a + b).evaluate(p, powers) == (a.evaluate(p, powers) + b.evaluate(p, powers)) % p
+            # equal values have equal images
+            assert (a.reduced()).evaluate(p, powers) == a.evaluate(p, powers)
+    half = Cyclo.integer(Fraction(1, 2), 12)
+    p, powers = evaluation_point(12, 24)
+    assert 2 * half.evaluate(p, powers) % p == 1
+
+
+def test_cyclo_combination_is_the_linear_combination():
+    a, b = Cyclo.root_power(1, 8), Cyclo.root_power(3, 8) + Cyclo.integer(2, 8)
+    assert Cyclo.combination(8, [(3, a), (-1, b), (1, a)]).terms == (a * 4 - b).terms
+    assert Cyclo.combination(8, [(1, a), (-1, a)]).terms == {}
+    with pytest.raises(TypeError):
+        Cyclo.combination(8, [(0.5, a)])
 
 
 def test_cyclo_inner_orthonormal():

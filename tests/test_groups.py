@@ -251,3 +251,90 @@ def test_bad_multiplicity_detected():
         from bpfloer.groups import product_decompose
 
         product_decompose(T_STAR, tuple(broken), t.irreps[0].values)
+
+
+GOLDEN_GROUPS = (
+    [cyclic(k) for k in range(1, 33)]
+    + [binary_dihedral(k) for k in range(2, 25)]
+    + [T_STAR, O_STAR, I_STAR]
+)
+
+
+@pytest.mark.parametrize("g", GOLDEN_GROUPS, ids=str)
+def test_q_tensor_matrix_matches_the_exact_pairings(g):
+    # the oracle pairs Q (x) R_i with every R_j exactly in Q(zeta_N), as
+    # cyclo_inner does; q_tensor_matrix only proposes by evaluation in F_p
+    t = character_table(g)
+    oracle = tuple(
+        tuple(t.inner([a * b for a, b in zip(t.q_values, ri.values)], rj.values)
+              for rj in t.irreps)
+        for ri in t.irreps
+    )
+    assert q_tensor_matrix(g) == oracle
+
+
+def _evaluation(g):
+    from bpfloer.groups import _modular_pairing
+
+    p, powers, _ = _modular_pairing(g, 2 * g.root_order)
+    return p, powers
+
+
+def test_a_value_wrong_by_p_is_caught_by_the_re_summation():
+    # Q + p*x^k at one class has the image of Q in F_p, so every candidate
+    # is the right multiplicity; only the exact re-summation can refuse it
+    from bpfloer.cyclo import Cyclo
+    from bpfloer.groups import product_decompose
+
+    t = character_table(T_STAR)
+    p, powers = _evaluation(T_STAR)
+    c, k = 3, 5
+    broken = list(t.q_values)
+    broken[c] = broken[c] + Cyclo.root_power(k, 24) * p
+    assert broken[c].evaluate(p, powers) == t.q_values[c].evaluate(p, powers)
+    assert broken[c] != t.q_values[c]
+    rho1 = t.irreps[0].values  # nonzero on every class
+    with pytest.raises(DecompositionFailure, match="re-summation mismatch in class %d" % c):
+        product_decompose(T_STAR, tuple(broken), rho1)
+    # the same candidates, read off the intact product, are right
+    assert product_decompose(T_STAR, t.q_values, rho1) == q_tensor_matrix(T_STAR)[0]
+
+
+def test_an_out_of_range_candidate_is_a_bad_multiplicity():
+    # rho5 - rho1 is a virtual character of degree 2: the candidate for rho1
+    # is -1, outside [0, 2]
+    from bpfloer.groups import product_decompose
+
+    t = character_table(T_STAR)
+    names = [ir.name for ir in t.irreps]
+    rho1, rho5 = t.irreps[0].values, t.irreps[names.index("rho5")].values
+    virtual = tuple(a - b for a, b in zip(rho5, rho1))
+    with pytest.raises(DecompositionFailure, match="bad multiplicity -1"):
+        product_decompose(T_STAR, virtual, rho1)
+    # the range needs a degree: rho1 - rho5 has degree -2
+    negative = tuple(-v for v in virtual)
+    with pytest.raises(DecompositionFailure, match="product degree -2"):
+        product_decompose(T_STAR, negative, rho1)
+    with pytest.raises(DecompositionFailure, match="one value per class"):
+        product_decompose(T_STAR, rho1[:-1], rho1[:-1])
+
+
+@pytest.mark.parametrize("name,reductions", [("C_64", 0), ("C_96", 0), ("D*_60", 90)])
+def test_q_tensor_matrix_reduction_count(name, reductions, monkeypatch):
+    # the multiplicities come from F_p, and the re-summation differences of
+    # the C family cancel term by term; on D*_60 only the differences that
+    # meet x^(N/2) = -1 are reduced
+    from bpfloer.cyclo import Cyclo
+
+    g = parse_group(name)
+    character_table(g)
+    calls = []
+    reduced = Cyclo.reduced
+
+    def counting(self):
+        calls.append(self)
+        return reduced(self)
+
+    monkeypatch.setattr(Cyclo, "reduced", counting)
+    q_tensor_matrix.__wrapped__(g)
+    assert len(calls) == reductions
