@@ -59,8 +59,21 @@ IDENTITY_WINDOW = Window(-13, 11, -12, 12)
 
 
 def _parse_pair(text, sep=":"):
-    a, b = text.split(sep)
-    return int(a), int(b)
+    try:
+        a, b = text.split(sep)
+        return int(a), int(b)
+    except ValueError:
+        raise BPFloerError("expected two integers separated by %r, got %r" % (sep, text)) from None
+
+
+def _parse_jobs(text):
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise BPFloerError("jobs must be a positive integer, got %r" % (text,))
+    return jobs
 
 
 def load_config(path):
@@ -382,9 +395,14 @@ def _verify_group(g: GroupId, field):
 
     def accounting():
         w = Window(-9, 7, -10, 10)
-        ss_accounting(g, BAR, MINUS, w, field)
-        ss_accounting(g, STD, PLUS, w, field)
-        return "pages vs direct homology"
+        parts = []
+        for orientation, flavor, key in ((BAR, MINUS, "bar/-"), (STD, PLUS, "std/+")):
+            dims = ss_accounting(g, orientation, flavor, w, field)
+            nonzero = sum(1 for _, h in dims.values() if h)
+            if not nonzero:
+                raise BPFloerError("%s compared no degree with nonzero homology" % key)
+            parts.append("%s: %d degrees, %d nonzero" % (key, len(dims), nonzero))
+        return "pages vs direct homology; " + "; ".join(parts)
     run("spectral-sequence-accounting", accounting)
 
     def assembly():
@@ -443,7 +461,7 @@ def cmd_verify(args, cfg):
         groups = [parse_group(x) for x in names.split(",")]
     else:
         groups = list(DEFAULT_GROUPS)
-    jobs = int(_merged(args, cfg, "jobs", 1))
+    jobs = _parse_jobs(_merged(args, cfg, "jobs", 1))
     t0 = time.time()
     all_checks = []
     if jobs > 1:
@@ -494,13 +512,17 @@ def main(argv=None):
         except (OSError, BPFloerError) as e:
             print("config error: %s" % e, file=sys.stderr)
             return 2
-    coeff = _merged(args, cfg, "coeff", None)
-    if coeff:
-        try:
-            parse_field(coeff)
-        except BPFloerError as e:
-            print("usage error: %s" % e, file=sys.stderr)
-            return 2
+    # malformed values fail here as usage errors, before any computation
+    checks = {"coeff": parse_field, "window": _parse_pair, "degrees": _parse_pair,
+              "jobs": _parse_jobs}
+    try:
+        for key, parse in checks.items():
+            val = _merged(args, cfg, key, None)
+            if val is not None:
+                parse(val)
+    except BPFloerError as e:
+        print("usage error: %s: %s" % (key, e), file=sys.stderr)
+        return 2
     try:
         return COMMANDS[args.command](args, cfg)
     except BPFloerError as e:

@@ -145,7 +145,7 @@ def parse_field(spec: str):
     s = spec.strip().lower()
     if s in ("q", "qq", "rational", "rationals"):
         return QQ
-    if s.startswith("fp:"):
+    if s.startswith("fp:") and s[3:].strip().isdigit():
         return PrimeField(int(s[3:]))
     if s.startswith("f") and s[1:].isdigit():
         return PrimeField(int(s[1:]))

@@ -113,11 +113,14 @@ def dense_rank(matrix_rows, field=QQ):
 
 
 class TrackedEchelon:
-    """A growing row space in echelon form (reduced when built by insert)
-    that remembers how each row combines the inserted tags.
+    """A growing row space in echelon form that remembers how each row
+    combines the inserted tags.
 
-    Stored rows have support starting at their pivot, so reducing a vector
-    at the smallest pivot column present only introduces larger columns.
+    Each stored row is 1 at its smallest column, its pivot, and rows are
+    never back-substituted.  Reducing a vector at the smallest pivot column
+    present therefore only introduces larger columns, and reduce returns the
+    unique residue of the vector that is zero at every pivot column; ranks,
+    residues and tag coefficients depend on the pivot set alone.
     """
 
     def __init__(self, field=QQ):
@@ -155,7 +158,8 @@ class TrackedEchelon:
                     coeffs[tag] = nv
 
     def _store(self, residue, coeffs, tag):
-        """Store a nonzero residue as the row of its smallest column."""
+        """Store a nonzero residue as the row of its smallest column, which it
+        returns."""
         f = self.field
         c = min(residue)
         inv = f.inv(residue[c])
@@ -164,55 +168,30 @@ class TrackedEchelon:
         if tag is not None:
             rc[tag] = inv
         self.rows[c] = (row, rc)
-        return c, row, rc
+        return c
 
     def add_row(self, row, tag=None):
         """Store row, 1 at its smallest column (no stored pivot), tagged by tag."""
         self.rows[min(row)] = (row, {} if tag is None else {tag: self.field.one})
 
     def insert(self, vec, tag=None):
-        """Reduce and store vec; returns its pivot col, or None if dependent.
-
-        The new row is cleared from the stored rows, so every stored row is
-        zero at the pivot columns of all the others.
-        """
-        f = self.field
+        """Reduce vec and store its residue if it is nonzero; returns the new
+        pivot col, or None if vec is dependent on the stored rows."""
         v, coeffs = self.reduce(vec)
-        if not v:
-            return None
-        c, row, rc = self._store(v, coeffs, tag)
-        for pc, (orow, orc) in self.rows.items():
-            if pc == c:
-                continue
-            coef = orow.get(c)
-            if coef is None or f.is_zero(coef):
-                continue
-            for cc, rv in row.items():
-                nv = f.sub(orow.get(cc, f.zero), f.mul(coef, rv))
-                if f.is_zero(nv):
-                    orow.pop(cc, None)
-                else:
-                    orow[cc] = nv
-            for t, tv in rc.items():
-                nv = f.sub(orc.get(t, f.zero), f.mul(coef, tv))
-                if f.is_zero(nv):
-                    orc.pop(t, None)
-                else:
-                    orc[t] = nv
-        return c
+        return self._store(v, coeffs, tag) if v else None
 
     def independent(self, vectors):
-        """Store each vector independent of the ones before it, untagged.
+        """Insert each vector, untagged.
 
         Returns {position in vectors: pivot column of its stored row} for the
-        independent vectors; the stored rows span the same space as all the
-        vectors.  No tag coefficients and no kernel vectors are built.
+        vectors independent of the ones before them; the stored rows span the
+        same space as all the vectors.
         """
         pivots = {}
         for j, vec in enumerate(vectors):
-            residue, _ = self.reduce(vec)
-            if residue:
-                pivots[j] = self._store(residue, {}, None)[0]
+            c = self.insert(vec)
+            if c is not None:
+                pivots[j] = c
         return pivots
 
     def kernel_of_columns(self, columns):
@@ -221,9 +200,7 @@ class TrackedEchelon:
         Inserts the columns in order, tagged by position, and returns
         (kernel, pivots): one kernel vector e_j - (combination of earlier
         columns) per dependent column j, and the positions j whose column was
-        independent.  Rows are stored without clearing their column from the
-        earlier rows; reduce() does not need that, and the residues, kernels
-        and pivots are the same either way.
+        independent.
         """
         f = self.field
         kernel, pivots = [], []

@@ -161,6 +161,20 @@ def test_verify_shares_one_computation_per_group(capsys, monkeypatch):
         assert len(own) == 2 and not shared & {id(fm) for fm in own}, callers
 
 
+def test_accounting_says_what_it_compared(monkeypatch):
+    def accounting_row():
+        (row,) = [c for c in _verify_group(T_STAR, QQ)
+                  if c[0] == "spectral-sequence-accounting"]
+        return row[2:4]
+
+    assert accounting_row() == ("PASS", "pages vs direct homology; bar/-: 13 degrees, "
+                                "8 nonzero; std/+: 14 degrees, 8 nonzero")
+    # a comparison over no nonzero homology shows nothing and must not pass
+    monkeypatch.setattr("bpfloer.cli.ss_accounting", lambda *a, **k: {})
+    status, detail = accounting_row()
+    assert status == "FAIL" and "no degree with nonzero homology" in detail
+
+
 def test_cs_command(capsys):
     code, out = run_cli(capsys, "cs", "T*", "--format", "json")
     doc = json.loads(out)
@@ -263,6 +277,28 @@ def test_coeff_flag_overrides_config(tmp_path, capsys):
     cfg.write_text("coeff = fp:4\n")
     code, out = run_cli(capsys, "--config", str(cfg), "floer", "T*", "--coeff", "q")
     assert code == 0 and "T*" in out
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["verify", "--coeff", "fp:x"], None),
+    (["verify", "--coeff", "fp:"], None),
+    (["dci", "T*", "--window", "5"], None),
+    (["dci", "T*", "--window", "a:b"], None),
+    (["floer", "T*", "--degrees", "-8"], None),
+    (["verify", "--jobs", "0"], None),
+    (["verify"], "jobs = two\n"),
+    (["verify"], "coeff = fp:x\n"),
+    (["dci", "T*"], "window = 5\n"),
+    (["floer-raw", "T*"], "degrees = a:b\n"),
+], ids=["coeff-fp:x", "coeff-fp:", "window-5", "window-a:b", "degrees--8", "jobs-0",
+        "config-jobs-two", "config-coeff-fp:x", "config-window-5", "config-degrees-a:b"])
+def test_malformed_values_are_usage_errors(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] + argv
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_report_carries_tool_version(capsys):

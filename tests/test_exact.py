@@ -365,6 +365,20 @@ def test_rank_agrees_with_dense_oracle():
             assert sorted(pivots.values()) == sorted(ech.rows)
             assert all(not ech.reduce(c)[0] for c in cols)
             assert all(not rc for _, rc in ech.rows.values())
+            # insert keeps the one row form: no stored row is back-substituted
+            ech = TrackedEchelon(f)
+            for c in cols:
+                before = {pc: dict(row) for pc, (row, _) in ech.rows.items()}
+                ech.insert(c)
+                assert all(ech.rows[pc][0] == row for pc, row in before.items())
+            assert ech.rank == rank
+            assert all(not ech.reduce(c)[0] for c in cols)
+            extra = [Fraction(rng.randint(-5, 5)) for _ in range(8)]
+            extra_rank = dense_rank([list(r) + [x] for r, x in zip(rows, extra)], f)
+            residue, _ = ech.reduce({i: f.of(x) for i, x in enumerate(extra)})
+            assert (not residue) == (extra_rank == rank)
+            for pc, (row, _) in ech.rows.items():
+                assert row[pc] == f.one and min(row) == pc
 
 
 def test_kernel_basis_normal_form():

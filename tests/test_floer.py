@@ -565,6 +565,19 @@ def test_run_to_einfty_flavors():
         run_to_einfty(build_model(O_STAR, STD), PLUS)
 
 
+def test_freeness_guard_on_a_kernel_that_drops_the_image():
+    # T*'s level-1 kernel of column 0 is spanned by -3U_theta + Z_lambda; U
+    # carries it into level 2, so a level-2 kernel without that direction
+    # must stop the assembly
+    model = build_model(T_STAR, BAR)
+    pages = MinusPages(model)
+    assert pages.kernels[0][0] == [{0: -3, 1: 1}]
+    pages.kernels[0][1] = [{0: QQ.one}]
+    msg = r"degree -4 image leaves the next kernel \(column 0\)"
+    with pytest.raises(FreenessFailure, match=msg):
+        assemble(model, MINUS, pages=pages)
+
+
 def test_guard_exceptions_on_corrupted_graphs():
     # a graph whose walk matrix can never clear the t=3 line must abort
     # rather than loop, and assembly must refuse the torsion classes
