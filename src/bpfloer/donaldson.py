@@ -37,6 +37,11 @@ class Window:
     def shifted(self, k):
         return Window(self.q + k, self.p + k, self.n_lo + k, self.n_hi + k)
 
+    def levels(self, base):
+        """The levels congruent to base mod 8 in (q, p]: the one place the
+        periodic data is unrolled."""
+        return range(self.q + 1 + (base - self.q - 1) % 8, self.p + 1, 8)
+
     @property
     def source(self):
         """The same levels with their full degree span (level l: degrees l..l+3)."""
@@ -113,21 +118,6 @@ class DonaldsonModel:
             return {Gen(gen.vertex, 3, gen.level): 1}
         return {}
 
-    def bidegree_ranks(self, s_lo, s_hi):
-        """dim at (level s, t) for s in [s_lo, s_hi]; periodic data unrolled."""
-        out = {}
-        for v in self.sgraph.vertices:
-            base = self.base_level(v.name)
-            for t in self.generator_slots(v.name):
-                s = base
-                while s > s_lo:
-                    s -= 8
-                while s < s_lo:
-                    s += 8
-                for level in range(s, s_hi + 1, 8):
-                    out[(level, t)] = out.get((level, t), 0) + 1
-        return out
-
     def window(self, win: Window, field=QQ) -> "WindowedComplex":
         return WindowedComplex(self, win, field)
 
@@ -146,9 +136,7 @@ class WindowedComplex:
         cx = FiniteComplex(field)
         gens = []
         for v in model.sgraph.vertices:
-            base = model.base_level(v.name)
-            start = win.q + 1 + ((base - (win.q + 1)) % 8)
-            for level in range(start, win.p + 1, 8):
+            for level in win.levels(model.base_level(v.name)):
                 for t in model.generator_slots(v.name):
                     if win.n_lo <= level + t <= win.n_hi:
                         gens.append(Gen(v.name, t, level))
@@ -167,6 +155,19 @@ class WindowedComplex:
     @property
     def generators(self):
         return [g for n in self.complex.degrees() for g in self.complex.basis[n]]
+
+    def bidegree_ranks(self):
+        """The number of generators at each (level, t)."""
+        out = {}
+        for g in self.generators:
+            out[g.level, g.t] = out.get((g.level, g.t), 0) + 1
+        return out
+
+    def differential(self, gen: Gen):
+        """The stored boundary of a generator as {Gen: value} over the field."""
+        cx = self.complex
+        col = cx.boundary[gen.degree][cx.index[gen.degree][gen]]
+        return {cx.basis[gen.degree - 1][pos]: c for pos, c in col.items()}
 
     def is_empty(self):
         return self.complex.total_dim() == 0
@@ -212,19 +213,18 @@ def expected_toi_multicomplex(group: GroupId):
 
 
 def toi_multicomplex_matches(group: GroupId):
-    """Compare one period of the bar model against the golden figure data."""
-    model = build_model(group, BAR)
+    """Compare one period of the bar model, the window on levels 0..8,
+    against the golden figure data."""
+    w = build_model(group, BAR).window(Window(-1, 8).source)
     ranks, arrows = expected_toi_multicomplex(group)
-    got = model.bidegree_ranks(0, 8)
-    if {k: v for k, v in got.items() if v} != ranks:
+    got = w.bidegree_ranks()
+    if got != ranks:
         return False, "bidegree ranks differ: %r" % (got,)
     for (s_src, s_tgt), coeffs in arrows.items():
         vals = []
-        for v in model.sgraph.vertices:
-            if model.base_level(v.name) % 8 != s_src % 8:
-                continue
-            img = model.differential(Gen(v.name, 0, s_src))
-            vals.extend(c for g, c in img.items() if g.level == s_tgt)
+        for g in w.generators:
+            if g.t == 0 and g.level == s_src:
+                vals.extend(c for tgt, c in w.differential(g).items() if tgt.level == s_tgt)
         if sorted(vals) != sorted(coeffs):
             return False, "arrow %r -> %r carries %r, wanted %r" % (s_src, s_tgt, vals, coeffs)
     return True, "ok"

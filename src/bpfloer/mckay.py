@@ -142,15 +142,11 @@ def mckay_graph(g: GroupId) -> McKayGraph:
         want = "D~%d" % (g.param + 2)
     else:
         want = {TETRA: "E~6", OCTA: "E~7", ICOSA: "E~8"}[g.family]
-    degs = sorted(sum(1 for x in row if x) for row in a)
-    if g.family == CYCLIC:
-        ok = all(d == 2 for d in degs)
-    elif g.family == "D":
-        ok = degs.count(1) == 4 and degs.count(3) == 2 and degs.count(2) == len(degs) - 6
-        if g.param == 2:
-            ok = degs == [1, 1, 1, 1, 4]
-    else:
-        ok = degs.count(3) == 1 and degs.count(1) == 3
+    # the graph minus the trivial vertex is g's own finite Dynkin diagram
+    try:
+        ok = recognize_subgroup(range(1, n), lambda i, j: a[i][j])[0] == g
+    except NotDynkin:
+        ok = False
     if not ok:
         raise GraphShapeError("graph of %s does not have the %s shape" % (g, want))
     return McKayGraph(g, a, dims, 0, want)
@@ -255,7 +251,10 @@ def recognize_subgroup(vertices, adjacency):
     n = len(vertices)
     if n == 0:
         raise NotDynkin("empty component")
-    deg = {v: sum(1 for w in vertices if adjacency(v, w)) for v in vertices}
+    nbrs = {v: [w for w in vertices if adjacency(v, w)] for v in vertices}
+    if len(_tree_paths(vertices[0], nbrs.__getitem__)) != n:
+        raise NotDynkin("disconnected vertex set")
+    deg = {v: len(nbrs[v]) for v in vertices}
     branch = [v for v in vertices if deg[v] >= 3]
     if any(deg[v] > 3 for v in vertices):
         raise NotDynkin("vertex of degree > 3")
@@ -273,13 +272,11 @@ def recognize_subgroup(vertices, adjacency):
     b = branch[0]
     # walk the three arms
     arms = []
-    for w in vertices:
-        if not adjacency(b, w):
-            continue
+    for w in nbrs[b]:
         length = 1
         prev, cur = b, w
         while True:
-            nxt = [u for u in vertices if adjacency(cur, u) and u != prev]
+            nxt = [u for u in nbrs[cur] if u != prev]
             if not nxt:
                 break
             if len(nxt) > 1:
@@ -377,9 +374,6 @@ class SGraph:
     def label(self, target, source):
         """n_{target,source}: coefficient of the differential into target."""
         return self.labels.get((target, source), 0)
-
-    def adjacent(self, a, b):
-        return (a, b) in self.edges or (b, a) in self.edges
 
     def path(self, a, b):
         """Unique simple path between two vertices (the graph is a tree)."""

@@ -212,14 +212,9 @@ class ModuleWindow(_UWalk):
         basis = []
         for f in module.families:
             # copies: level = column + 8*shift in (q, p]
-            lo_shift = -((f.column - (win.q + 1)) // 8)
-            for s in range(lo_shift, (win.p - f.column) // 8 + 1):
-                level = f.column + 8 * s
-                if not (win.q < level <= win.p):
-                    continue
-                ks = self._indices(f, s)
-                for k in ks:
-                    basis.append((f.label, k, s))
+            for level in win.levels(f.column):
+                s = (level - f.column) // 8
+                basis.extend((f.label, k, s) for k in self._indices(f, s))
         self.basis = sorted(basis, key=lambda b: (self._deg(b), b))
         self.by_degree = {}
         for b in self.basis:

@@ -140,25 +140,21 @@ def mckay_text(g):
     return "%s: %s, marks %s\n%s" % (g, m.dynkin_type, list(m.dims), "; ".join(edges))
 
 
+def _components(w, g):
+    return sorted(w.differential(g).items(), key=lambda kv: repr(kv[0]))
+
+
 def dci_json(model, win, field):
     w = model.window(win, field)
     gens = [
         {"vertex": g.vertex, "t": g.t, "level": g.level, "degree": g.degree}
         for g in w.generators
     ]
-    diff = []
-    for g in w.generators:
-        img = model.differential(g)
-        for tgt, c in sorted(img.items(), key=lambda kv: repr(kv[0])):
-            if tgt in w.complex.index.get(g.degree - 1, {}):
-                diff.append(
-                    {
-                        "from": repr(g),
-                        "to": repr(tgt),
-                        "coeff": c,
-                        "r": g.level - tgt.level,
-                    }
-                )
+    diff = [
+        {"from": repr(g), "to": repr(tgt), "coeff": c, "r": g.level - tgt.level}
+        for g in w.generators
+        for tgt, c in _components(w, g)
+    ]
     return to_json(
         {
             "group": str(model.group),
@@ -172,9 +168,7 @@ def dci_json(model, win, field):
 
 def dci_text(model, win, field):
     w = model.window(win, field)
-    ranks = {}
-    for g in w.generators:
-        ranks[(g.level, g.t)] = ranks.get((g.level, g.t), 0) + 1
+    ranks = w.bidegree_ranks()
     lines = ["%s (%s orientation), levels (%d, %d], degrees [%d, %d]" % (
         model.group, model.orientation, win.q, win.p, win.n_lo, win.n_hi)]
     lines.append("bidegree ranks (level, t) -> dim:")
@@ -182,10 +176,9 @@ def dci_text(model, win, field):
         lines.append("  (%d, %d): %d" % (key[0], key[1], ranks[key]))
     lines.append("differential components:")
     for g in w.generators:
-        img = model.differential(g)
-        kept = {t: c for t, c in img.items() if t in w.complex.index.get(g.degree - 1, {})}
-        if kept:
-            arrow = ", ".join("%r x%d" % (t, c) for t, c in sorted(kept.items(), key=lambda kv: repr(kv[0])))
+        comps = _components(w, g)
+        if comps:
+            arrow = ", ".join("%r x%d" % (t, c) for t, c in comps)
             lines.append("  d(%r) = %s" % (g, arrow))
     return "\n".join(lines)
 

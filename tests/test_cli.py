@@ -53,6 +53,19 @@ def test_dci_window(capsys):
     assert any(d["coeff"] == 3 for d in doc["differentials"])
 
 
+def test_dci_prints_the_window_differential_over_the_field(capsys):
+    args = ("dci", "T*", "--window=-1:8", "--degrees=0:11")
+    code, out = run_cli(capsys, *args)
+    assert code == 0 and "d(lambda[t=0,l=8]) = alpha[t=3,l=4] x3" in out
+    # over F_3 the label 3 vanishes: theta -> alpha is the window's only column
+    code, out = run_cli(capsys, *args, "--coeff", "fp:3")
+    comps = [line for line in out.splitlines() if line.startswith("  d(")]
+    assert code == 0 and comps == ["  d(theta[t=0,l=8]) = alpha[t=3,l=4] x1"]
+    code, out = run_cli(capsys, *args, "--coeff", "fp:3", "--format", "json")
+    diffs = json.loads(out)["differentials"]
+    assert code == 0 and [(d["from"], d["coeff"]) for d in diffs] == [("theta[t=0,l=8]", 1)]
+
+
 def test_dci_empty_window_json(capsys):
     code, out = run_cli(capsys, "dci", "T*", "--window=0:1", "--degrees=0:0",
                         "--format", "json")

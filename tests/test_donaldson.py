@@ -27,6 +27,21 @@ def test_toi_figures(g):
     assert ok, msg
 
 
+def test_toi_figure_check_reads_the_window_levels(monkeypatch):
+    # the golden check counts the generators the production unrolling makes
+    real = Window.levels
+    monkeypatch.setattr(Window, "levels", lambda self, base: [l for l in real(self, base) if l != 8])
+    ok, msg = toi_multicomplex_matches(T_STAR)
+    assert not ok and "bidegree ranks differ" in msg
+
+
+def test_window_levels_unroll_one_residue():
+    win = Window(-9, 15)
+    for base in range(-20, 20):
+        want = [l for l in range(-8, 16) if (l - base) % 8 == 0]
+        assert list(win.levels(base)) == want
+
+
 def test_toi_arrow_values():
     model = build_model(I_STAR, BAR)
     d = model.differential(Gen("alpha", 0, 4))

@@ -349,11 +349,22 @@ def test_rank_nullity_and_kernel_exactness():
             assert m.apply(v) == {}
 
 
+def _deficient_rows(rng):
+    """8x8 rational rows whose last rows are integer combinations of the first."""
+    base = [[Fraction(rng.randint(-5, 5)) for _ in range(8)] for _ in range(rng.randint(3, 7))]
+    combos = [[rng.randint(-2, 2) for _ in base] for _ in range(8 - len(base))]
+    return base + [[sum(c * r[j] for c, r in zip(cs, base)) for j in range(8)] for cs in combos]
+
+
 def test_rank_agrees_with_dense_oracle():
     for f in (QQ, PrimeField(3), PrimeField(5)):
-        rng = random.Random(4)
-        for _ in range(15):
-            rows = [[Fraction(rng.randint(-5, 5)) for _ in range(8)] for _ in range(8)]
+        rng, low = random.Random(4), random.Random(9)
+        extra_in_span = set()
+        for k in range(20):
+            if k < 15:
+                rows = [[Fraction(rng.randint(-5, 5)) for _ in range(8)] for _ in range(8)]
+            else:  # rank below 8, so an extra vector can leave the span over Q too
+                rows = _deficient_rows(low)
             m = SparseMat.from_rows(rows, f)
             rank, _, _ = rank_kernel_image(m)
             assert rank == dense_rank(rows, f), f
@@ -377,8 +388,10 @@ def test_rank_agrees_with_dense_oracle():
             extra_rank = dense_rank([list(r) + [x] for r, x in zip(rows, extra)], f)
             residue, _ = ech.reduce({i: f.of(x) for i, x in enumerate(extra)})
             assert (not residue) == (extra_rank == rank)
+            extra_in_span.add(not residue)
             for pc, (row, _) in ech.rows.items():
                 assert row[pc] == f.one and min(row) == pc
+        assert extra_in_span == {True, False}, f
 
 
 def test_kernel_basis_normal_form():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bpfloer import mckay
-from bpfloer.errors import BPFloerError, LabelMismatch, NotDynkin, Unsolvable
+from bpfloer.errors import BPFloerError, GraphShapeError, LabelMismatch, NotDynkin, Unsolvable
 from bpfloer.groups import (
     I_STAR,
     O_STAR,
@@ -124,6 +124,27 @@ def test_recognition():
         assert str(g) == want
     with pytest.raises(NotDynkin):
         recognize_subgroup([0, 1, 2], adj({(0, 1), (1, 2), (0, 2)}))
+    # a path plus a disjoint triangle has two ends and no branch, yet is no A_6
+    with pytest.raises(NotDynkin, match="disconnected"):
+        recognize_subgroup(list(range(6)), adj({(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)}))
+
+
+@pytest.mark.parametrize("g, edges", [
+    (cyclic(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    (cyclic(7), [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)]),
+], ids=["C_6-two-triangles", "C_7-square-and-triangle"])
+def test_mckay_graph_rejects_a_disconnected_shape(monkeypatch, g, edges):
+    # every vertex has degree 2 and the marks hold, but the graph is no cycle
+    a = [[0] * g.order for _ in range(g.order)]
+    for i, j in edges:
+        a[i][j] = a[j][i] = 1
+    monkeypatch.setattr(mckay, "q_tensor_matrix", lambda _: tuple(map(tuple, a)))
+    mckay_graph.cache_clear()
+    try:
+        with pytest.raises(GraphShapeError, match="does not have the A~%d shape" % (g.order - 1)):
+            mckay_graph(g)
+    finally:
+        mckay_graph.cache_clear()
 
 
 def test_graphical_oracle_agrees_with_algebraic():
