@@ -439,7 +439,8 @@ def _verify_group(g: GroupId, field):
 
 def _check_cs(g):
     """The Q-vertex golden value, and on every labeled-graph edge (a, b) the
-    vertex values against the edge's own solve: cs(b) - cs(a) = cs_difference."""
+    vertex values against the edge's own solve: cs(b) - cs(a) = cs_difference.
+    One solve per vertex and one per edge; the detail names their count."""
     sg = s_graph(g)
     cs = {v.name: chern_simons(g, v.name).value for v in sg.vertices}
     got = cs[q_vertex(g)]
@@ -451,7 +452,8 @@ def _check_cs(g):
         if (cs[b] - cs[a] - step) % 1:
             raise BPFloerError("edge %s-%s: vertex values differ by %s, the edge solve gives %s"
                                " (mod 1)" % (a, b, (cs[b] - cs[a]) % 1, step % 1))
-    return "Q-vertex golden; %d tree edges: vertex values vs edge solves" % len(sg.edges)
+    return "Q-vertex golden; %d tree edges: vertex values vs edge solves; %d solves" % (
+        len(sg.edges), len(sg.vertices) + len(sg.edges))
 
 
 def cmd_verify(args, cfg):

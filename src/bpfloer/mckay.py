@@ -6,10 +6,14 @@ representation-ring equation plus regular-representation normalization); the
 graphical deletion procedure is implemented separately as a cross-check
 oracle on adjacent pairs: s_graph compares the oracle's H with the algebraic
 solution on every labeled edge and takes the subgroup order from the oracle.
-Both solves run on sparse.TrackedEchelon.  The matrix 2I - A is factored once
-per group and every algebraic solve reduces its right-hand side against that
-echelon; the oracle factors the component's own Cartan matrix afresh on each
-call, so the two routes share no system.
+Both solves run on sparse.TrackedEchelon, by different methods on different
+systems.  The algebraic solve factors 2I - A without the trivial vertex once
+per group, leaves first with recorded multipliers, and each right-hand side
+is one O(n) forward and back substitution (TrackedEchelon.solve).  The oracle
+factors the component's own Cartan matrix afresh on each call by
+kernel_of_columns and reads its solution off the tag combinations reduce
+accumulates.  The two routes share neither a system nor an elimination
+method.
 """
 from __future__ import annotations
 
@@ -78,14 +82,13 @@ class VirtualRep:
         return all(a == 0 for a in self.coeffs)
 
     def mult_by_two_minus_q(self):
-        """Multiplication by (2 - Q) in the representation ring."""
-        a = q_tensor_matrix(self.group)
-        n = len(self.coeffs)
-        out = [2 * self.coeffs[j] for j in range(n)]
-        for i, c in enumerate(self.coeffs):
+        """Multiplication by (2 - Q) in the representation ring, in exact ints
+        over the nonzero McKay entries: O(n + edges)."""
+        out = [2 * c for c in self.coeffs]
+        for c, row in zip(self.coeffs, _mckay_rows(self.group)):
             if c:
-                for j in range(n):
-                    out[j] -= c * a[i][j]
+                for j, a in row:
+                    out[j] -= c * a
         return VirtualRep(self.group, out)
 
     def __eq__(self, other):
@@ -197,42 +200,86 @@ def quotient_graph(m: McKayGraph, iota) -> QuotientGraph:
     return QuotientGraph(m.group, orbits, tuple(tuple(r) for r in adj), tuple(sorted(loops)))
 
 
-def _factor(columns):
-    """The echelon of the columns over Q.  Its reduce(rhs) gives (residue, h):
-    rhs is in the span iff the residue is empty, and then h (dict position ->
-    value, supported on the pivot columns) solves sum_j h[j] * columns[j] =
-    rhs.  reduce() leaves the echelon unchanged, so one factorization serves
-    any number of right-hand sides.
+@lru_cache(maxsize=None)
+def _mckay_rows(g: GroupId):
+    """The nonzero McKay multiplicities of each row i: ((j, a_ij), ...)."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in q_tensor_matrix(g))
+
+
+def _leaves_first(g: GroupId):
+    """The vertices of the McKay graph other than theta (vertex 0), each a
+    leaf of the graph on itself and the vertices after it.
+
+    Leaves are peeled in the order they appear, so the last vertex, the root,
+    sits in the middle of the tree.  Eliminating a tree in this order makes
+    no fill (Rose 1970): a vertex meets at most one later vertex, its parent.
+    Raises GraphShapeError if the graph minus theta is not a tree.
     """
-    echelon = TrackedEchelon(QQ)
-    echelon.kernel_of_columns(columns)
-    return echelon
+    rows = _mckay_rows(g)
+    nbrs = {v: [w for w, x in rows[v] if w] for v in range(1, len(rows))}
+    simple = all(x == 1 and w != v for v in nbrs for w, x in rows[v] if w)
+    edges = sum(map(len, nbrs.values())) // 2
+    left = {v: len(ws) for v, ws in nbrs.items()}
+    order = [v for v, k in left.items() if k <= 1]
+    for v in order:  # a vertex joins the order when it becomes a leaf
+        for w in nbrs[v]:
+            left[w] -= 1
+            if left[w] == 1:
+                order.append(w)
+    # all peeled: no cycle; one edge fewer than vertices: connected
+    if not simple or len(order) != len(nbrs) or edges != max(len(nbrs) - 1, 0):
+        raise GraphShapeError("the McKay graph of %s minus theta is not a tree" % g)
+    return order
 
 
 @lru_cache(maxsize=None)
 def _two_minus_q(g: GroupId):
-    """2I - A factored once per group and shared by every solve_rep_equation
-    call; the kernel of 2I - A is spanned by the dimension vector."""
-    a = q_tensor_matrix(g)
-    n = len(a)
-    return _factor([{i: 2 * (i == j) - a[j][i] for i in range(n)} for j in range(n)])
+    """2I - A without the trivial vertex, factored once per group and shared
+    by every solve_rep_equation call; returns (position of each vertex, the
+    echelon).
+
+    Positions follow the leaves-first order, so the echelon's smallest-column
+    pivot rule eliminates leaves first.  Each vertex's column of the tree's
+    Cartan matrix is a tagged insert (tag: the vertex); its row pivots at the
+    vertex's position, has at most one other entry (at the parent's), and its
+    multipliers name the children.  A row that pivots elsewhere means the
+    system is singular.
+    """
+    a = _mckay_rows(g)
+    order = _leaves_first(g)
+    pos = {v: k for k, v in enumerate(order)}
+    echelon = TrackedEchelon(QQ)
+    for v in order:
+        col = {pos[v]: 2}
+        for w, x in a[v]:
+            if w:
+                col[pos[w]] = -x
+        if echelon.insert(col, tag=v) != pos[v]:
+            raise GraphShapeError("2I - A of %s minus theta is singular" % g)
+    return pos, echelon
 
 
 def solve_rep_equation(g: GroupId, alpha: VirtualRep, beta: VirtualRep) -> VirtualRep:
     """Minimal positive solution of (2 - Q) H = alpha - beta.
 
-    Solved exactly on the matrix 2I - A, then normalized by subtracting the
-    largest multiple of the regular representation preserving nonnegativity.
+    The kernel of 2I - A is spanned by the dimension vector, whose trivial
+    entry is 1, so H_0 = 0 fixes a representative: H solves the system
+    without the trivial vertex (one O(n) solve of _two_minus_q), and the
+    dropped row-0 equation is checked exactly.  H is then required to be
+    integral, normalized by subtracting the largest multiple of the regular
+    representation preserving nonnegativity, and certified by recomputing
+    (2 - Q)H exactly.
     """
-    residue, h = _two_minus_q(g).reduce(dict(enumerate((alpha - beta).coeffs)))
-    if residue:
+    rhs = (alpha - beta).coeffs
+    pos, echelon = _two_minus_q(g)
+    _, h = echelon.solve({pos[v]: rhs[v] for v in pos})  # every position pivots
+    # row 0 of (2I - A)H, with H_0 = 0
+    if -sum(x * h.get(j, 0) for j, x in _mckay_rows(g)[0]) != rhs[0]:
         raise Unsolvable("no solution of the representation-ring equation")
-    dims = [ir.dim for ir in character_table(g).irreps]
-    # integral representative: adjust by t * dims; dims[0] = 1 pins t mod 1
-    t = -h.get(0, 0)
-    cand = [h.get(i, 0) + t * d for i, d in enumerate(dims)]
+    cand = [h.get(i, 0) for i in range(len(rhs))]
     if any(c.denominator != 1 for c in cand):
         raise Unsolvable("no integral solution of the representation-ring equation")
+    dims = [ir.dim for ir in character_table(g).irreps]
     ints = [int(c) for c in cand]
     k = max(-(v // d) for v, d in zip(ints, dims))
     out = VirtualRep(g, [v + k * d for v, d in zip(ints, dims)])
@@ -329,7 +376,9 @@ def minimal_solution_graphical(g: GroupId, alpha, beta):
     # Cartan solve on the component: (2I - A) h = alpha restricted
     pos = {v: i for i, v in enumerate(comp)}
     cartan = [{pos[v]: 2 * (v == w) - adj(v, w) for v in comp} for w in comp]
-    residue, h = _factor(cartan).reduce({pos[v]: alpha.coeffs[v] for v in comp})
+    echelon = TrackedEchelon(QQ)
+    echelon.kernel_of_columns(cartan)
+    residue, h = echelon.reduce({pos[v]: alpha.coeffs[v] for v in comp})
     if residue:
         raise Unsolvable("the Cartan system of the component is singular")
     coeffs = [0] * len(m.dims)

@@ -4,7 +4,12 @@ TrackedEchelon is the package's one elimination kernel: homology, filtered
 pages, the page engine and the representation-ring solves in mckay all run on
 it.  Its pivot rule is fixed: vectors are taken in insertion order, and each
 stored row pivots at its smallest column.  Every elimination is therefore
-deterministic; golden tests rely on this.  dense_rank is its oracle, an
+deterministic; golden tests rely on this.  A row remembers how it was made in
+one of two ways: kernel_of_columns and add_row keep tag combinations, which
+reduce accumulates (the kernel vectors and homology coordinates); a tagged
+insert keeps its multipliers instead, which solve reads by forward and back
+substitution, so a solve costs the stored entries and multipliers, not the
+dense inverse that tag combinations fill in.  dense_rank is its oracle, an
 independent dense elimination used only by the tests.
 """
 from __future__ import annotations
@@ -113,8 +118,9 @@ def dense_rank(matrix_rows, field=QQ):
 
 
 class TrackedEchelon:
-    """A growing row space in echelon form that remembers how each row
-    combines the inserted tags.
+    """A growing row space in echelon form that remembers how each row was
+    made from the inserted vectors: as a combination of their tags
+    (kernel_of_columns, add_row) or by its multipliers (a tagged insert).
 
     Each stored row is 1 at its smallest column, its pivot, and rows are
     never back-substituted.  Reducing a vector at the smallest pivot column
@@ -126,13 +132,20 @@ class TrackedEchelon:
     def __init__(self, field=QQ):
         self.field = field
         self.rows = {}  # pivot col -> (row dict, coeffs dict tag -> value)
+        # pivot col of a tagged insert -> (tag, 1 / pivot value, {earlier pivot
+        # col: multiple of its row subtracted}), in insertion order
+        self.multipliers = {}
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Return (residue, coeffs) with vec = residue + sum coeffs[tag]*V_tag."""
+    def reduce(self, vec, steps=None):
+        """Return (residue, coeffs) with vec = residue + sum coeffs[tag]*V_tag.
+
+        If steps is a dict, it also receives the multiple of each stored row
+        subtracted, by pivot column: vec = residue + sum steps[c] * row_c.
+        """
         f = self.field
         v = {c: x for c, x in vec.items() if not f.is_zero(x)}
         coeffs = {}
@@ -143,6 +156,8 @@ class TrackedEchelon:
                 return v, coeffs
             c = min(hits)
             coef = v[c]
+            if steps is not None:
+                steps[c] = coef
             row, rc = rows[c]
             for cc, rv in row.items():
                 nv = f.sub(v.get(cc, f.zero), f.mul(coef, rv))
@@ -176,9 +191,45 @@ class TrackedEchelon:
 
     def insert(self, vec, tag=None):
         """Reduce vec and store its residue if it is nonzero; returns the new
-        pivot col, or None if vec is dependent on the stored rows."""
-        v, coeffs = self.reduce(vec)
-        return self._store(v, coeffs, tag) if v else None
+        pivot col, or None if vec is dependent on the stored rows.
+
+        A tagged vector records its row's multipliers for solve, and its tag
+        enters no tag combination: vec = p * row + sum steps[c] * row_c, with
+        p its pivot value and every c an earlier row.
+        """
+        steps = None if tag is None else {}
+        v, coeffs = self.reduce(vec, steps)
+        if not v:
+            return None
+        c = self._store(v, coeffs, None)
+        if tag is not None:
+            self.multipliers[c] = (tag, self.field.inv(v[c]), steps)
+        return c
+
+    def solve(self, vec):
+        """Return (residue, h) with vec = residue + sum h[tag] * V_tag over the
+        tagged inserts, every stored row being one.
+
+        Forward substitution is reduce, recording y = steps (vec = residue +
+        sum y_c * row_c).  Back substitution runs over the rows newest first,
+        since a row's multipliers name only older rows: the coefficient of
+        row_c in sum h * V is p_c * h_c plus the multiples m * h_r of the
+        newer rows r that subtracted it, so h_c = (y_c - those) / p_c.  The
+        cost is the stored entries and multipliers touched, one pass each.
+        """
+        f = self.field
+        y = {}
+        residue, _ = self.reduce(vec, y)
+        h, pending = {}, {}
+        for c in reversed(self.multipliers):
+            tag, p_inv, steps = self.multipliers[c]
+            x = f.sub(y.get(c, f.zero), pending.get(c, f.zero))
+            if f.is_zero(x):
+                continue
+            h[tag] = x = f.mul(x, p_inv)
+            for r, m in steps.items():
+                pending[r] = f.add(pending.get(r, f.zero), f.mul(m, x))
+        return residue, h
 
     def independent(self, vectors):
         """Insert each vector, untagged.

@@ -365,7 +365,19 @@ def test_verify_cs_pass_reports_its_edges():
     # T*'s labeled graph is the path theta - alpha - lambda
     rows = [c for c in _verify_group(T_STAR, QQ) if c[0] == "cs-golden-values"]
     assert [c[2:4] for c in rows] == [
-        ("PASS", "Q-vertex golden; 2 tree edges: vertex values vs edge solves")]
+        ("PASS", "Q-vertex golden; 2 tree edges: vertex values vs edge solves; 5 solves")]
+
+
+def test_verify_cs_counts_the_solves_it_makes(monkeypatch):
+    # three vertex solves against theta and two edge solves on T*
+    import bpfloer.cs as cs
+    from bpfloer.cli import _check_cs
+
+    calls = []
+    real = cs.solve_rep_equation
+    monkeypatch.setattr(cs, "solve_rep_equation", lambda *a: calls.append(a) or real(*a))
+    detail = _check_cs(T_STAR)
+    assert detail.endswith("; %d solves" % len(calls)) and len(calls) == 5
 
 
 def test_verify_cs_catches_a_corrupted_edge_solve(monkeypatch):

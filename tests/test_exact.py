@@ -394,6 +394,36 @@ def test_rank_agrees_with_dense_oracle():
         assert extra_in_span == {True, False}, f
 
 
+def test_multiplier_solve_matches_the_tag_route():
+    # a tagged insert records multipliers instead of tag combinations; solve's
+    # forward and back substitution through them must give the unique h on
+    # the independent tags that reduce gives on a kernel_of_columns echelon
+    for f in (QQ, PrimeField(3), PrimeField(5)):
+        rng, low = random.Random(6), random.Random(8)
+        for k in range(12):
+            if k < 8:
+                rows = [[Fraction(rng.randint(-3, 3)) for _ in range(7)] for _ in range(7)]
+            else:
+                rows = _deficient_rows(low)
+            cols = SparseMat.from_rows(rows, f).columns()
+            ech, tagged = TrackedEchelon(f), TrackedEchelon(f)
+            pivots = [j for j, c in enumerate(cols) if ech.insert(c, tag=j) is not None]
+            assert tagged.kernel_of_columns(cols)[1] == pivots
+            assert [t for t, _, _ in ech.multipliers.values()] == pivots
+            assert all(not rc for _, rc in ech.rows.values())
+            for _ in range(4):
+                vec = {i: f.of(rng.randint(-4, 4)) for i in range(len(rows))}
+                residue, h = ech.solve(vec)
+                want = tagged.reduce(vec)
+                assert (residue, h) == want
+                back = dict(residue)
+                for j, x in h.items():
+                    for i, v in cols[j].items():
+                        back[i] = f.add(back.get(i, f.zero), f.mul(x, v))
+                assert {i: x for i, x in back.items() if not f.is_zero(x)} == {
+                    i: x for i, x in vec.items() if not f.is_zero(x)}
+
+
 def test_kernel_basis_normal_form():
     # the basis HomologyData.reps and the MinusPages goldens rely on: pivot
     # columns are those raising the dense rank of the leading columns, and

@@ -1,10 +1,13 @@
 """McKay graphs, the equation solver, labels and gradings."""
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from bpfloer import mckay
 from bpfloer.errors import BPFloerError, GraphShapeError, LabelMismatch, NotDynkin, Unsolvable
+from bpfloer.fields import QQ
 from bpfloer.groups import (
     I_STAR,
     O_STAR,
@@ -12,6 +15,7 @@ from bpfloer.groups import (
     binary_dihedral,
     character_table,
     cyclic,
+    q_tensor_matrix,
     quaternionic_reps,
 )
 from bpfloer.mckay import (
@@ -315,11 +319,16 @@ def _solve_outcome(g, va, vb):
         return "%s: %s" % (type(e).__name__, e)
 
 
-def _rows_snapshot(echelon):
-    return {c: (dict(row), dict(rc)) for c, (row, rc) in echelon.rows.items()}
+def _factor_snapshot(factored):
+    pos, echelon = factored
+    return (dict(pos), {c: dict(row) for c, (row, _) in echelon.rows.items()},
+            {c: (t, p, dict(steps)) for c, (t, p, steps) in echelon.multipliers.items()})
 
 
 def test_cached_two_minus_q_matches_a_fresh_factorization():
+    # the factorization of 2I - A without theta, with its leaves-first
+    # positions, rows and recorded multipliers, is cached per group; solves
+    # read it and never change it
     pairs = 0
     try:
         for g in CACHE_GROUPS:
@@ -330,12 +339,12 @@ def test_cached_two_minus_q_matches_a_fresh_factorization():
                     mckay._two_minus_q.cache_clear()
                     fresh.append(_solve_outcome(g, va, vb))
             mckay._two_minus_q.cache_clear()
-            echelon = mckay._two_minus_q(g)
-            before = _rows_snapshot(echelon)
+            factored = mckay._two_minus_q(g)
+            before = _factor_snapshot(factored)
             warm = [_solve_outcome(g, va, vb) for va in vecs for vb in vecs]
             assert warm == fresh, g
-            assert mckay._two_minus_q(g) is echelon
-            assert _rows_snapshot(echelon) == before, g
+            assert mckay._two_minus_q(g) is factored
+            assert _factor_snapshot(factored) == before, g
             pairs += len(warm)
     finally:
         mckay._two_minus_q.cache_clear()
@@ -347,14 +356,20 @@ def test_two_minus_q_is_factored_once_per_group(monkeypatch):
 
     g = binary_dihedral(12)
     n = len(character_table(g).irreps)
-    sizes = []
-    real = TrackedEchelon.kernel_of_columns
+    tagged, sizes = [], []
+    real_insert, real_kernel = TrackedEchelon.insert, TrackedEchelon.kernel_of_columns
 
-    def counting(self, columns):
+    def insert(self, vec, tag=None):
+        if tag is not None:
+            tagged.append(tag)
+        return real_insert(self, vec, tag)
+
+    def kernel_of_columns(self, columns):
         sizes.append(len(columns))
-        return real(self, columns)
+        return real_kernel(self, columns)
 
-    monkeypatch.setattr(TrackedEchelon, "kernel_of_columns", counting)
+    monkeypatch.setattr(TrackedEchelon, "insert", insert)
+    monkeypatch.setattr(TrackedEchelon, "kernel_of_columns", kernel_of_columns)
     s_graph.cache_clear()
     mckay._two_minus_q.cache_clear()
     try:
@@ -363,8 +378,154 @@ def test_two_minus_q_is_factored_once_per_group(monkeypatch):
     finally:
         s_graph.cache_clear()
         mckay._two_minus_q.cache_clear()
-    # s_graph's label solves and cs_table's solves share one factorization; the
-    # graphical oracle's Cartan systems lose beta's vertices, so only the
-    # (2 - Q) system has all n columns
-    assert sizes.count(n) == 1
-    assert len(sizes) > 1
+    # s_graph's label solves and cs_table's solves share one factorization:
+    # one tagged insert per vertex but theta.  The graphical oracle factors
+    # its Cartan systems by kernel_of_columns, which loses beta's vertices,
+    # so none of those has all n columns
+    assert sorted(tagged) == list(range(1, n))
+    assert sizes and max(sizes) < n
+
+
+TAG_ROUTE_GROUPS = (
+    [cyclic(k) for k in range(1, 65)]
+    + [binary_dihedral(k) for k in range(2, 49)]
+    + [T_STAR, O_STAR, I_STAR]
+)
+
+
+def _tag_route_outcomes(g, vecs):
+    """Each ordered pair's outcome by the tag-echelon route: all of 2I - A,
+    theta included, factored by kernel_of_columns and solved by reduce, whose
+    tag combinations hold the dense inverse; then H_0 = 0 by the dimension
+    vector, integrality, normalization and (2 - Q)H recomputed here.
+
+    reduce is linear, so each vector is reduced once: a pair's residue is the
+    difference of its ends' residues, and its candidate H the difference of
+    their candidates, kept as ints over one common denominator."""
+    a = q_tensor_matrix(g)
+    n = len(a)
+    dims = [ir.dim for ir in character_table(g).irreps]
+    echelon = TrackedEchelon(QQ)
+    echelon.kernel_of_columns([{i: 2 * (i == j) - a[j][i] for i in range(n)} for j in range(n)])
+    residues, cands = [], []
+    for v in vecs:
+        residue, h = echelon.reduce(dict(enumerate(v.coeffs)))
+        residues.append(residue)
+        cands.append([Fraction(h.get(i, 0) - h.get(0, 0) * d) for i, d in enumerate(dims)])
+    den = math.lcm(*(c.denominator for cand in cands for c in cand))
+    nums = [[int(c * den) for c in cand] for cand in cands]
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+    out = []
+    for va, ra, na in zip(vecs, residues, nums):
+        for vb, rb, nb in zip(vecs, residues, nums):
+            diff = {k: ra.get(k, 0) - rb.get(k, 0) for k in set(ra) | set(rb)}
+            if any(diff.values()):
+                out.append("Unsolvable: no solution of the representation-ring equation")
+                continue
+            cand = [x - y for x, y in zip(na, nb)]
+            if any(c % den for c in cand):
+                out.append("Unsolvable: no integral solution of the representation-ring equation")
+                continue
+            ints = [c // den for c in cand]
+            k = max(-(v // d) for v, d in zip(ints, dims))
+            hh = [v + k * d for v, d in zip(ints, dims)]
+            image = [2 * x for x in hh]
+            for x, row in zip(hh, nonzero):
+                for j, m in row:
+                    image[j] -= x * m
+            if image != [x - y for x, y in zip(va.coeffs, vb.coeffs)]:
+                out.append("Unsolvable: verification of (2-Q)H failed")
+            else:
+                out.append(VirtualRep(g, hh))
+    return out
+
+
+@pytest.mark.parametrize("g", TAG_ROUTE_GROUPS, ids=str)
+def test_solve_matches_the_tag_echelon_route(g):
+    vecs = [VirtualRep.of_quat(g, q) for q in quaternionic_reps(g)]
+    got = [_solve_outcome(g, va, vb) for va in vecs for vb in vecs]
+    assert got == _tag_route_outcomes(g, vecs)
+
+
+def test_a_solve_makes_linearly_many_field_multiplications(monkeypatch):
+    # forward and back substitution over the path 1..n-1 of C_n: 4n - 6
+    # multiplications for lambda1 against theta, where the tag route's dense
+    # inverse made O(n^2)
+    counts = []
+    for k in (64, 128):
+        g = cyclic(k)
+        va, vb = quat_vec(g, "lambda1"), quat_vec(g, "theta")
+        mckay._two_minus_q(g)
+        calls = []
+        real = QQ.mul
+        monkeypatch.setattr(QQ, "mul", lambda x, y: calls.append(1) or real(x, y))
+        solve_rep_equation(g, va, vb)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts == [250, 506]
+
+
+@pytest.mark.parametrize("g", TAG_ROUTE_GROUPS, ids=str)
+def test_mult_by_two_minus_q_matches_the_dense_product(g):
+    a = q_tensor_matrix(g)
+    n = len(a)
+    rng = random.Random(str(g))
+    for _ in range(3):
+        c = [rng.randint(-5, 5) * (rng.random() < 0.5) for _ in range(n)]
+        dense = [2 * c[j] - sum(c[i] * a[i][j] for i in range(n)) for j in range(n)]
+        assert VirtualRep(g, c).mult_by_two_minus_q() == VirtualRep(g, dense)
+
+
+def test_a_corrupted_multiplier_is_caught_by_the_certificate(monkeypatch):
+    # T*: rho3's row subtracted the row of the leaf rho2 once (multiplier -1),
+    # and rho2's pivot is 2.  Recording -3 moves H at rho2 alone by H at rho3:
+    # H stays integral and still meets the dropped row-0 equation (theta's
+    # one neighbour is rho4), so only the exact certificate can see it
+    g = T_STAR
+    names = [ir.name for ir in character_table(g).irreps]
+    pos, echelon = mckay._two_minus_q(g)
+    rho2, rho3 = pos[names.index("rho2")], pos[names.index("rho3")]
+    steps = echelon.multipliers[rho3][2]
+    assert steps == {rho2: -1} and echelon.multipliers[rho2][1] == Fraction(1, 2)
+    monkeypatch.setitem(steps, rho2, -3)
+    with pytest.raises(Unsolvable, match=r"verification of \(2-Q\)H failed"):
+        solve_rep_equation(g, quat_vec(g, "alpha"), quat_vec(g, "theta"))
+    s_graph.cache_clear()
+    try:
+        with pytest.raises((Unsolvable, LabelMismatch)):
+            s_graph(g)
+    finally:
+        s_graph.cache_clear()
+
+
+@pytest.mark.parametrize("g", [T_STAR, O_STAR, I_STAR, binary_dihedral(5), cyclic(9)], ids=str)
+def test_a_corrupted_multiplier_never_returns_a_wrong_h(monkeypatch, g):
+    # bump each recorded multiple and each pivot inverse in turn: every pair
+    # either still gets the right H or raises Unsolvable
+    vecs = [VirtualRep.of_quat(g, q) for q in quaternionic_reps(g)]
+    pairs = [(va, vb) for va in vecs for vb in vecs]
+    right = [solve_rep_equation(g, va, vb) for va, vb in pairs]
+    _, echelon = mckay._two_minus_q(g)
+    for c, (tag, p_inv, steps) in list(echelon.multipliers.items()):
+        corruptions = [(echelon.multipliers, c, (tag, p_inv + 1, steps))]
+        corruptions += [(steps, r, m + 1) for r, m in steps.items()]
+        for where, key, bad in corruptions:
+            with monkeypatch.context() as patch:
+                patch.setitem(where, key, bad)
+                for (va, vb), h in zip(pairs, right):
+                    try:
+                        assert solve_rep_equation(g, va, vb) == h
+                    except Unsolvable:
+                        pass
+
+
+def test_two_minus_q_rejects_a_graph_that_is_not_a_dynkin_tree(monkeypatch):
+    # theta, then a 4-cycle; theta, then a star with four leaves (a tree whose
+    # Cartan matrix is singular)
+    cycle = ((), ((2, 1), (4, 1)), ((1, 1), (3, 1)), ((2, 1), (4, 1)), ((1, 1), (3, 1)))
+    star = ((),) + (((5, 1),),) * 4 + (((1, 1), (2, 1), (3, 1), (4, 1)),)
+    g = cyclic(5)
+    for rows, message in ((cycle, "minus theta is not a tree"), (star, "minus theta is singular")):
+        monkeypatch.setattr(mckay, "_mckay_rows", lambda _, rows=rows: rows)
+        with pytest.raises(GraphShapeError, match=message):
+            mckay._two_minus_q.__wrapped__(g)
