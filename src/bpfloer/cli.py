@@ -373,8 +373,9 @@ def _verify_group(g: GroupId, field):
         # only when it re-sums to Q (x) R_i on every class
         n = len(q_tensor_matrix(g))
         t = character_table(g)
-        return "McKay %dx%d re-summed on %d classes; vertices+labels+gradings" % (
-            n, n, len(t.classes))
+        # s_graph raises LabelMismatch on any label whose two solves differ
+        return ("McKay %dx%d re-summed on %d classes; vertices+labels+gradings; %d labels: "
+                "deletion oracle = algebraic solve" % (n, n, len(t.classes), len(s_graph(g).labels)))
     run("sgraph-structure", sgraph_check)
 
     if name in ("T*", "O*", "I*"):

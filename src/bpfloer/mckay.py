@@ -1,19 +1,16 @@
 """McKay graphs, quotient graphs, the labeled graphs on flat connections,
 and the representation-ring equation solver.
 
-The edge labels are computed algebraically (exact linear solve of the
-representation-ring equation plus regular-representation normalization); the
-graphical deletion procedure is implemented separately as a cross-check
-oracle on adjacent pairs: s_graph compares the oracle's H with the algebraic
-solution on every labeled edge and takes the subgroup order from the oracle.
-Both solves run on sparse.TrackedEchelon, by different methods on different
-systems.  The algebraic solve factors 2I - A without the trivial vertex once
-per group, leaves first with recorded multipliers, and each right-hand side
-is one O(n) forward and back substitution (TrackedEchelon.solve).  The oracle
-factors the component's own Cartan matrix afresh on each call by
-kernel_of_columns and reads its solution off the tag combinations reduce
-accumulates.  The two routes share neither a system nor an elimination
-method.
+The McKay graph is held once, as the sparse rows of the matrix mckay_graph
+certifies; every walk and solve reads it there.  The edge labels are solved
+algebraically (representation-ring equation plus regular-representation
+normalization): 2I - A without the trivial vertex is factored once per group
+on sparse.TrackedEchelon, leaves first, and each right-hand side is one O(n)
+substitution (TrackedEchelon.solve).  The graphical deletion procedure is a
+separate oracle on adjacent pairs: s_graph compares its H with the algebraic
+one on every labeled edge and takes the subgroup order from it.  The oracle
+runs no elimination (it raises H vertex by vertex in ints on the component
+left after deleting beta), so the two routes share only the graph.
 """
 from __future__ import annotations
 
@@ -85,7 +82,7 @@ class VirtualRep:
         """Multiplication by (2 - Q) in the representation ring, in exact ints
         over the nonzero McKay entries: O(n + edges)."""
         out = [2 * c for c in self.coeffs]
-        for c, row in zip(self.coeffs, _mckay_rows(self.group)):
+        for c, row in zip(self.coeffs, mckay_graph(self.group).rows):
             if c:
                 for j, a in row:
                     out[j] -= c * a
@@ -107,52 +104,55 @@ class VirtualRep:
 class McKayGraph:
     group: GroupId
     adjacency: tuple          # tuple of tuples, multiplicities
+    rows: tuple               # per vertex i, its nonzero entries ((j, a_ij), ...)
     dims: tuple
     trivial: int
     dynkin_type: str          # "A~0", "A~1", "A~n", "D~n", "E~6", "E~7", "E~8"
 
     def neighbors(self, i):
-        return [j for j, a in enumerate(self.adjacency[i]) if a]
+        return [j for j, _ in self.rows[i]]
 
 
 @lru_cache(maxsize=None)
 def mckay_graph(g: GroupId) -> McKayGraph:
     t = character_table(g)
     a = q_tensor_matrix(g)
-    n = len(t.irreps)
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
+    rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in a)
+    # a zero entry opposite a nonzero one shows up in the nonzero one's row
+    for i, row in enumerate(rows):
+        for j, x in row:
+            if a[j][i] != x:
                 raise GraphShapeError("McKay matrix not symmetric for %s" % g)
     dims = tuple(ir.dim for ir in t.irreps)
-    # the dims vector spans the kernel of 2I - A (the extended Dynkin marks)
-    for j in range(n):
-        if sum(a[i][j] * dims[i] for i in range(n)) != 2 * dims[j]:
+    # dims spans the kernel of 2I - A (the marks); A is symmetric, so rows do
+    for j, row in enumerate(rows):
+        if sum(x * dims[i] for i, x in row) != 2 * dims[j]:
             raise GraphShapeError("mark property fails for %s" % g)
     if g.family == CYCLIC and g.param <= 2:
         # degenerate affine A_0 (loop) and A_1 (double bond) cases
         tag = "A~0" if g.param == 1 else "A~1"
-        return McKayGraph(g, a, dims, 0, tag)
-    for i in range(n):
+        return McKayGraph(g, a, rows, dims, 0, tag)
+    for i, row in enumerate(rows):
         if a[i][i] != 0:
             raise GraphShapeError("self-adjacency in the McKay graph of %s" % g)
-        for j in range(n):
-            if a[i][j] not in (0, 1):
-                raise GraphShapeError("multiplicity %d edge in %s" % (a[i][j], g))
+        for _, x in row:
+            if x != 1:
+                raise GraphShapeError("multiplicity %d edge in %s" % (x, g))
     if g.family == CYCLIC:
         want = "A~%d" % (g.param - 1)
     elif g.family == "D":
         want = "D~%d" % (g.param + 2)
     else:
         want = {TETRA: "E~6", OCTA: "E~7", ICOSA: "E~8"}[g.family]
+    m = McKayGraph(g, a, rows, dims, 0, want)
     # the graph minus the trivial vertex is g's own finite Dynkin diagram
     try:
-        ok = recognize_subgroup(range(1, n), lambda i, j: a[i][j])[0] == g
+        ok = recognize_subgroup(range(1, len(rows)), m.neighbors)[0] == g
     except NotDynkin:
         ok = False
     if not ok:
         raise GraphShapeError("graph of %s does not have the %s shape" % (g, want))
-    return McKayGraph(g, a, dims, 0, want)
+    return m
 
 
 @dataclass(frozen=True)
@@ -189,21 +189,14 @@ def quotient_graph(m: McKayGraph, iota) -> QuotientGraph:
     size = len(orbits)
     adj = [[0] * size for _ in range(size)]
     loops = set()
-    for i in range(n):
-        for j in range(n):
-            if m.adjacency[i][j]:
-                a, b = idx[i], idx[j]
-                if a == b:
-                    loops.add(a)
-                else:
-                    adj[a][b] = adj[b][a] = 1
+    for i, row in enumerate(m.rows):
+        for j, _ in row:
+            a, b = idx[i], idx[j]
+            if a == b:
+                loops.add(a)
+            else:
+                adj[a][b] = adj[b][a] = 1
     return QuotientGraph(m.group, orbits, tuple(tuple(r) for r in adj), tuple(sorted(loops)))
-
-
-@lru_cache(maxsize=None)
-def _mckay_rows(g: GroupId):
-    """The nonzero McKay multiplicities of each row i: ((j, a_ij), ...)."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in q_tensor_matrix(g))
 
 
 def _leaves_first(g: GroupId):
@@ -213,12 +206,10 @@ def _leaves_first(g: GroupId):
     Leaves are peeled in the order they appear, so the last vertex, the root,
     sits in the middle of the tree.  Eliminating a tree in this order makes
     no fill (Rose 1970): a vertex meets at most one later vertex, its parent.
-    Raises GraphShapeError if the graph minus theta is not a tree.
+    mckay_graph has certified that the graph minus theta is a tree.
     """
-    rows = _mckay_rows(g)
-    nbrs = {v: [w for w, x in rows[v] if w] for v in range(1, len(rows))}
-    simple = all(x == 1 and w != v for v in nbrs for w, x in rows[v] if w)
-    edges = sum(map(len, nbrs.values())) // 2
+    rows = mckay_graph(g).rows
+    nbrs = {v: [w for w, _ in rows[v] if w] for v in range(1, len(rows))}
     left = {v: len(ws) for v, ws in nbrs.items()}
     order = [v for v, k in left.items() if k <= 1]
     for v in order:  # a vertex joins the order when it becomes a leaf
@@ -226,9 +217,6 @@ def _leaves_first(g: GroupId):
             left[w] -= 1
             if left[w] == 1:
                 order.append(w)
-    # all peeled: no cycle; one edge fewer than vertices: connected
-    if not simple or len(order) != len(nbrs) or edges != max(len(nbrs) - 1, 0):
-        raise GraphShapeError("the McKay graph of %s minus theta is not a tree" % g)
     return order
 
 
@@ -238,14 +226,16 @@ def _two_minus_q(g: GroupId):
     by every solve_rep_equation call; returns (position of each vertex, the
     echelon).
 
-    Positions follow the leaves-first order, so the echelon's smallest-column
-    pivot rule eliminates leaves first.  Each vertex's column of the tree's
-    Cartan matrix is a tagged insert (tag: the vertex); its row pivots at the
+    mckay_graph's recognition refuses, before any factorization, a graph
+    that minus theta is not g's own finite Dynkin tree.  Positions follow the
+    leaves-first order, so the echelon's smallest-column pivot rule
+    eliminates leaves first.  Each vertex's column of the tree's Cartan
+    matrix is a tagged insert (tag: the vertex); its row pivots at the
     vertex's position, has at most one other entry (at the parent's), and its
     multipliers name the children.  A row that pivots elsewhere means the
     system is singular.
     """
-    a = _mckay_rows(g)
+    a = mckay_graph(g).rows
     order = _leaves_first(g)
     pos = {v: k for k, v in enumerate(order)}
     echelon = TrackedEchelon(QQ)
@@ -274,7 +264,7 @@ def solve_rep_equation(g: GroupId, alpha: VirtualRep, beta: VirtualRep) -> Virtu
     pos, echelon = _two_minus_q(g)
     _, h = echelon.solve({pos[v]: rhs[v] for v in pos})  # every position pivots
     # row 0 of (2I - A)H, with H_0 = 0
-    if -sum(x * h.get(j, 0) for j, x in _mckay_rows(g)[0]) != rhs[0]:
+    if -sum(x * h.get(j, 0) for j, x in mckay_graph(g).rows[0]) != rhs[0]:
         raise Unsolvable("no solution of the representation-ring equation")
     cand = [h.get(i, 0) for i in range(len(rhs))]
     if any(c.denominator != 1 for c in cand):
@@ -290,15 +280,18 @@ def solve_rep_equation(g: GroupId, alpha: VirtualRep, beta: VirtualRep) -> Virtu
     return out
 
 
-def recognize_subgroup(vertices, adjacency):
+def recognize_subgroup(vertices, neighbors):
     """Classify a connected simply-laced Dynkin graph; returns (GroupId, order).
 
+    neighbors(v) lists the vertices adjacent to v; those outside vertices are
+    ignored, so the cost is O(V + E).
     A_n -> C_{n+1}, D_n -> D*_{n-2}, E6/E7/E8 -> T*/O*/I*.
     """
     n = len(vertices)
     if n == 0:
         raise NotDynkin("empty component")
-    nbrs = {v: [w for w in vertices if adjacency(v, w)] for v in vertices}
+    inside = set(vertices)
+    nbrs = {v: [w for w in neighbors(v) if w in inside] for v in vertices}
     if len(_tree_paths(vertices[0], nbrs.__getitem__)) != n:
         raise NotDynkin("disconnected vertex set")
     deg = {v: len(nbrs[v]) for v in vertices}
@@ -349,45 +342,48 @@ def recognize_subgroup(vertices, adjacency):
 def minimal_solution_graphical(g: GroupId, alpha, beta):
     """Deletion-procedure oracle for adjacent pairs; returns (H, subgroup, order).
 
-    Deletes beta's vertex or vertices from the McKay graph, restricts to the
-    component containing alpha, and solves the Cartan system there.
+    Deletes beta's vertices from the McKay graph; the components reached from
+    alpha's surviving vertices must form one finite Dynkin diagram, which
+    recognize_subgroup checks before any arithmetic (the loop below would not
+    stop on an affine component).  Then, in ints, from H = 0: while some v has
+    shortfall s = alpha_v - (2 H_v - sum_{w ~ v} H_w) > 0, raise H_v by
+    ceil(s/2) and requeue v's neighbours.  On a finite Dynkin diagram
+    (2I - A)^-1 >= 0 (Kac, Infinite-dimensional Lie algebras, ch. 4), so
+    integral H* with (2I - A)H* >= alpha exist (adj(2I - A) max(alpha, 0)).
+    No raise passes one: if H <= H* and v is short, then
+    2 H*_v >= alpha_v + sum_{w ~ v} H*_w >= s + 2 H_v.  So the loop stops at
+    the least such H*, which is the solution if that is integral; the
+    equations must hold with H > 0, else Unsolvable.  No elimination runs:
+    this shares only the graph with solve_rep_equation.
     """
-    m = mckay_graph(g)
+    rows = mckay_graph(g).rows
     beta_vs = {i for i, c in enumerate(beta.coeffs) if c}
-    alpha_vs = {i for i, c in enumerate(alpha.coeffs) if c}
-    keep = [i for i in range(len(m.dims)) if i not in beta_vs]
-
-    def adj(i, j):
-        return m.adjacency[i][j] != 0
-
-    # component containing alpha
-    comp = set()
-    stack = [v for v in alpha_vs if v in keep]
-    if not stack:
+    nbrs = {v: [w for w, _ in row if w not in beta_vs] for v, row in enumerate(rows)}
+    starts = [i for i, c in enumerate(alpha.coeffs) if c and i not in beta_vs]
+    if not starts:
         raise BPFloerError("alpha deleted entirely; pair is not adjacent")
-    while stack:
-        v = stack.pop()
-        if v in comp:
-            continue
-        comp.add(v)
-        stack.extend(w for w in keep if adj(v, w) and w not in comp)
+    comp = set()
+    for v in starts:
+        comp.update(_tree_paths(v, nbrs.__getitem__))
     comp = sorted(comp)
-    sub, order = recognize_subgroup(comp, adj)
-    # Cartan solve on the component: (2I - A) h = alpha restricted
-    pos = {v: i for i, v in enumerate(comp)}
-    cartan = [{pos[v]: 2 * (v == w) - adj(v, w) for v in comp} for w in comp]
-    echelon = TrackedEchelon(QQ)
-    echelon.kernel_of_columns(cartan)
-    residue, h = echelon.reduce({pos[v]: alpha.coeffs[v] for v in comp})
-    if residue:
-        raise Unsolvable("the Cartan system of the component is singular")
-    coeffs = [0] * len(m.dims)
-    for v in comp:
-        val = h.get(pos[v], 0)
-        if val.denominator != 1 or val <= 0:
-            raise Unsolvable("graphical solve produced a bad weight %s" % val)
-        coeffs[v] = int(val)
-    return VirtualRep(g, coeffs), sub, order
+    sub, order = recognize_subgroup(comp, nbrs.__getitem__)
+
+    def shortfall(v):
+        return alpha.coeffs[v] - 2 * h[v] + sum(h[w] for w in nbrs[v])
+
+    h = [0] * len(rows)
+    queue = [v for v in comp if alpha.coeffs[v] > 0]  # the only shortfalls at H = 0
+    while queue:
+        v = queue.pop()
+        s = shortfall(v)
+        if s > 0:
+            h[v] += (s + 1) // 2
+            queue.extend(nbrs[v])
+    if any(shortfall(v) for v in comp):
+        raise Unsolvable("the graphical solve has no integral solution")
+    if any(h[v] <= 0 for v in comp):
+        raise Unsolvable("graphical solve produced a zero weight")
+    return VirtualRep(g, h), sub, order
 
 
 @dataclass(frozen=True)
@@ -407,18 +403,14 @@ class SGraph:
         self.edges = tuple(edges)                # (name, name) pairs
         self.labels = dict(labels)               # (irr name, other name) -> int
         self._by_name = {v.name: v for v in self.vertices}
+        self._neighbors = _neighbor_lists(self.edges)
 
     def vertex(self, name):
         return self._by_name[name]
 
     def neighbors(self, name):
-        out = []
-        for a, b in self.edges:
-            if a == name:
-                out.append(b)
-            elif b == name:
-                out.append(a)
-        return out
+        """The vertices joined to name, in edge order."""
+        return self._neighbors.get(name, ())
 
     def label(self, target, source):
         """n_{target,source}: coefficient of the differential into target."""
@@ -435,13 +427,21 @@ class SGraph:
         return [v.name for v in self.vertices if v.kind == IRREDUCIBLE]
 
 
+def _neighbor_lists(edges):
+    """{vertex: tuple of its neighbours in edge order} of an edge list."""
+    out = {}
+    for a, b in edges:
+        out.setdefault(a, []).append(b)
+        out.setdefault(b, []).append(a)
+    return {v: tuple(ws) for v, ws in out.items()}
+
+
 def _tree_paths(root, neighbors):
     """Breadth-first walk from root: {vertex: path from root to it} for every
     vertex reached; neighbors(v) lists the vertices adjacent to v."""
     paths = {root: [root]}
     queue = [root]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:  # the queue grows as it is walked
         for w in neighbors(v):
             if w not in paths:
                 paths[w] = paths[v] + [w]
@@ -469,22 +469,17 @@ def s_graph(g: GroupId) -> SGraph:
             loc[q.name] = quo.orbit_of(verts[0])
         quat_orbits = set(loc.values())
 
-        def orbit_neighbors(v):
-            return [w for w in range(len(quo.orbits)) if quo.adjacency[v][w]]
-
+        orbit_neighbors = [[w for w, x in enumerate(row) if x] for row in quo.adjacency]
         names = [q.name for q in quats]
         for x in range(len(names)):
-            paths = _tree_paths(loc[names[x]], orbit_neighbors)
+            paths = _tree_paths(loc[names[x]], orbit_neighbors.__getitem__)
             for y in range(x + 1, len(names)):
                 p = paths[loc[names[y]]]
                 if all(v not in quat_orbits for v in p[1:-1]):
                     edges.append((names[x], names[y]))
     # gradings from tree distance to theta
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    from_theta = _tree_paths("theta", lambda v: adj.get(v, []))
+    adj = _neighbor_lists(edges)
+    from_theta = _tree_paths("theta", lambda v: adj.get(v, ()))
     vertices = []
     for q in quats:
         j = (4 * (len(from_theta[q.name]) - 1)) % 8

@@ -334,7 +334,8 @@ def test_verify_sgraph_pass_reports_its_mckay_certificate(monkeypatch):
     checks = _verify_group(T_STAR, QQ)
     rows = [c for c in checks if c[0] == "sgraph-structure"]
     assert [c[2:4] for c in rows] == [
-        ("PASS", "McKay 7x7 re-summed on 7 classes; vertices+labels+gradings")]
+        ("PASS", "McKay 7x7 re-summed on 7 classes; vertices+labels+gradings; "
+                 "2 labels: deletion oracle = algebraic solve")]
 
     # s_graph of C_n never reads the McKay matrix, so the check computes it
     def refused(g):

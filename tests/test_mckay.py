@@ -107,7 +107,13 @@ def test_solver_exactness_all_pairs(g):
 
 
 def test_recognition():
-    adj = lambda pairs: (lambda i, j: (i, j) in pairs or (j, i) in pairs)
+    def adj(pairs):
+        nbrs = {}
+        for i, j in pairs:
+            nbrs.setdefault(i, []).append(j)
+            nbrs.setdefault(j, []).append(i)
+        return lambda v: nbrs.get(v, [])
+
     g, order = recognize_subgroup([0], adj(set()))
     assert str(g) == "C_2" and order == 2
     chain6 = {(i, i + 1) for i in range(5)}
@@ -143,12 +149,25 @@ def test_mckay_graph_rejects_a_disconnected_shape(monkeypatch, g, edges):
     for i, j in edges:
         a[i][j] = a[j][i] = 1
     monkeypatch.setattr(mckay, "q_tensor_matrix", lambda _: tuple(map(tuple, a)))
+    inserts = []
+    real_insert = TrackedEchelon.insert
+    monkeypatch.setattr(TrackedEchelon, "insert",
+                        lambda self, vec, tag=None: inserts.append(tag) or real_insert(self, vec, tag))
+    shape = "does not have the A~%d shape" % (g.order - 1)
     mckay_graph.cache_clear()
+    mckay._two_minus_q.cache_clear()
     try:
-        with pytest.raises(GraphShapeError, match="does not have the A~%d shape" % (g.order - 1)):
+        with pytest.raises(GraphShapeError, match=shape):
             mckay_graph(g)
+        # the solver reads the graph through mckay_graph, so a fresh
+        # factorization is refused by the same recognition before it starts
+        mckay_graph.cache_clear()
+        with pytest.raises(GraphShapeError, match=shape):
+            mckay._two_minus_q(g)
     finally:
         mckay_graph.cache_clear()
+        mckay._two_minus_q.cache_clear()
+    assert inserts == []
 
 
 def test_graphical_oracle_agrees_with_algebraic():
@@ -379,11 +398,10 @@ def test_two_minus_q_is_factored_once_per_group(monkeypatch):
         s_graph.cache_clear()
         mckay._two_minus_q.cache_clear()
     # s_graph's label solves and cs_table's solves share one factorization:
-    # one tagged insert per vertex but theta.  The graphical oracle factors
-    # its Cartan systems by kernel_of_columns, which loses beta's vertices,
-    # so none of those has all n columns
+    # one tagged insert per vertex but theta.  The graphical oracle walks the
+    # graph in ints and factors nothing
     assert sorted(tagged) == list(range(1, n))
-    assert sizes and max(sizes) < n
+    assert sizes == []
 
 
 TAG_ROUTE_GROUPS = (
@@ -520,12 +538,111 @@ def test_a_corrupted_multiplier_never_returns_a_wrong_h(monkeypatch, g):
 
 
 def test_two_minus_q_rejects_a_graph_that_is_not_a_dynkin_tree(monkeypatch):
-    # theta, then a 4-cycle; theta, then a star with four leaves (a tree whose
-    # Cartan matrix is singular)
-    cycle = ((), ((2, 1), (4, 1)), ((1, 1), (3, 1)), ((2, 1), (4, 1)), ((1, 1), (3, 1)))
-    star = ((),) + (((5, 1),),) * 4 + (((1, 1), (2, 1), (3, 1), (4, 1)),)
+    # theta, then a 4-cycle, as C_5's McKay matrix: theta has no neighbour, so
+    # mckay_graph's mark check refuses it before anything is factored
     g = cyclic(5)
-    for rows, message in ((cycle, "minus theta is not a tree"), (star, "minus theta is singular")):
-        monkeypatch.setattr(mckay, "_mckay_rows", lambda _, rows=rows: rows)
-        with pytest.raises(GraphShapeError, match=message):
+    cycle = [[0] * 5 for _ in range(5)]
+    for i, j in ((1, 2), (2, 3), (3, 4), (1, 4)):
+        cycle[i][j] = cycle[j][i] = 1
+    monkeypatch.setattr(mckay, "q_tensor_matrix", lambda _: tuple(map(tuple, cycle)))
+    mckay_graph.cache_clear()
+    try:
+        with pytest.raises(GraphShapeError, match="mark property fails"):
             mckay._two_minus_q.__wrapped__(g)
+    finally:
+        mckay_graph.cache_clear()
+    # theta, then a star with four leaves: a tree whose Cartan matrix is
+    # singular, which mckay_graph's recognition never passes; handed over as
+    # a graph it still meets the singular-pivot guard
+    star = ((),) + (((5, 1),),) * 4 + (((1, 1), (2, 1), (3, 1), (4, 1)),)
+    monkeypatch.setattr(mckay, "mckay_graph",
+                        lambda _: mckay.McKayGraph(g, None, star, (1,) * 6, 0, "A~4"))
+    with pytest.raises(GraphShapeError, match="minus theta is singular"):
+        mckay._two_minus_q.__wrapped__(g)
+
+
+ORACLE_GROUPS = (
+    [cyclic(k) for k in range(1, 17)]
+    + [binary_dihedral(k) for k in range(2, 17)]
+    + [T_STAR, O_STAR, I_STAR]
+)
+
+
+def _cartan_route(g, alpha, beta, factored):
+    """The deletion oracle's outcome by linear algebra, as its reference:
+    delete beta's vertices from the dense McKay matrix, take the component of
+    alpha's surviving vertices, recognize it, and solve its Cartan system
+    (2I - A)h = alpha there by kernel_of_columns and reduce, whose tag
+    combinations hold the inverse; h must be integral and positive on the
+    component.  factored caches each component's echelon."""
+    a = q_tensor_matrix(g)
+    n = len(a)
+    keep = [i for i in range(n) if not beta.coeffs[i]]
+    comp = set()
+    stack = [v for v in keep if alpha.coeffs[v]]
+    if not stack:
+        raise BPFloerError("alpha deleted entirely")
+    while stack:
+        v = stack.pop()
+        if v not in comp:
+            comp.add(v)
+            stack.extend(w for w in keep if a[v][w] and w not in comp)
+    comp = tuple(sorted(comp))
+    sub, order = recognize_subgroup(comp, lambda v: [w for w in comp if a[v][w]])
+    pos = {v: i for i, v in enumerate(comp)}
+    if comp not in factored:
+        echelon = TrackedEchelon(QQ)
+        echelon.kernel_of_columns(
+            [{pos[v]: 2 * (v == w) - (a[v][w] != 0) for v in comp} for w in comp])
+        factored[comp] = echelon
+    residue, h = factored[comp].reduce({pos[v]: alpha.coeffs[v] for v in comp})
+    if residue:
+        raise Unsolvable("singular Cartan system")
+    coeffs = [0] * n
+    for v in comp:
+        val = Fraction(h.get(pos[v], 0))
+        if val.denominator != 1 or val <= 0:
+            raise Unsolvable("bad weight %s" % val)
+        coeffs[v] = int(val)
+    return VirtualRep(g, coeffs), sub, order
+
+
+def _oracle_outcome(route, *args):
+    try:
+        return route(*args)
+    except BPFloerError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("g", ORACLE_GROUPS, ids=str)
+def test_deletion_oracle_matches_the_cartan_route(g):
+    # every ordered pair of flat connections, and of the unit, doubled-unit
+    # and zero vectors: the same (H, subgroup, order) or the same exception
+    n = len(character_table(g).irreps)
+    flat = [VirtualRep.of_quat(g, q) for q in quaternionic_reps(g)]
+    units = [VirtualRep(g, [k * (i == v) for i in range(n)]) for v in range(n) for k in (1, 2)]
+    units.append(VirtualRep.zero(g))
+    factored, reference = {}, {}
+    kinds = set()
+    for vecs in (flat, units):
+        for va in vecs:
+            for vb in vecs:
+                got = _oracle_outcome(minimal_solution_graphical, g, va, vb)
+                # the reference reads beta only through its support
+                key = (va.coeffs, tuple(i for i, c in enumerate(vb.coeffs) if c))
+                if key not in reference:
+                    reference[key] = _oracle_outcome(_cartan_route, g, va, vb, factored)
+                assert got == reference[key], (va, vb)
+                kinds.add(got if isinstance(got, type) else tuple)
+    assert tuple in kinds
+
+
+def test_deletion_oracle_requires_a_positive_h():
+    # C_4 minus theta is the path rho1 - rho2 - rho3; 2 rho1 - rho2 has the
+    # integral solution H = rho1, which vanishes on the rest of the component
+    g = cyclic(4)
+    alpha, beta = VirtualRep(g, [0, 2, -1, 0]), VirtualRep(g, [1, 0, 0, 0])
+    with pytest.raises(Unsolvable, match="zero weight"):
+        minimal_solution_graphical(g, alpha, beta)
+    with pytest.raises(Unsolvable, match="bad weight 0"):
+        _cartan_route(g, alpha, beta, {})
