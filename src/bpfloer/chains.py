@@ -78,7 +78,9 @@ class ChainMap:
 
     def set_image(self, degree, label, image):
         pos = self.source.index[degree][label]
-        cols = self.columns.setdefault(degree, [dict() for _ in self.source.basis[degree]])
+        cols = self.columns.get(degree)
+        if cols is None:  # built once per degree, not once per call
+            cols = self.columns[degree] = [{} for _ in self.source.basis[degree]]
         tgt = self.target.index.get(degree + self.degree, {})
         cols[pos] = _column(self.source.field, tgt, image)
 

@@ -421,19 +421,24 @@ def _verify_group(g: GroupId, field):
 
     def triangle():
         checked = norm_vanishing_and_splitting(g, field, shared)
-        return "norm zero + splitting dims; %d degrees" % len(checked)
+        return ("even degrees: bar/+ closed form, bar/- assembled (norm zero by parity); "
+                "dim Hinf = dim H- + dim H+[-4] on %d degrees" % len(checked))
     run("triangle-and-norm", triangle)
 
     run("cs-golden-values", lambda: _check_cs(g))
 
     def duality():
-        rep = duality_pairing_report(g, field)
+        rep = duality_pairing_report(g)
         if rep:
             raise BPFloerError(repr(rep[:3]))
         mism = duality_transpose_check(g, IDENTITY_WINDOW, field)
         if mism:
             raise BPFloerError(repr(mism[:3]))
-        return "module pairing + transposed windows"
+        entries = sum(len(images) for o, f in ((BAR, PLUS), (STD, MINUS))
+                      for images in encoded_module(g, o, f).corrections.values())
+        gens = len(build_model(g, STD).window(IDENTITY_WINDOW, field).generators)
+        return ("%d vertices paired, %d correction entries transposed; "
+                "transposed window on %d generators" % (len(s_graph(g).vertices), entries, gens))
     run("orientation-duality", duality)
     return checks
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .chains import ChainMap, FiniteComplex, HomologyData, induced_map_between, matrix_rank
 from .donaldson import Window, WindowedComplex
 from .errors import BPFloerError, OracleMismatch, TriangleViolation
-from .groups import FULLY_REDUCIBLE, REDUCIBLE
+from .groups import FULLY_REDUCIBLE, IRREDUCIBLE, ORBITS
 from .presented import FINITE, PI8, PIINF8, Family, PresentedModule
 from .sparse import _apply_columns
 
@@ -96,28 +96,28 @@ def functor_model(window: WindowedComplex, flavor, deg_lo, deg_hi) -> FunctorMod
 
 
 def orbit_homology(kind, flavor) -> PresentedModule:
-    """Closed-form equivariant homology of a single critical orbit."""
+    """Closed-form equivariant homology of a single critical orbit at level 0.
+
+    The family carries the orbit's letter (groups.ORBITS).  A point orbit
+    gives a step-4 tower and a two-sphere a step-2 tower (upward for '+',
+    downward for '-', Laurent for 'inf'); a free orbit gives one class for
+    '+' and '-' and nothing for 'inf'.  A '-' family sits at the top
+    t = delta of its orbit, the others at t = 0.  theorems.py places one
+    copy per flat connection to build the product-type closed forms.
+    """
+    orbit = ORBITS[kind]
+    letter = orbit.letter(flavor)
+    if letter is None:
+        return PresentedModule(FINITE, [])
+    top = orbit.delta if flavor == MINUS else 0
+    if kind == IRREDUCIBLE:
+        return PresentedModule(FINITE, [Family(letter, top, 0, 0, 0, 0)], {(letter, 0): []})
+    step = 4 if kind == FULLY_REDUCIBLE else 2
     if flavor == PLUS:
-        if kind == FULLY_REDUCIBLE:
-            return PresentedModule(PI8, [Family("V", 0, 4, 0)], {"V": -1}, {})
-        if kind == REDUCIBLE:
-            return PresentedModule(PI8, [Family("W", 0, 2, 0)], {"W": -2}, {})
-        return PresentedModule(
-            FINITE, [Family("g", 0, 0, 0, 0, 0)], {}, {("g", 0): []}
-        )
+        return PresentedModule(PI8, [Family(letter, top, step, 0)])
     if flavor == MINUS:
-        if kind == FULLY_REDUCIBLE:
-            return PresentedModule(PI8, [Family("U", 0, -4, 0)], {"U": 1}, {})
-        if kind == REDUCIBLE:
-            return PresentedModule(PI8, [Family("Z", 2, -2, 0)], {"Z": 2}, {})
-        return PresentedModule(
-            FINITE, [Family("h", 3, 0, 0, 0, 0)], {}, {("h", 0): []}
-        )
-    if kind == FULLY_REDUCIBLE:
-        return PresentedModule(PIINF8, [Family("T", 0, -4, 0, None)], {"T": 1}, {})
-    if kind == REDUCIBLE:
-        return PresentedModule(PIINF8, [Family("S", 0, -2, 0, None)], {"S": 2}, {})
-    return PresentedModule(FINITE, [], {}, {})
+        return PresentedModule(PI8, [Family(letter, top, -step, 0)])
+    return PresentedModule(PIINF8, [Family(letter, top, -step, 0, None)])
 
 
 # ---------------------------------------------------------------------------

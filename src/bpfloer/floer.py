@@ -219,7 +219,7 @@ def run_to_einfty(model: DonaldsonModel, flavor, field=QQ, pages=None):
 def assemble_minus_bar(pages: MinusPages) -> PresentedModule:
     """Extension step for the '-' flavor: free towers on E-infinity columns."""
     f = pages.field
-    fams, shifts = [], {}
+    fams = []
     used = set()
     for col in (0, 4):
         if pages.surviving_h(col):
@@ -229,7 +229,6 @@ def assemble_minus_bar(pages: MinusPages) -> PresentedModule:
             if kind == "Z":
                 label = "Z_%s^0" % vname
                 fams.append(Family(label, col + 2, -4, col))
-                shifts[label] = 1
         # tower levels: new generators are a complement of the image of the
         # degree -4 action from the previous level
         prev = None
@@ -256,9 +255,8 @@ def assemble_minus_bar(pages: MinusPages) -> PresentedModule:
                         label = label + "'"
                     used.add(label)
                     fams.append(Family(label, col - 4 * (r - 1), -4, col))
-                    shifts[label] = 1
             prev = cur
-    return PresentedModule(OPLUS8, fams, shifts, {})
+    return PresentedModule(OPLUS8, fams)
 
 
 def assemble(model: DonaldsonModel, flavor, field=QQ, pages=None) -> PresentedModule:
@@ -353,25 +351,30 @@ class GroupRun:
         return self._functors[key]
 
 
-def duality_pairing_report(g, field=QQ):
+def duality_pairing_report(g):
     """Structural duality between the '+' module of one orientation and the
     '-' module of the other: orbit families pair with negated degrees and
     kind-offset shifted columns, and the degree -4 rules transpose.
 
     An orbit copy at level l pairs with the copy at level -l-delta, where
-    delta is the orbit's top internal degree (groups.ORBITS); so per
-    vertex the tower parameters and every correction coefficient must match
-    under transposition.  Returns a list of discrepancies (empty = pass).
+    delta is the orbit's top internal degree (groups.ORBITS); so per vertex
+    the tower parameters must match, and every stored correction entry of
+    either module must equal the transposed coefficient in the other.  U on
+    a tower follows from its step, which the per-vertex check compares, so
+    only the corrections need the transpose.  Returns a list of
+    discrepancies (empty = pass).
     """
     sg = s_graph_of(g)
     plus = positive_bar_module(g)
     minus = negative_std_module(g)
     out = []
+    orbit_of = {}  # family label in either module -> (vertex, '+' label, '-' label)
     for v in sg.vertices:
         orbit = ORBITS[v.kind]
         delta = orbit.delta
-        fp = plus.family(orbit.label(PLUS, v.name))
-        fm = minus.family(orbit.label(MINUS, v.name))
+        lp, lm = orbit.label(PLUS, v.name), orbit.label(MINUS, v.name)
+        orbit_of[lp] = orbit_of[lm] = (v.name, lp, lm)
+        fp, fm = plus.family(lp), minus.family(lm)
         # columns: i = j - delta mod 8; degrees: tower tops negate up to the
         # copy pairing l <-> -l-delta, i.e. base_minus = delta - 0 relative
         if (fm.column - (fp.column - delta)) % 8:
@@ -380,31 +383,25 @@ def duality_pairing_report(g, field=QQ):
             out.append(("step", v.name, fp.step, fm.step))
         if (fm.base_degree - fm.column) != delta or (fp.base_degree - fp.column) != 0:
             out.append(("anchor", v.name, fp.base_degree, fm.base_degree))
-    # transposed corrections: coefficient of y in U.x equals coefficient of
-    # the dual of x in U.(dual of y)
-    def coeff(mod, src, tgt):
-        total = 0
-        for lab, k, c in mod.u_image(src[0], src[1]):
-            if (lab, k) == tgt:
-                total += c
-        return total
+    # transposed corrections: the coefficient of y in U.x equals the
+    # coefficient of the partner of x in U.(partner of y).  Each stored entry
+    # x -> y of either module names one pair, kept as '+' labels (x, y).
+    pairs = {}
+    for mod in (plus, minus):
+        for (lab, k), images in mod.corrections.items():
+            for lab2, k2, _ in images:
+                ends = [(orbit_of[lab][1], k), (orbit_of[lab2][1], k2)]
+                pairs[tuple(ends if mod is plus else ends[::-1])] = None
 
-    for v in sg.vertices:
-        for w in sg.vertices:
-            ov, ow = ORBITS[v.kind], ORBITS[w.kind]
-            for kp in range(0, 3):
-                for km in range(0, 3):
-                    src_p = (ov.label(PLUS, v.name), kp)
-                    tgt_p = (ow.label(PLUS, w.name), km)
-                    src_m = (ow.label(MINUS, w.name), km)
-                    tgt_m = (ov.label(MINUS, v.name), kp)
-                    try:
-                        a = coeff(plus, src_p, tgt_p)
-                        b = coeff(minus, src_m, tgt_m)
-                    except BPFloerError:
-                        continue
-                    if a != b:
-                        out.append(("transpose", v.name, kp, w.name, km, a, b))
+    def coeff(mod, src, tgt):
+        return sum(c for lab, k, c in mod.u_image(*src) if (lab, k) == tgt)
+
+    for x, y in pairs:
+        vx, vy = orbit_of[x[0]], orbit_of[y[0]]
+        a = coeff(plus, x, y)
+        b = coeff(minus, (vy[2], y[1]), (vx[2], x[1]))
+        if a != b:
+            out.append(("transpose", vx[0], x[1], vy[0], y[1], a, b))
     return out
 
 

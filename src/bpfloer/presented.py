@@ -2,10 +2,12 @@
 
 A PresentedModule is a finite list of generator families.  Each family is a
 tower x^k (k >= floor, or k in Z for Laurent families) with degree
-base + step*k, sitting at a fixed filtration column; the U-action either
-shifts the tower index or is overridden per index by explicit corrections
-into other families.  Window realizations enumerate the finitely many
-elements with level in (q, p] and degree in [n_lo, n_hi].
+base + step*k, sitting at a fixed filtration column.  U lowers degree by 4,
+so its action follows from the step: U x^k = x^(k - 4/step) on a tower
+(zero where that index is not valid) and zero on a step-0 class, unless an
+explicit correction into other families is stored for (label, k).  Window
+realizations enumerate the finitely many elements with level in (q, p] and
+degree in [n_lo, n_hi].
 
 Both window views (ModuleWindow for a presentation, HomologyWindow for a
 computed window homology) answer dims and share one U pass (_UWalk).  Its
@@ -60,16 +62,17 @@ class Family:
 class PresentedModule:
     flavor_tag: str
     families: list
-    # U-rules: per family label either ("shift", ds) meaning U x^k = x^{k+ds},
-    # with out-of-range images dropped, or explicit corrections per index:
-    # corrections[(label, k)] = [(label2, k2, coeff), ...] overriding the shift.
-    shifts: dict = field(default_factory=dict)
+    # U x^k is x^(k - 4/step) unless corrections[(label, k)] =
+    # [(label2, k2, coeff), ...] is stored, which replaces it.
     corrections: dict = field(default_factory=dict)
     _by_label: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._by_label = {}
         for f in self.families:
+            if f.step and 4 % f.step:
+                raise BPFloerError("family %r: step %d does not divide the degree 4 of U"
+                                   % (f.label, f.step))
             self._by_label.setdefault(f.label, f)
 
     def family(self, label):
@@ -83,13 +86,10 @@ class PresentedModule:
         if (label, k) in self.corrections:
             return list(self.corrections[(label, k)])
         f = self.family(label)
-        ds = self.shifts.get(label)
-        if ds is None:
+        if not f.step:
             return []
-        k2 = k + ds
-        if not f.valid(k2):
-            return []
-        return [(label, k2, 1)]
+        k2 = k - 4 // f.step
+        return [(label, k2, 1)] if f.valid(k2) else []
 
     def even_degrees_only(self):
         """True when every element of the module sits in even degree."""
@@ -113,14 +113,13 @@ class PresentedModule:
         """
         if self.corrections:
             raise BPFloerError("dual() supports only free-tower modules")
-        fams, shifts = [], {}
+        fams = []
         for f in self.families:
             if f.floor != 0 or f.top is not None:
                 raise BPFloerError("dual() expects towers with floor 0")
             delta = max(ORBIT_OF_LETTER[x].delta for x in _ORBIT_LETTER.findall(f.label))
             fams.append(Family(f.label, -f.base_degree, -f.step, -f.column - delta, 0, None))
-            shifts[f.label] = -self.shifts[f.label]
-        return PresentedModule(self.flavor_tag, fams, shifts, {})
+        return PresentedModule(self.flavor_tag, fams)
 
 
 class _UWalk:
@@ -258,7 +257,8 @@ class ModuleWindow(_UWalk):
             col = {}
             for lab2, k2, coeff in self.module.u_image(label, k):
                 fam2 = self.module.family(lab2)
-                # shift of the target copy fixed by the degree bookkeeping
+                # shift of the target copy fixed by the degree bookkeeping; a
+                # step-derived image always fits, a stored correction may not
                 d_target = self._deg((label, k, s)) - 4
                 s2, rem = divmod(d_target - fam2.degree(k2), 8)
                 if rem != 0:

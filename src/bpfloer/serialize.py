@@ -199,7 +199,8 @@ def presented_json(pm, label):
                 }
                 for f in pm.families
             ],
-            "shifts": {k: v for k, v in sorted(pm.shifts.items())},
+            # U x^k = x^(k + shift) on each tower, shift = -4/step
+            "shifts": {f.label: -4 // f.step for f in pm.families if f.step},
             "corrections": {
                 "%s@%d" % key: [list(x) for x in val]
                 for key, val in sorted(pm.corrections.items())

@@ -396,3 +396,31 @@ def test_verify_cs_catches_a_corrupted_edge_solve(monkeypatch):
     _, _, status, detail, _ = rows[0]
     assert status == "FAIL"
     assert detail.startswith("BPFloerError: edge alpha-lambda")
+
+
+def test_verify_duality_and_triangle_name_what_they_compared(monkeypatch):
+    # T*: theta - alpha - lambda; two '+' entries into g_alpha and the two of
+    # h_alpha; the standard window (-13, 11] has 15 generators
+    rows = {c[0]: c[2:4] for c in _verify_group(T_STAR, QQ)}
+    assert rows["orientation-duality"] == (
+        "PASS", "3 vertices paired, 4 correction entries transposed; "
+                "transposed window on 15 generators")
+    assert rows["triangle-and-norm"] == (
+        "PASS", "even degrees: bar/+ closed form, bar/- assembled (norm zero by parity); "
+                "dim Hinf = dim H- + dim H+[-4] on 15 degrees")
+
+    import bpfloer.floer as floer
+    from bpfloer.presented import PresentedModule
+
+    real = floer.negative_std_module
+
+    def bumped(g):
+        pm = real(g)
+        (lab, k, c), *rest = pm.corrections[("h_alpha", 0)]
+        corr = {**pm.corrections, ("h_alpha", 0): [(lab, k, c + 1)] + rest}
+        return PresentedModule(pm.flavor_tag, pm.families, corr)
+
+    monkeypatch.setattr(floer, "negative_std_module", bumped)
+    rows = {c[0]: c[2:4] for c in _verify_group(T_STAR, QQ)}
+    status, detail = rows["orientation-duality"]
+    assert status == "FAIL" and detail.startswith("BPFloerError: [('transpose'")

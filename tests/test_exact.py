@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bpfloer.chains import FiniteComplex, HomologyData
+from bpfloer.chains import ChainMap, FiniteComplex, HomologyData
 from bpfloer.cyclo import Cyclo, _min_relation, cyclo_inner, evaluation_point
 from bpfloer.donaldson import BAR, Window, build_model
 from bpfloer.equivariant import MINUS, PLUS, functor_model
@@ -704,3 +704,28 @@ def test_rank_of_model_arrow_matrix():
     m = SparseMat(1, 2, entries)
     rank, kernel, _ = rank_kernel_image(m)
     assert rank == 1 and len(kernel) == 1
+
+
+class _CountingList(list):
+    """A basis list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_chain_map_builds_each_degree_once():
+    # filling a degree of n generators walks its basis once, not once per
+    # set_image call (which made the fill O(n^2))
+    n = 300
+    cx = FiniteComplex(QQ)
+    for i in range(n):
+        cx.add_generator(0, i)
+    cx.basis[0] = basis = _CountingList(cx.basis[0])
+    u = ChainMap(cx, cx, 0)
+    for i in range(n):
+        u.set_image(0, i, {(i + 1) % n: i + 1, i: -1, "off the complex": 5})
+    assert basis.iterations == 1
+    assert u.columns[0] == [{(i + 1) % n: i + 1, i: -1} for i in range(n)]

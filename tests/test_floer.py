@@ -448,7 +448,7 @@ def test_compare_self_and_mutation(monkeypatch):
         if flavor == TATE:
             # Tate towers sit only on the non-free orbits, so no edge label
             # reaches them: drop one family from the table instead
-            short = PresentedModule(pm.flavor_tag, pm.families[1:], pm.shifts, {})
+            short = PresentedModule(pm.flavor_tag, pm.families[1:])
             hw = direct_homology_window(g, orientation, flavor, win)
             rep = compare_windows(hw, ModuleWindow(short, win), win, 4, margin, 6)
         else:
@@ -536,6 +536,31 @@ def test_norm_vanishing(g):
 @pytest.mark.parametrize("g", ALL_GROUPS, ids=str)
 def test_duality_pairing(g):
     assert duality_pairing_report(g) == []
+
+
+def changed_corrections(pm, change):
+    """pm with its first nonempty correction bumped, dropped or extended."""
+    key = next(k for k, images in pm.corrections.items() if images)
+    images = pm.corrections[key]
+    lab, k, c = images[0]
+    if change == "bump":
+        images = [(lab, k, c + 1)] + images[1:]
+    elif change == "drop":
+        images = images[1:]
+    else:  # every stored image sits at index 0
+        images = images + [(lab, k + 1, 1)]
+    return PresentedModule(pm.flavor_tag, pm.families, {**pm.corrections, key: images})
+
+
+@pytest.mark.parametrize("builder", ["positive_bar_module", "negative_std_module"])
+@pytest.mark.parametrize("change", ["bump", "drop", "add"])
+def test_duality_pairing_catches_a_changed_correction(monkeypatch, builder, change):
+    build = getattr(floer, builder)
+    for g in (T_STAR, I_STAR, binary_dihedral(6)):
+        with monkeypatch.context() as m:
+            m.setattr(floer, builder, lambda g: changed_corrections(build(g), change))
+            rep = duality_pairing_report(g)
+        assert [d[0] for d in rep] == ["transpose"], (str(g), rep)
 
 
 def test_wrong_flavor_guard():
