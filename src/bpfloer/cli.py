@@ -17,12 +17,13 @@ from fractions import Fraction
 from . import serialize
 from .cs import chern_simons, cs_difference, cs_table, q_vertex
 from .donaldson import BAR, STD, Window, build_model, toi_multicomplex_matches
-from .equivariant import MINUS, PLUS, TATE, bar_oracle, functor_model
+from .equivariant import MINUS, PLUS, TATE, bar_oracle, exact_triangle_check
 from .errors import BPFloerError, WrongFlavor
 from .fields import parse_field
 from .floer import (
     GroupRun,
     closed_form_reports,
+    direct_homology_window,
     duality_pairing_report,
     duality_transpose_check,
     norm_vanishing_and_splitting,
@@ -280,21 +281,22 @@ def cmd_floer_raw(args, cfg):
     flavor = FLAVORS[flavor_key]
     field = parse_field(_merged(args, cfg, "coeff", "q"))
     win = _window_from(args, cfg)
-    model = build_model(g, orientation)
-    w = model.window(win.source, field)
-    fm = functor_model(w, flavor, win.n_lo, win.n_hi)
-    h = fm.homology()
-    dims = {n: h.dim(n) for n in fm.complex.degrees() if h.dim(n)}
+    run = GroupRun(g, field)
+    hw = direct_homology_window(g, orientation, flavor, win, field, run)
+    dims = {n: hw.dim(n) for n in hw.h.complex.degrees() if hw.dim(n)}
     uranks = {}
-    from .equivariant import exact_triangle_check
-    from .presented import HomologyWindow
-
-    hw = HomologyWindow(h, fm.u)
     for n in sorted(dims):
         r = hw.u_power_rank(1, n)
         if r is not None:
             uranks[n] = r
-    triangle = exact_triangle_check(w, win.n_lo, win.n_hi, shown=fm)
+    # the source window's degree span cut to the requested degrees, its interior(4, 4)
+    lo, hi = max(win.n_lo, win.q + 1), min(win.n_hi, win.p + 3)
+    degrees = Window(win.q, win.p, lo, hi).interior(4, 4) if lo <= hi else ()
+    models = (run.functor(orientation, fl, win) for fl in (PLUS, MINUS, TATE))
+    triangle = exact_triangle_check(*models, degrees)
+    if not triangle["checked"]:
+        raise BPFloerError("the cone triangle checked no interior degree: widen --window "
+                           "and --degrees")
     fmt = _merged(args, cfg, "format", "text")
     if fmt == "json":
         print(serialize.to_json({
@@ -421,8 +423,8 @@ def _verify_group(g: GroupId, field):
 
     def triangle():
         checked = norm_vanishing_and_splitting(g, field, shared)
-        return ("even degrees: bar/+ closed form, bar/- assembled (norm zero by parity); "
-                "dim Hinf = dim H- + dim H+[-4] on %d degrees" % len(checked))
+        return ("even degrees: bar/+ closed form, bar/- assembled; cone triangle on %d "
+                "degrees, 0 flagged; H(nu) rank 0" % len(checked))
     run("triangle-and-norm", triangle)
 
     run("cs-golden-values", lambda: _check_cs(g))
@@ -431,14 +433,14 @@ def _verify_group(g: GroupId, field):
         rep = duality_pairing_report(g)
         if rep:
             raise BPFloerError(repr(rep[:3]))
-        mism = duality_transpose_check(g, IDENTITY_WINDOW, field)
+        wstd = build_model(g, STD).window(IDENTITY_WINDOW, field)
+        mism = duality_transpose_check(wstd)
         if mism:
             raise BPFloerError(repr(mism[:3]))
         entries = sum(len(images) for o, f in ((BAR, PLUS), (STD, MINUS))
                       for images in encoded_module(g, o, f).corrections.values())
-        gens = len(build_model(g, STD).window(IDENTITY_WINDOW, field).generators)
-        return ("%d vertices paired, %d correction entries transposed; "
-                "transposed window on %d generators" % (len(s_graph(g).vertices), entries, gens))
+        return ("%d vertices paired, %d correction entries transposed; transposed window "
+                "on %d generators" % (len(s_graph(g).vertices), entries, len(wstd.generators)))
     run("orientation-duality", duality)
     return checks
 

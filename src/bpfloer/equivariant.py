@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .chains import ChainMap, FiniteComplex, HomologyData, induced_map_between, matrix_rank
-from .donaldson import Window, WindowedComplex
+from .donaldson import WindowedComplex
 from .errors import BPFloerError, OracleMismatch, TriangleViolation
 from .groups import FULLY_REDUCIBLE, IRREDUCIBLE, ORBITS
 from .presented import FINITE, PI8, PIINF8, Family, PresentedModule
@@ -274,17 +274,14 @@ class NormData:
         nu = ChainMap(plus.complex, minus.complex, 3)
         psi_s = ChainMap(plus.complex, minus.complex, 0)
         for n in plus.complex.degrees():
+            sgn = f.of(1 if n % 2 == 0 else -1)
             for cg in plus.complex.basis[n]:
-                img_nu, img_s = {}, {}
-                if cg.p == 0:
-                    d = n
-                    pos = src.index[d][cg.gen]
-                    sgn = f.of(1 if n % 2 == 0 else -1)
-                    for row, v in plus.source_u.column(d, pos).items():
-                        img_nu[ColGen(0, src.basis[d + 3][row])] = f.mul(sgn, v)
-                    img_s[ColGen(0, cg.gen)] = 1
-                nu.set_image(n, cg, img_nu)
-                psi_s.set_image(n, cg, img_s)
+                if cg.p != 0:
+                    continue
+                pos = src.index[n][cg.gen]
+                nu.set_image(n, cg, {ColGen(0, src.basis[n + 3][row]): f.mul(sgn, v)
+                                     for row, v in plus.source_u.column(n, pos).items()})
+                psi_s.set_image(n, cg, {ColGen(0, cg.gen): 1})
         self.nu = nu
         self.psi_s = psi_s
 
@@ -397,42 +394,38 @@ class NormData:
         return True
 
 
-def exact_triangle_check(window: WindowedComplex, deg_lo, deg_hi, shown=None):
-    """Verify the cone long exact sequence on a window, flavorwise.
-
-    For every degree n in interior(4, 4) of the window with its degree span
-    cut to [deg_lo, deg_hi]:
+def exact_triangle_check(plus: FunctorModel, minus: FunctorModel, tate: FunctorModel, degrees):
+    """Verify the cone long exact sequence of the norm map nu, for every n in
+    degrees, on the flavor models of one source complex and degree range:
         dim Hinf_n = dim coker(H(nu) -> Hminus_n) + dim ker(H(nu) on Hplus_{n-4}).
-    shown is a FunctorModel of this window and degree range that the caller
-    already has; the other two flavors are built here.
-    Returns a dict report; raises TriangleViolation on an interior failure.
+    A degree where an induced map leaves the models' range is flagged.
+    Returns {"checked", "flagged_boundary", "norm_rank"}, the last the rank
+    of H(nu) into Hminus_n summed over the checked n; raises
+    TriangleViolation on a checked degree where the dimensions disagree.
     """
-    report = {"checked": [], "flagged_boundary": []}
-    win = window.win
-    lo, hi = max(deg_lo, win.n_lo), min(deg_hi, win.n_hi)
-    if lo > hi:
-        return report
-    if shown is not None and (shown.source is not window.complex
-                              or (shown.deg_lo, shown.deg_hi) != (deg_lo, deg_hi)):
-        raise BPFloerError("the given functor model is not on this window and degree range")
-    plus, minus, tate = (shown if shown is not None and shown.flavor == fl
-                         else functor_model(window, fl, deg_lo, deg_hi)
-                         for fl in (PLUS, MINUS, TATE))
+    models = (plus, minus, tate)
+    if ([m.flavor for m in models] != [PLUS, MINUS, TATE]
+            or len({(id(m.source), m.deg_lo, m.deg_hi) for m in models}) > 1):
+        raise BPFloerError("the triangle needs '+', '-' and 'inf' models of one source "
+                           "complex and degree range")
+    report = {"checked": [], "flagged_boundary": [], "norm_rank": 0}
     norm = NormData(plus, minus)
     hp, hm, ht = plus.homology(), minus.homology(), tate.homology()
-    field = window.field
-    for n in Window(win.q, win.p, lo, hi).interior(4, 4):
+    field = plus.complex.field
+    for n in degrees:
         try:
             m1 = induced_map_between(hp, hm, norm.nu, n - 3)
             m2 = induced_map_between(hp, hm, norm.nu, n - 4)
         except BPFloerError:
             report["flagged_boundary"].append(n)
             continue
-        coker = hm.dim(n) - matrix_rank(m1, field)
+        into = matrix_rank(m1, field)
+        coker = hm.dim(n) - into
         ker = hp.dim(n - 4) - matrix_rank(m2, field)
         if ht.dim(n) != coker + ker:
             raise TriangleViolation(
                 "degree %d: dim Hinf = %d but coker+ker = %d+%d" % (n, ht.dim(n), coker, ker)
             )
         report["checked"].append(n)
+        report["norm_rank"] += into
     return report

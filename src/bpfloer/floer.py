@@ -15,8 +15,8 @@ against the page route (pair_reports).
 from __future__ import annotations
 
 from .chains import FilteredPages
-from .donaldson import BAR, STD, DonaldsonModel, Window, build_model
-from .equivariant import MINUS, PLUS, TATE, FunctorModel, functor_model
+from .donaldson import BAR, STD, DonaldsonModel, Gen, Window, WindowedComplex, build_model
+from .equivariant import MINUS, PLUS, TATE, FunctorModel, exact_triangle_check, functor_model
 from .errors import (
     BPFloerError,
     FreenessFailure,
@@ -28,6 +28,7 @@ from .fields import QQ
 from .groups import IRREDUCIBLE, ORBITS
 from .mckay import s_graph as s_graph_of
 from .presented import (
+    MIN_CHECKED_DEGREES,
     OPLUS8,
     Family,
     HomologyWindow,
@@ -405,15 +406,14 @@ def duality_pairing_report(g):
     return out
 
 
-def duality_transpose_check(g, win: Window, field=QQ):
-    """Chain-level duality: the standard-orientation window differential is
-    the transpose of the reversed-orientation differential under the pairing
-    (vertex, t, level) <-> (vertex, delta - t, -level - delta)."""
-    from .donaldson import Gen
-
-    std = build_model(g, STD)
-    bar = build_model(g, BAR)
-    wstd = std.window(win, field)
+def duality_transpose_check(wstd: WindowedComplex):
+    """Chain-level duality on a standard-orientation window: its differential
+    is the transpose of the reversed-orientation differential under the
+    pairing (vertex, t, level) <-> (vertex, delta - t, -level - delta)."""
+    std = wstd.model
+    if std.orientation != STD:
+        raise WrongFlavor("the transposed duality reads a standard-orientation window")
+    bar = build_model(std.group, BAR)
     sg = std.sgraph
 
     def partner(gen):
@@ -481,26 +481,28 @@ def closed_form_reports(group, field=QQ, run=None):
 
 
 def norm_vanishing_and_splitting(group, field=QQ, run=None):
-    """Even-degree concentration of the closed-form answers plus the interior
-    dimension accounting dim Hinf_n = dim Hminus_n + dim Hplus_{n-4}, on the
-    safe interior of the comparison window.  Returns the degrees checked.
-    run is the group's GroupRun over field, if the caller has one."""
+    """The norm map vanishes on homology, so dim Hinf_n = dim Hminus_n +
+    dim Hplus_{n-4}: the (bar, +) closed form and the assembled (bar, -)
+    module sit in even degrees, and exact_triangle_check on the three bar
+    comparison-window models checks the whole safe interior, at least
+    MIN_CHECKED_DEGREES degrees, with H(nu) of rank 0.  Returns the degrees
+    checked.  run is the group's GroupRun over field, if the caller has one."""
     run = run or GroupRun(group, field)
     for flavor, pm in ((PLUS, encoded_module(group, BAR, PLUS)),
                        (MINUS, run.assembled(BAR, MINUS))):
         if not pm.even_degrees_only():
             raise SplittingViolation("%s flavor %s has odd-degree classes" % (group, flavor))
     win, margin = run.comparison_window()
-    hp, hm, ht = (run.functor(BAR, fl, win).homology() for fl in (PLUS, MINUS, TATE))
-    checked = []
-    for n in win.interior(4, margin):
-        if ht.dim(n) != hm.dim(n) + hp.dim(n - 4):
-            raise SplittingViolation(
-                "%s: degree %d has dim Hinf %d != %d + %d"
-                % (group, n, ht.dim(n), hm.dim(n), hp.dim(n - 4))
-            )
-        checked.append(n)
-    return checked
+    degrees = win.interior(4, margin)
+    report = exact_triangle_check(*(run.functor(BAR, fl, win) for fl in (PLUS, MINUS, TATE)),
+                                  degrees)
+    if report["flagged_boundary"] or len(report["checked"]) < MIN_CHECKED_DEGREES:
+        raise SplittingViolation("%s: the triangle checked %d of %d degrees, %d needed"
+                                 % (group, len(report["checked"]), len(degrees), MIN_CHECKED_DEGREES))
+    if report["norm_rank"]:
+        raise SplittingViolation("%s: H(nu) has rank %d on the checked degrees"
+                                 % (group, report["norm_rank"]))
+    return report["checked"]
 
 
 def ss_accounting(group, orientation, flavor, win: Window, field=QQ):

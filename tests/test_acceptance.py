@@ -214,7 +214,8 @@ def test_criterion_6_assembled_answers():
     # the duality theorem, checked structurally for every group
     for g in ACCEPT_GROUPS:
         assert duality_pairing_report(g) == [], str(g)
-        assert duality_transpose_check(g, Window(-13, 11, -12, 12)) == [], str(g)
+        wstd = build_model(g, STD).window(Window(-13, 11, -12, 12))
+        assert duality_transpose_check(wstd) == [], str(g)
     _report(6, "chain route and pages vs closed forms, 3 fields", t0, 180)
 
 

@@ -106,6 +106,18 @@ def test_floer_raw(capsys):
     assert code == 0 and doc["homology_dims"]
 
 
+def test_floer_raw_fails_on_an_empty_triangle_interior(capsys):
+    # the README window checks 6 degrees; at width 9 the interior is empty
+    code, out = run_cli(capsys, "floer-raw", "O*", "--flavor", "inf",
+                        "--window=-8:8", "--degrees=-8:8", "--format", "json")
+    assert code == 0 and len(json.loads(out)["triangle_report"]["checked_degrees"]) == 6
+    code = main(["floer-raw", "T*", "--window=-4:4", "--degrees=-4:4"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: the cone triangle checked no interior degree: "
+                            "widen --window and --degrees\n")
+
+
 def count_builds(monkeypatch, *classes):
     """Record every instance of the classes built from now on, by class name,
     with the names of the functions on the stack when it was built."""
@@ -123,8 +135,8 @@ def count_builds(monkeypatch, *classes):
 
 
 def test_floer_raw_builds_each_flavor_once(capsys, monkeypatch):
-    # the shown flavor's model and homology are handed to the cone triangle
-    # check, which builds only the other two flavors
+    # one GroupRun builds each flavor's model and homology; the U-rank view
+    # and the cone triangle check read them
     from bpfloer.chains import HomologyData
     from bpfloer.equivariant import FunctorModel
 
@@ -406,8 +418,8 @@ def test_verify_duality_and_triangle_name_what_they_compared(monkeypatch):
         "PASS", "3 vertices paired, 4 correction entries transposed; "
                 "transposed window on 15 generators")
     assert rows["triangle-and-norm"] == (
-        "PASS", "even degrees: bar/+ closed form, bar/- assembled (norm zero by parity); "
-                "dim Hinf = dim H- + dim H+[-4] on 15 degrees")
+        "PASS", "even degrees: bar/+ closed form, bar/- assembled; cone triangle on 15 "
+                "degrees, 0 flagged; H(nu) rank 0")
 
     import bpfloer.floer as floer
     from bpfloer.presented import PresentedModule
@@ -424,3 +436,43 @@ def test_verify_duality_and_triangle_name_what_they_compared(monkeypatch):
     rows = {c[0]: c[2:4] for c in _verify_group(T_STAR, QQ)}
     status, detail = rows["orientation-duality"]
     assert status == "FAIL" and detail.startswith("BPFloerError: [('transpose'")
+
+
+def test_verify_triangle_computes_the_norm_map(monkeypatch):
+    import bpfloer.equivariant as equivariant
+    import bpfloer.floer as floer
+
+    def triangle_row():
+        (row,) = [c for c in _verify_group(T_STAR, QQ) if c[0] == "triangle-and-norm"]
+        return row[2:4]
+
+    # a nonzero induced norm rank breaks the dims of the triangle
+    real_rank = equivariant.matrix_rank
+    monkeypatch.setattr(equivariant, "matrix_rank", lambda cols, f: real_rank(cols, f) + 1)
+    status, detail = triangle_row()
+    assert status == "FAIL" and detail.startswith("TriangleViolation")
+    monkeypatch.undo()
+
+    # an exact triangle with H(nu) nonzero does not split
+    real_check = floer.exact_triangle_check
+
+    def nonzero_norm(*args):
+        return {**real_check(*args), "norm_rank": 1}
+
+    monkeypatch.setattr(floer, "exact_triangle_check", nonzero_norm)
+    assert triangle_row() == ("FAIL", "SplittingViolation: T*: H(nu) has rank 1 on the "
+                                      "checked degrees")
+    monkeypatch.undo()
+
+    # so do a flagged interior degree and too few checked degrees
+    def flag_zero(plus, minus, tate, degrees):
+        report = real_check(plus, minus, tate, [n for n in degrees if n])
+        return {**report, "flagged_boundary": [0]}
+
+    monkeypatch.setattr(floer, "exact_triangle_check", flag_zero)
+    assert triangle_row() == ("FAIL", "SplittingViolation: T*: the triangle checked 14 of 15 "
+                                      "degrees, 8 needed")
+    monkeypatch.undo()
+    monkeypatch.setattr(floer, "MIN_CHECKED_DEGREES", 16)
+    assert triangle_row() == ("FAIL", "SplittingViolation: T*: the triangle checked 15 of 15 "
+                                      "degrees, 16 needed")

@@ -138,7 +138,7 @@ def test_sign_flip_invariance():
 
 @pytest.mark.parametrize("g", SOME_GROUPS, ids=str)
 def test_duality_transpose(g):
-    assert duality_transpose_check(g, Window(-13, 11, -12, 12)) == []
+    assert duality_transpose_check(build_model(g, STD).window(Window(-13, 11, -12, 12))) == []
 
 
 def test_bar_vs_std_generator_counts():

@@ -284,19 +284,22 @@ def test_norm_image_on_free_orbit_points_only():
 def test_exact_triangle(g):
     model = build_model(g, BAR)
     w = model.window(Window(-9, 15, -8, 18))
-    report = exact_triangle_check(w, -12, 12)
-    assert report["checked"]
+    models = [functor_model(w, flavor, -12, 12) for flavor in (PLUS, MINUS, TATE)]
+    report = exact_triangle_check(*models, Window(-9, 15, -8, 12).interior(4, 4))
+    assert report["checked"] == list(range(-3, 8)) and report["flagged_boundary"] == []
+    # the reversed orientation's norm map vanishes on homology
+    assert report["norm_rank"] == 0
 
 
-def test_exact_triangle_takes_the_shown_model():
-    # a model of the same window and range stands in for its flavor; one of
-    # another degree range is refused
+def test_exact_triangle_refuses_models_of_another_range_or_source():
     w = build_model(T_STAR, BAR).window(Window(-9, 15, -8, 18))
-    report = exact_triangle_check(w, -12, 12)
-    for flavor in (PLUS, MINUS, TATE):
-        assert exact_triangle_check(w, -12, 12, shown=functor_model(w, flavor, -12, 12)) == report
+    plus, minus, tate = (functor_model(w, flavor, -12, 12) for flavor in (PLUS, MINUS, TATE))
+    other = build_model(T_STAR, BAR).window(Window(-9, 15, -8, 18))
+    for bad in (functor_model(w, PLUS, -12, 8), functor_model(other, PLUS, -12, 12)):
+        with pytest.raises(BPFloerError):
+            exact_triangle_check(bad, minus, tate, range(-3, 8))
     with pytest.raises(BPFloerError):
-        exact_triangle_check(w, -12, 12, shown=functor_model(w, PLUS, -12, 8))
+        exact_triangle_check(plus, minus, functor_model(w, TATE, -8, 12), range(-3, 8))
 
 
 def test_triangle_single_orbit_cases():
