@@ -7,12 +7,10 @@ from bpfloer import (
     BAR,
     MINUS,
     I_STAR,
+    GroupRun,
     Window,
-    assemble,
     build_model,
     compare_windows,
-    comparison_window,
-    direct_homology_window,
     encoded_module,
 )
 from bpfloer.floer import MinusPages, ss_accounting
@@ -32,7 +30,7 @@ print("  degeneration page:", pages.degeneration_page)
 print()
 print("Assembled answers (free towers on the stable page):")
 for name in ("I*", "O*", "T*", "D*_9"):
-    asm = assemble(build_model(parse_group(name), BAR), MINUS)
+    asm = GroupRun(parse_group(name)).assembled(BAR, MINUS)
     gens = ", ".join("%s @ %d" % (f.label, f.base_degree) for f in asm.families)
     print("  %-5s: %s" % (name, gens))
 
@@ -44,14 +42,16 @@ print("  (b) the module assembled from the page engine,")
 print("  (c) direct homology of the truncated chain model.")
 print("=" * 72)
 g = parse_group("D*_6")
-# the window and level margin are sized from the last page that fires;
-# the safe interior is degrees -7..7 for every group
-win, margin = comparison_window(g)
+# one GroupRun holds the group's page run, the window it sizes and the
+# chain models: the window and level margin come from the last page that
+# fires, and the safe interior is degrees -7..7 for every group
+run = GroupRun(g)
+win, margin = run.comparison_window()
 print("  comparison window %r, level margin %d, safe interior %r"
       % (win, margin, win.interior(4, margin)))
 enc = encoded_module(g, BAR, "-")
-asm = assemble(build_model(g, BAR), MINUS)
-hw = direct_homology_window(g, BAR, MINUS, win)
+asm = run.assembled(BAR, MINUS)
+hw = run.homology_window(BAR, MINUS, win)
 rep_ab = compare_windows(ModuleWindow(asm, win), ModuleWindow(enc, win), win, 4, margin, 6)
 rep_cb = compare_windows(hw, ModuleWindow(enc, win), win, 4, margin, 3)
 print("  assembled vs encoded:", "PASS" if rep_ab.ok else rep_ab.mismatches[:3])

@@ -23,9 +23,8 @@ from .equivariant import (
 )
 from .fields import QQ, PrimeField, parse_field
 from .floer import (
+    GroupRun,
     MinusPages,
-    assemble,
-    comparison_window,
     direct_homology_window,
     norm_vanishing_and_splitting,
     run_to_einfty,

@@ -23,7 +23,6 @@ from .fields import parse_field
 from .floer import (
     GroupRun,
     closed_form_reports,
-    direct_homology_window,
     duality_pairing_report,
     duality_transpose_check,
     norm_vanishing_and_splitting,
@@ -213,6 +212,7 @@ def cmd_dci(args, cfg):
 
 
 def cmd_floer(args, cfg):
+    t0 = time.perf_counter()
     g = parse_group(args.group)
     orientation = _merged(args, cfg, "orientation", BAR)
     flavor = FLAVORS[_merged(args, cfg, "flavor", "-")]
@@ -224,7 +224,7 @@ def cmd_floer(args, cfg):
     if orientation == STD and flavor == PLUS:
         pages, degen = None, None  # assembled through duality, no page run
     else:
-        pages, degen = run_to_einfty(run.model(orientation), flavor, field, run.pages)
+        pages, degen = run_to_einfty(run, orientation, flavor)
     try:
         shown, what = run.assembled(orientation, flavor), "assembled"
     except WrongFlavor:  # no page derivation: show the closed form
@@ -232,7 +232,7 @@ def cmd_floer(args, cfg):
     reports = [({"pages": "assembly", "chain": "chain-route"}[route], rep,
                 "%d safe degrees, %d U-rank comparisons made, %d skipped"
                 % (len(rep.checked_degrees), rep.urank_made, rep.urank_skipped))
-               for route, rep in pair_reports(g, orientation, flavor, win, margin, field, run)]
+               for route, rep in pair_reports(run, orientation, flavor, win, margin)]
     fmt = _merged(args, cfg, "format", "text")
     if fmt == "json":
         print(serialize.presented_json(shown, "%s %s %s %s" % (what, g, orientation, flavor)))
@@ -241,7 +241,8 @@ def cmd_floer(args, cfg):
              for route, rep, coverage in reports],
             {"group": str(g), "orientation": orientation, "flavor": flavor,
              "coeff": field.name,
-             "window": {"q": win.q, "p": win.p, "n_lo": win.n_lo, "n_hi": win.n_hi}}, 0.0))
+             "window": {"q": win.q, "p": win.p, "n_lo": win.n_lo, "n_hi": win.n_hi}},
+            time.perf_counter() - t0))
     else:
         print("%s module for %s (%s orientation, flavor %s over %s):"
               % (what, g, orientation, flavor, field.name))
@@ -282,7 +283,7 @@ def cmd_floer_raw(args, cfg):
     field = parse_field(_merged(args, cfg, "coeff", "q"))
     win = _window_from(args, cfg)
     run = GroupRun(g, field)
-    hw = direct_homology_window(g, orientation, flavor, win, field, run)
+    hw = run.homology_window(orientation, flavor, win)
     dims = {n: hw.dim(n) for n in hw.h.complex.degrees() if hw.dim(n)}
     uranks = {}
     for n in sorted(dims):
@@ -409,7 +410,7 @@ def _verify_group(g: GroupId, field):
     run("spectral-sequence-accounting", accounting)
 
     def assembly():
-        reports = closed_form_reports(g, field, shared)
+        reports = closed_form_reports(shared)
         bad = [(route, o, f, rep.mismatches[:3] or "empty interior")
                for route, o, f, rep in reports if not rep.ok]
         if bad:
@@ -422,7 +423,7 @@ def _verify_group(g: GroupId, field):
     run("assembly-vs-closed-form", assembly)
 
     def triangle():
-        checked = norm_vanishing_and_splitting(g, field, shared)
+        checked = norm_vanishing_and_splitting(shared)
         return ("even degrees: bar/+ closed form, bar/- assembled; cone triangle on %d "
                 "degrees, 0 flagged; H(nu) rank 0" % len(checked))
     run("triangle-and-norm", triangle)
@@ -472,7 +473,7 @@ def cmd_verify(args, cfg):
     else:
         groups = list(DEFAULT_GROUPS)
     jobs = _parse_jobs(_merged(args, cfg, "jobs", 1))
-    t0 = time.time()
+    t0 = time.perf_counter()
     all_checks = []
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
@@ -482,7 +483,7 @@ def cmd_verify(args, cfg):
         for g in groups:
             all_checks.extend(_verify_group(g, field))
     all_checks.sort(key=lambda c: (c[1], c[0]))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     fmt = _merged(args, cfg, "format", "text")
     ok = all(c[2] == "PASS" for c in all_checks)
     if fmt == "json":

@@ -412,16 +412,23 @@ def exact_triangle_check(plus: FunctorModel, minus: FunctorModel, tate: FunctorM
     norm = NormData(plus, minus)
     hp, hm, ht = plus.homology(), minus.homology(), tate.homology()
     field = plus.complex.field
+    ranks = {}  # source degree d -> rank of H(nu) out of Hplus_d, None off the range
+
+    def nu_rank(d):
+        if d not in ranks:
+            try:
+                ranks[d] = matrix_rank(induced_map_between(hp, hm, norm.nu, d), field)
+            except BPFloerError:
+                ranks[d] = None
+        return ranks[d]
+
     for n in degrees:
-        try:
-            m1 = induced_map_between(hp, hm, norm.nu, n - 3)
-            m2 = induced_map_between(hp, hm, norm.nu, n - 4)
-        except BPFloerError:
+        into, out_of = nu_rank(n - 3), nu_rank(n - 4)
+        if into is None or out_of is None:
             report["flagged_boundary"].append(n)
             continue
-        into = matrix_rank(m1, field)
         coker = hm.dim(n) - into
-        ker = hp.dim(n - 4) - matrix_rank(m2, field)
+        ker = hp.dim(n - 4) - out_of
         if ht.dim(n) != coker + ker:
             raise TriangleViolation(
                 "degree %d: dim Hinf = %d but coker+ker = %d+%d" % (n, ht.dim(n), coker, ker)

@@ -8,9 +8,12 @@ the surviving quotient.  Degeneration is reached when both t = 3 lines die.
 
 The page engine derives the (bar, -) module; its dual is the (std, +)
 module.  The other four (orientation, flavor) pairs have no page derivation
-here: their closed forms live only in theorems.py.  Every pair is checked
-against the chain-level route, direct_homology_window, and (bar, -) also
-against the page route (pair_reports).
+here: their closed forms live only in theorems.py.  A GroupRun is the one
+handle on a group's shared computations over one field: the (bar, -) pages,
+the comparison window they size, the assembled modules and the window
+models.  pair_reports checks every pair on it against the chain-level
+window homology, and (bar, -) also against the page route;
+direct_homology_window is the one-shot chain route on a fresh GroupRun.
 """
 from __future__ import annotations
 
@@ -186,30 +189,27 @@ class MinusPages:
         return "+".join(terms).replace("+-", "-")
 
 
-def run_to_einfty(model: DonaldsonModel, flavor, field=QQ, pages=None):
+def run_to_einfty(run: GroupRun, orientation, flavor):
     """Iterate pages to degeneration; returns (page data, degeneration page).
 
-    pages: the model's (bar, -) MinusPages over field, if the caller has them.
-
-    On the reversed orientation the '+' and Tate E^1 entries (e1_entries)
-    all sit in even total degree s + t, so those pages degenerate
-    immediately; the same parity argument settles the standard-orientation
-    '-' and Tate flavors.  The
+    The (bar, -) pages are the run's.  On the reversed orientation the '+'
+    and Tate E^1 entries (e1_entries) all sit in even total degree s + t, so
+    those pages degenerate immediately; the same parity argument settles the
+    standard-orientation '-' and Tate flavors.  The
     standard-orientation '+' flavor does carry odd-page differentials and
     its assembly goes through the duality with the other orientation, so it
     is rejected here rather than misreported as degenerate.
     """
-    if model.orientation == BAR and flavor == MINUS:
-        pages = pages or MinusPages(model, field)
-        return pages, pages.degeneration_page
-    if (model.orientation, flavor) != (STD, PLUS):
-        for (s, t), entries in sorted(e1_entries(model, flavor).items()):
+    if (orientation, flavor) == (BAR, MINUS):
+        return run.pages, run.pages.degeneration_page
+    if (orientation, flavor) != (STD, PLUS):
+        for (s, t), entries in sorted(e1_entries(run.model(orientation), flavor).items()):
             if (s + t) % 2:
                 raise NonDegeneration("parity argument fails for %s" % entries[0][1])
         return None, 1
     raise WrongFlavor(
         "no page iteration for (%s, %s); the standard-orientation '+' module "
-        "is assembled through duality" % (model.orientation, flavor)
+        "is assembled through duality" % (orientation, flavor)
     )
 
 
@@ -231,24 +231,16 @@ def assemble_minus_bar(pages: MinusPages) -> PresentedModule:
                 label = "Z_%s^0" % vname
                 fams.append(Family(label, col + 2, -4, col))
         # tower levels: new generators are a complement of the image of the
-        # degree -4 action from the previous level
-        prev = None
+        # degree -4 action from the previous level; U acts by the identity on
+        # coordinates, and the kernel vectors are independent, so the image
+        # stays in the kernel exactly when prev and cur span len(cur)
+        prev = []
         nlev = len(pages.kernels[col])
         for r in range(1, nlev + 1):
             cur = pages.kernel_space(col, r)
             ech = TrackedEchelon(f)
-            if prev is not None:
-                for vec in prev:
-                    ech.insert(vec)  # U acts by the identity on coordinates
-                    # membership check: the image must stay in the kernel
-                cur_ech = TrackedEchelon(f)
-                for vec in cur:
-                    cur_ech.insert(vec)
-                for vec in prev:
-                    if cur_ech.reduce(vec)[0]:
-                        raise FreenessFailure(
-                            "degree -4 image leaves the next kernel (column %d)" % col
-                        )
+            for vec in prev:
+                ech.insert(vec)
             for vec in cur:
                 if ech.insert(vec) is not None:
                     label = pages.gen_label(col, r, vec)
@@ -256,41 +248,14 @@ def assemble_minus_bar(pages: MinusPages) -> PresentedModule:
                         label = label + "'"
                     used.add(label)
                     fams.append(Family(label, col - 4 * (r - 1), -4, col))
+            if ech.rank != len(cur):
+                raise FreenessFailure("degree -4 image leaves the next kernel (column %d)" % col)
             prev = cur
     return PresentedModule(OPLUS8, fams)
 
 
-def assemble(model: DonaldsonModel, flavor, field=QQ, pages=None) -> PresentedModule:
-    """The module the page engine derives: the reversed-orientation '-' flavor,
-    and its dual, the standard-orientation '+' flavor.
-
-    pages: the group's (bar, -) MinusPages over field, if the caller has them.
-    """
-    if flavor == MINUS and model.orientation == BAR:
-        return assemble_minus_bar(pages or MinusPages(model, field))
-    if flavor == PLUS and model.orientation == STD:
-        return assemble_minus_bar(
-            pages or MinusPages(build_model(model.group, BAR), field)).dual()
-    raise WrongFlavor(
-        "no page derivation for (%s, %s): theorems.encoded_module gives the closed "
-        "form and direct_homology_window the chain-level route"
-        % (model.orientation, flavor)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Comparison layer.
-
-
-def comparison_window(group, field=QQ):
-    """(window, level margin) for comparing the group's modules against a
-    closed form.
-
-    A page-r differential connects levels 4r apart, so with r_last from the
-    (bar, -) pages the level margin is 4*r_last + 4; the half-width
-    12 + 4*r_last keeps window.interior(4, margin) at degrees -7..7.
-    """
-    return GroupRun(group, field).comparison_window()
 
 
 class GroupRun:
@@ -301,7 +266,7 @@ class GroupRun:
     assembled modules, each orientation's source window and each flavor's
     FunctorModel, keyed by (orientation, window) and (orientation, flavor,
     window); a FunctorModel keeps its HomologyData, which computes a degree
-    when it is first read.  verify and the floer command make one per group
+    when it is first read.  verify and the floer commands make one per group
     and drop it when the group is done.  The independent routes (bar_oracle,
     ss_accounting) build their own, so that no cross-check compares an
     object with itself.
@@ -326,17 +291,33 @@ class GroupRun:
         return self._pages
 
     def comparison_window(self):
-        """See comparison_window."""
+        """(window, level margin) for comparing the group's modules against a
+        closed form.
+
+        A page-r differential connects levels 4r apart, so with r_last from the
+        (bar, -) pages the level margin is 4*r_last + 4; the half-width
+        12 + 4*r_last keeps window.interior(4, margin) at degrees -7..7.
+        """
         r_last = self.pages.r_last
         h = 12 + 4 * r_last
         return Window(-h, h, -h, h), 4 * r_last + 4
 
     def assembled(self, orientation, flavor) -> PresentedModule:
-        """assemble() on the owner's pages."""
+        """The module the page engine derives: the reversed-orientation '-'
+        flavor from the run's pages, and its dual, the standard-orientation
+        '+' flavor."""
         key = orientation, flavor
         if key not in self._assembled:
-            self._assembled[key] = assemble(self.model(orientation), flavor, self.field,
-                                            self.pages)
+            if key == (BAR, MINUS):
+                self._assembled[key] = assemble_minus_bar(self.pages)
+            elif key == (STD, PLUS):
+                self._assembled[key] = self.assembled(BAR, MINUS).dual()
+            else:
+                raise WrongFlavor(
+                    "no page derivation for (%s, %s): theorems.encoded_module gives the "
+                    "closed form and direct_homology_window the chain-level route"
+                    % (orientation, flavor)
+                )
         return self._assembled[key]
 
     def functor(self, orientation, flavor, win: Window) -> FunctorModel:
@@ -350,6 +331,11 @@ class GroupRun:
             self._functors[key] = functor_model(self._windows[source], flavor,
                                                 win.n_lo, win.n_hi)
         return self._functors[key]
+
+    def homology_window(self, orientation, flavor, win: Window) -> HomologyWindow:
+        """Window homology of the flavor's model on win, as a rank view."""
+        fm = self.functor(orientation, flavor, win)
+        return HomologyWindow(fm.homology(), fm.u)
 
 
 def duality_pairing_report(g):
@@ -432,21 +418,20 @@ def duality_transpose_check(wstd: WindowedComplex):
     return mism
 
 
-def direct_homology_window(group, orientation, flavor, win: Window, field=QQ, run=None):
+def direct_homology_window(group, orientation, flavor, win: Window, field=QQ):
     """Window homology of the materialized functor model, as a rank view.
 
     The model is materialized on win.source, so that only the filtration
     truncation is active on the source; the requested degree range applies
-    to the totalization.  run is the group's GroupRun, if the caller has one.
+    to the totalization.  A one-shot GroupRun(group, field).homology_window.
     """
-    fm = (run or GroupRun(group, field)).functor(orientation, flavor, win)
-    return HomologyWindow(fm.homology(), fm.u)
+    return GroupRun(group, field).homology_window(orientation, flavor, win)
 
 
 PAIRS = tuple((o, f) for o in (BAR, STD) for f in (MINUS, PLUS, TATE))
 
 
-def pair_reports(group, orientation, flavor, win: Window, margin, field=QQ, run=None):
+def pair_reports(run: GroupRun, orientation, flavor, win: Window, margin):
     """One pair's encoded closed form against every route independent of it,
     on win with the given level margin: [(route, CompareReport)].
 
@@ -454,40 +439,37 @@ def pair_reports(group, orientation, flavor, win: Window, margin, field=QQ, run=
     is the chain-level window homology and runs for every pair.  The
     page-assembled (std, +) module is the dual of the (bar, -) one, and so
     is its closed form (theorems.positive_std_module), so comparing those
-    two would only check dual() against itself.  run is the group's GroupRun
-    over field, if the caller has one.
+    two would only check dual() against itself.
     """
-    run = run or GroupRun(group, field)
-    enc = ModuleWindow(encoded_module(group, orientation, flavor), win, field)
+    field = run.field
+    enc = ModuleWindow(encoded_module(run.group, orientation, flavor), win, field)
     sides = []
     if (orientation, flavor) == (BAR, MINUS):
         sides.append(("pages", ModuleWindow(run.assembled(BAR, MINUS), win, field)))
-    sides.append(("chain", direct_homology_window(group, orientation, flavor, win, field, run)))
+    sides.append(("chain", run.homology_window(orientation, flavor, win)))
     return [(route, compare_windows(side, enc, win, 4, margin)) for route, side in sides]
 
 
-def closed_form_reports(group, field=QQ, run=None):
-    """Every encoded closed form against the routes independent of it, on one
-    comparison_window: [(route, orientation, flavor, CompareReport)], the
-    pair_reports of the six pairs in PAIRS order ("pages" for (bar, -), then
-    "chain" for each pair).  run is the group's GroupRun over field, if the
-    caller has one.
+def closed_form_reports(run: GroupRun):
+    """Every encoded closed form against the routes independent of it, on the
+    run's comparison window: [(route, orientation, flavor, CompareReport)],
+    the pair_reports of the six pairs in PAIRS order ("pages" for (bar, -),
+    then "chain" for each pair).
     """
-    run = run or GroupRun(group, field)
     win, margin = run.comparison_window()
     return [(route, orientation, flavor, rep)
             for orientation, flavor in PAIRS
-            for route, rep in pair_reports(group, orientation, flavor, win, margin, field, run)]
+            for route, rep in pair_reports(run, orientation, flavor, win, margin)]
 
 
-def norm_vanishing_and_splitting(group, field=QQ, run=None):
+def norm_vanishing_and_splitting(run: GroupRun):
     """The norm map vanishes on homology, so dim Hinf_n = dim Hminus_n +
     dim Hplus_{n-4}: the (bar, +) closed form and the assembled (bar, -)
     module sit in even degrees, and exact_triangle_check on the three bar
     comparison-window models checks the whole safe interior, at least
     MIN_CHECKED_DEGREES degrees, with H(nu) of rank 0.  Returns the degrees
-    checked.  run is the group's GroupRun over field, if the caller has one."""
-    run = run or GroupRun(group, field)
+    checked."""
+    group = run.group
     for flavor, pm in ((PLUS, encoded_module(group, BAR, PLUS)),
                        (MINUS, run.assembled(BAR, MINUS))):
         if not pm.even_degrees_only():

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .chains import induced_map_between
 from .donaldson import Window
 from .errors import BPFloerError
 from .fields import QQ
@@ -285,8 +286,6 @@ class HomologyWindow(_UWalk):
 
     def _build_u_columns(self, n):
         """The induced U out of degree n; None off the complex or where U leaves it."""
-        from .chains import induced_map_between
-
         if n not in self.h.complex.basis:
             return None
         try:

@@ -7,8 +7,8 @@ the sum over the flat connections of one orbit's homology
 (bar, +) and (std, -), the degree -4 corrections along the labeled edges.
 Each table is the only implementation of its closed form.  They serve as
 the golden side of two comparisons: against the page-assembled (bar, -)
-module (floer.assemble), and, for all six (orientation, flavor) pairs,
-against the chain-level window homology (floer.direct_homology_window).
+module (floer.GroupRun.assembled), and, for all six (orientation, flavor)
+pairs, against the chain-level window homology (floer.GroupRun.homology_window).
 The (std, +) table is the dual of the (bar, -) one, so only the chain
 route checks it.  All modules are mod-8 periodic; a generator
 is recorded with the degree and filtration column of its shift-0 copy.

@@ -2,7 +2,7 @@
 
 Each test prints a single PASS line with its wall time; the stated runtime
 budgets are asserted.  Windows follow the documented defaults: the module
-comparisons use floer.comparison_window (half-width 12 + 4*r_last in levels
+comparisons use GroupRun.comparison_window (half-width 12 + 4*r_last in levels
 and degrees, safe interior -7..7), the bar-construction oracle width 24.
 """
 import random
@@ -24,6 +24,7 @@ from bpfloer.equivariant import (
 )
 from bpfloer.fields import PrimeField, QQ
 from bpfloer.floer import (
+    GroupRun,
     MinusPages,
     closed_form_reports,
     duality_pairing_report,
@@ -208,7 +209,7 @@ def test_criterion_6_assembled_answers():
         for g in ACCEPT_GROUPS:
             # all six pairs by the chain-level route, and (bar, -) assembled
             # from the pages, each on a safe interior of degrees -7..7
-            for route, orientation, flavor, rep in closed_form_reports(g, field):
+            for route, orientation, flavor, rep in closed_form_reports(GroupRun(g, field)):
                 assert rep.ok and len(rep.checked_degrees) == 15, (
                     str(g), field.name, route, orientation, flavor, rep.mismatches[:4])
     # the duality theorem, checked structurally for every group
@@ -238,7 +239,7 @@ def test_criterion_7_convergence_accounting():
 def test_criterion_8_triangle_norm():
     t0 = time.time()
     for g in ACCEPT_GROUPS:
-        assert norm_vanishing_and_splitting(g) == list(range(-7, 8)), str(g)
+        assert norm_vanishing_and_splitting(GroupRun(g)) == list(range(-7, 8)), str(g)
         # the degree -4 action is bijective on interior Tate homology
         model = build_model(g, BAR)
         w = model.window(Window(-13, 11, -12, 14))

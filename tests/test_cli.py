@@ -84,7 +84,7 @@ def test_floer_command(capsys):
     doc = json.loads(out[out.index("}\n{") + 2:])
     assert code == 0 and doc["checks"][0]["check"] == "chain-route-vs-closed-form"
     assert "U-rank comparisons made" in doc["checks"][0]["detail"]
-    # the report records the window it compared on: comparison_window(T*)
+    # the report records the window it compared on: GroupRun(T*).comparison_window()
     assert doc["config"]["window"] == {"q": -16, "p": 16, "n_lo": -16, "n_hi": 16}
     # one flag replaces the whole default: the other range is -24:24
     code, out = run_cli(capsys, "floer", "T*", "--window=-20:20", "--format", "json")
@@ -93,7 +93,7 @@ def test_floer_command(capsys):
     # a window too narrow for the level margin leaves nothing to compare
     code, out = run_cli(capsys, "floer", "D*_12", "--window=-16:16", "--degrees=-16:16")
     assert code == 1 and "FAIL (0 safe degrees" in out
-    # the default window comes from comparison_window, so a late degeneration
+    # the default window comes from the comparison window, so a late degeneration
     # page (r_last = 5) still leaves the full -7..7 interior
     code, out = run_cli(capsys, "floer", "D*_18", "--flavor", "-")
     assert code == 0 and "PASS (15 safe degrees" in out
@@ -324,6 +324,24 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, argv, config):
         argv = ["--config", str(cfg)] + argv
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_floer_report_carries_its_measured_wall_time(capsys):
+    code, out = run_cli(capsys, "floer", "T*", "--format", "json")
+    doc = json.loads(out[out.index("}\n{") + 2:])
+    assert code == 0 and doc["wall_time_s"] > 0
+
+
+def test_verify_wall_time_is_monotonic(capsys, monkeypatch):
+    # verify times itself on perf_counter, so a wall clock stepped backwards
+    # cannot give a negative duration
+    import time
+
+    clock = iter(range(10 ** 6, 0, -1))
+    monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+    code, out = run_cli(capsys, "verify", "--groups", "C_2", "--format", "json")
+    monkeypatch.undo()
+    assert code == 0 and json.loads(out)["wall_time_s"] >= 0
 
 
 def test_report_carries_tool_version(capsys):

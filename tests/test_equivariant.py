@@ -291,6 +291,29 @@ def test_exact_triangle(g):
     assert report["norm_rank"] == 0
 
 
+@pytest.mark.parametrize("g", [T_STAR, binary_dihedral(30)], ids=str)
+def test_exact_triangle_computes_each_norm_map_once(g, monkeypatch):
+    # the map out of Hplus_{n-4} serves degree n (its kernel) and degree
+    # n-1 (its image): the 15 degrees -7..7 read 16 source degrees, once each
+    import bpfloer.equivariant as equivariant
+    from bpfloer.floer import GroupRun
+
+    sources = []
+    real = equivariant.induced_map_between
+
+    def counted(hs, ht, cmap, n):
+        sources.append(n)
+        return real(hs, ht, cmap, n)
+
+    monkeypatch.setattr(equivariant, "induced_map_between", counted)
+    run = GroupRun(g)
+    win, margin = run.comparison_window()
+    models = (run.functor(BAR, flavor, win) for flavor in (PLUS, MINUS, TATE))
+    report = exact_triangle_check(*models, win.interior(4, margin))
+    assert report["checked"] == list(range(-7, 8)) and report["norm_rank"] == 0
+    assert sorted(sources) == list(range(-11, 5))
+
+
 def test_exact_triangle_refuses_models_of_another_range_or_source():
     w = build_model(T_STAR, BAR).window(Window(-9, 15, -8, 18))
     plus, minus, tate = (functor_model(w, flavor, -12, 12) for flavor in (PLUS, MINUS, TATE))

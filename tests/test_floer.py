@@ -13,10 +13,9 @@ import bpfloer.floer as floer
 import bpfloer.mckay as mk
 from bpfloer.floer import (
     PAIRS,
+    GroupRun,
     MinusPages,
-    assemble,
     closed_form_reports,
-    comparison_window,
     direct_homology_window,
     duality_pairing_report,
     e1_entries,
@@ -89,7 +88,7 @@ def test_octahedral_isos_and_page():
 
 @pytest.mark.parametrize("l", range(2, 13))
 def test_cyclic_degenerates_immediately(l):
-    pages, page = run_to_einfty(build_model(cyclic(l), BAR), MINUS)
+    pages, page = run_to_einfty(GroupRun(cyclic(l)), BAR, MINUS)
     assert page == 1
 
 
@@ -147,7 +146,7 @@ def test_assembled_generators_match_tables():
         "T*": {("Z_lambda^0", 2, 0), ("U_theta^1", -4, 0), ("-3*U_theta^0+Z_lambda^1", 0, 0)},
     }
     for name, want in cases.items():
-        asm = assemble(build_model(parse_group(name), BAR), MINUS)
+        asm = GroupRun(parse_group(name)).assembled(BAR, MINUS)
         got = {(f.label, f.base_degree, f.column) for f in asm.families}
         assert got == want, (name, got)
 
@@ -168,7 +167,7 @@ ALL_GROUPS = (
 
 
 def assert_closed_forms_hold(g, field):
-    reports = closed_form_reports(g, field)
+    reports = closed_form_reports(GroupRun(g, field))
     assert [(o, f) for route, o, f, _ in reports if route == "chain"] == list(PAIRS)
     assert [(o, f) for route, o, f, _ in reports if route == "pages"] == [(BAR, MINUS)]
     for route, orientation, flavor, rep in reports:
@@ -193,7 +192,7 @@ def test_assembled_vs_encoded_prime_fields(g):
 def test_direct_homology_vs_encoded(g):
     # the chain-level route on its own, outside closed_form_reports; this is
     # offset 0 of the residue sweep below
-    win, margin = comparison_window(g)
+    win, margin = GroupRun(g).comparison_window()
     for orientation, flavor in PAIRS:
         hw = direct_homology_window(g, orientation, flavor, win)
         enc = ModuleWindow(encoded_module(g, orientation, flavor), win)
@@ -217,11 +216,11 @@ def residue_cases():
 
 @pytest.mark.parametrize("name, offset, orientation, flavor, p", residue_cases())
 def test_chain_route_at_every_residue(name, offset, orientation, flavor, p):
-    # the lower cut of comparison_window(g) shifted by c runs through all 8
+    # the lower cut of the comparison window shifted by c runs through all 8
     # residues mod 8 as c does; the unshifted gates see only c = 0
     g = parse_group(name)
     field = QQ if p is None else PrimeField(p)
-    win, margin = comparison_window(g, field)
+    win, margin = GroupRun(g, field).comparison_window()
     win = win.shifted(offset)
     hw = direct_homology_window(g, orientation, flavor, win, field)
     enc = ModuleWindow(encoded_module(g, orientation, flavor), win, field)
@@ -260,7 +259,7 @@ def test_closed_form_reports_make_every_u_rank(g):
     # H_n = 0) has rank 0 on both sides, so it is compared, not skipped:
     # all 21 U^k pairs (k <= 3) of the -7..7 interior are made
     for field in (QQ, PrimeField(3)):
-        for route, orientation, flavor, rep in closed_form_reports(g, field):
+        for route, orientation, flavor, rep in closed_form_reports(GroupRun(g, field)):
             assert rep.ok and (rep.urank_made, rep.urank_skipped) == (21, 0), (
                 str(g), field.name, route, orientation, flavor)
 
@@ -269,23 +268,23 @@ def test_chain_route_computes_u_only_where_the_comparison_walks(monkeypatch):
     # HomologyWindow computes the induced U out of a degree on first use, so
     # a comparison pays for at most the degrees it walks (all inside its
     # interior), not for every degree of the window complex
-    import bpfloer.chains as chains
+    import bpfloer.presented as presented
 
     calls = []
-    real = chains.induced_map_between
+    real = presented.induced_map_between
 
     def counted(hs, ht, cmap, n):
         calls.append(n)
         return real(hs, ht, cmap, n)
 
-    monkeypatch.setattr(chains, "induced_map_between", counted)
-    win, margin = comparison_window(T_STAR)
+    monkeypatch.setattr(presented, "induced_map_between", counted)
+    win, margin = GroupRun(T_STAR).comparison_window()
     hw = direct_homology_window(T_STAR, BAR, TATE, win)
     assert calls == []
     enc = ModuleWindow(encoded_module(T_STAR, BAR, TATE), win)
     rep = compare_windows(hw, enc, win, 4, margin, 6)
     assert rep.ok and rep.urank_made > 0
-    assert len(calls) == len(set(calls)) <= len(rep.checked_degrees)
+    assert 0 < len(calls) == len(set(calls)) <= len(rep.checked_degrees)
     assert set(calls) <= set(rep.checked_degrees)
     assert len(calls) < len(hw.h.complex.degrees())
 
@@ -376,7 +375,7 @@ def test_u_rank_table_matches_the_walk_on_random_views(field):
 
 @pytest.mark.parametrize("g", [T_STAR, cyclic(5), binary_dihedral(7)], ids=str)
 def test_u_rank_table_matches_the_walk_on_real_windows(g):
-    win, margin = comparison_window(g)
+    win, margin = GroupRun(g).comparison_window()
     interior = win.interior(4, margin)
     for orientation, flavor in PAIRS:
         views = (direct_homology_window(g, orientation, flavor, win),
@@ -392,7 +391,7 @@ def test_u_rank_table_eliminates_once_per_degree(monkeypatch):
     # makes at most one elimination per interior degree, where one walk per
     # degree made one per step, up to six per degree
     g = T_STAR
-    _, margin = comparison_window(g)
+    _, margin = GroupRun(g).comparison_window()
     win = Window(-24, 24, -24, 24)
     interior = win.interior(4, margin)
     hw = direct_homology_window(g, BAR, TATE, win)
@@ -431,7 +430,7 @@ def zeroed_label_model(g, edge):
 
 def test_compare_self_and_mutation(monkeypatch):
     g = I_STAR
-    win, margin = comparison_window(g)
+    win, margin = GroupRun(g).comparison_window()
     tiny = Window(-4, 4, -4, 4)
     enc = ModuleWindow(encoded_module(g, BAR, MINUS), tiny)
     assert not compare_windows(enc, enc, tiny)  # an empty safe interior never passes
@@ -469,7 +468,7 @@ def test_compare_lists_rank_mismatches_by_power_then_degree(monkeypatch):
     # on a width-48 window gives rank-U^k mismatches for (bar, +) at several
     # k, with degrees that do not increase along the list
     g = I_STAR
-    _, margin = comparison_window(g)
+    _, margin = GroupRun(g).comparison_window()
     win = Window(-24, 24, -24, 24)
     monkeypatch.setattr(floer, "build_model", zeroed_label_model(g, ("beta", "alpha")))
     hw = direct_homology_window(g, BAR, PLUS, win)
@@ -527,9 +526,9 @@ def test_ss_accounting_randomized():
 @pytest.mark.parametrize("g", [T_STAR, O_STAR, binary_dihedral(5), cyclic(6), binary_dihedral(12)],
                          ids=str)
 def test_norm_vanishing(g):
-    checked = norm_vanishing_and_splitting(g)
+    checked = norm_vanishing_and_splitting(GroupRun(g))
     assert len(checked) >= 8
-    # the safe interior of comparison_window, whatever r_last (3 for D*_12)
+    # the safe interior of the comparison window, whatever r_last (3 for D*_12)
     assert checked == list(range(-7, 8))
 
 
@@ -570,40 +569,40 @@ def test_wrong_flavor_guard():
     # only (bar, -) and its dual (std, +) have a page derivation
     for orientation, flavor in set(PAIRS) - {(BAR, MINUS), (STD, PLUS)}:
         with pytest.raises(WrongFlavor, match="encoded_module.*direct_homology_window"):
-            assemble(build_model(T_STAR, orientation), flavor)
+            GroupRun(T_STAR).assembled(orientation, flavor)
 
 
 def test_run_to_einfty_flavors():
-    model = build_model(O_STAR, BAR)
-    _, page = run_to_einfty(model, PLUS)
+    run = GroupRun(O_STAR)
+    _, page = run_to_einfty(run, BAR, PLUS)
     assert page == 1
-    _, page = run_to_einfty(model, TATE)
+    _, page = run_to_einfty(run, BAR, TATE)
     assert page == 1
-    _, page = run_to_einfty(build_model(O_STAR, STD), MINUS)
+    _, page = run_to_einfty(run, STD, MINUS)
     assert page == 1
-    _, page = run_to_einfty(build_model(O_STAR, STD), TATE)
+    _, page = run_to_einfty(run, STD, TATE)
     assert page == 1
-    pages, page = run_to_einfty(model, MINUS)
-    assert page == 5
+    pages, page = run_to_einfty(run, BAR, MINUS)
+    assert page == 5 and pages is run.pages
     # the standard-orientation '+' page problem is not solved directly
     with pytest.raises(WrongFlavor):
-        run_to_einfty(build_model(O_STAR, STD), PLUS)
+        run_to_einfty(run, STD, PLUS)
 
 
 def test_freeness_guard_on_a_kernel_that_drops_the_image():
     # T*'s level-1 kernel of column 0 is spanned by -3U_theta + Z_lambda; U
     # carries it into level 2, so a level-2 kernel without that direction
     # must stop the assembly
-    model = build_model(T_STAR, BAR)
-    pages = MinusPages(model)
+    run = GroupRun(T_STAR)
+    pages = run.pages
     assert pages.kernels[0][0] == [{0: -3, 1: 1}]
     pages.kernels[0][1] = [{0: QQ.one}]
     msg = r"degree -4 image leaves the next kernel \(column 0\)"
     with pytest.raises(FreenessFailure, match=msg):
-        assemble(model, MINUS, pages=pages)
+        run.assembled(BAR, MINUS)
 
 
-def test_guard_exceptions_on_corrupted_graphs():
+def test_guard_exceptions_on_corrupted_graphs(monkeypatch):
     # a graph whose walk matrix can never clear the t=3 line must abort
     # rather than loop, and assembly must refuse the torsion classes
     import bpfloer.mckay as mk
@@ -617,4 +616,6 @@ def test_guard_exceptions_on_corrupted_graphs():
     model.sgraph = broken
     with pytest.raises((NonDegeneration, FreenessFailure)):
         MinusPages(model)
-        assemble(model, MINUS)
+    monkeypatch.setattr(floer, "build_model", lambda group, orientation: model)
+    with pytest.raises((NonDegeneration, FreenessFailure)):
+        GroupRun(g).assembled(BAR, MINUS)
