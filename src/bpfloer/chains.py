@@ -115,7 +115,8 @@ class HomologyData:
     that pivot at their tops.  z_j is a representative iff j is no boundary
     top: that is the greedy rule z_j not in B + span(z_i, i < j), since a
     boundary with top j less a multiple of z_j is a cycle below j.  Boundary
-    rows plus the representatives at their tops (tagged) reduce coordinates.
+    rows plus the representatives at their tops (tagged) give coordinates by
+    solve, in which the boundaries' multiples drop out.
 
     Degrees are computed lazily: the first read of dim, coords or reps_in of
     degree n eliminates d_n and d_{n+1}, once each.  cycle_basis,
@@ -133,8 +134,7 @@ class HomologyData:
             ech = TrackedEchelon(self.complex.field)
             kernel, pivots = ech.kernel_of_columns(
                 {-r: v for r, v in col.items()} for col in self.complex.boundary_columns(n))
-            # tags dropped from the boundary rows
-            got = self._kernels[n] = (kernel, len(pivots), [row for row, _ in ech.rows.values()])
+            got = self._kernels[n] = (kernel, len(pivots), list(ech.rows.values()))
         return got
 
     def reps_in(self, n):
@@ -183,10 +183,8 @@ class HomologyData:
         self.reps_in(n)  # builds the reducer of degree n
         if n not in self._coord:
             return {} if not vec else None
-        residue, coeffs = self._coord[n].reduce(vec)
-        if residue:
-            return None
-        return coeffs
+        residue, coeffs = self._coord[n].solve(vec)
+        return None if residue else coeffs
 
 
 def induced_map_between(h_source: HomologyData, h_target: HomologyData, cmap: ChainMap, n):

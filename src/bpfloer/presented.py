@@ -196,7 +196,7 @@ class _UWalk:
             else:  # tagged is in descending tag order: images first, then units
                 ech = TrackedEchelon(f)
                 pivots = ech.independent([_apply_columns(f, cols, v) for _, v in tagged])
-                tagged = [(tagged[j][0] + 1, ech.rows[c][0]) for j, c in pivots.items()]
+                tagged = [(tagged[j][0] + 1, ech.rows[c]) for j, c in pivots.items()]
             taken = set(pivots.values())
             tagged += [(0, {i: f.one}) for i in range(self.dim(m - 4)) if i not in taken]
             m -= 4

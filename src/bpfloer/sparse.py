@@ -4,13 +4,13 @@ TrackedEchelon is the package's one elimination kernel: homology, filtered
 pages, the page engine and the representation-ring solves in mckay all run on
 it.  Its pivot rule is fixed: vectors are taken in insertion order, and each
 stored row pivots at its smallest column.  Every elimination is therefore
-deterministic; golden tests rely on this.  A row remembers how it was made in
-one of two ways: kernel_of_columns and add_row keep tag combinations, which
-reduce accumulates (the kernel vectors and homology coordinates); a tagged
-insert keeps its multipliers instead, which solve reads by forward and back
-substitution, so a solve costs the stored entries and multipliers, not the
-dense inverse that tag combinations fill in.  dense_rank is its oracle, an
-independent dense elimination used only by the tests.
+deterministic; golden tests rely on this.  A row remembers how it was made
+in one way: its multipliers, the multiple of each older row that reduce
+subtracted.  reduce returns those multiples with the residue; solve and
+kernel_of_columns turn them into combinations of the tagged inputs by back
+substitution, so a kernel vector or solve costs the stored entries and
+multipliers, not a dense inverse.  dense_rank is its oracle, an independent
+dense elimination used only by the tests.
 """
 from __future__ import annotations
 
@@ -118,21 +118,21 @@ def dense_rank(matrix_rows, field=QQ):
 
 
 class TrackedEchelon:
-    """A growing row space in echelon form that remembers how each row was
-    made from the inserted vectors: as a combination of their tags
-    (kernel_of_columns, add_row) or by its multipliers (a tagged insert).
+    """A growing row space in echelon form; each tagged row keeps its
+    multipliers, how it was made from its input: V_tag = p * row +
+    sum steps[c] * rows[c], every c an older row.
 
     Each stored row is 1 at its smallest column, its pivot, and rows are
     never back-substituted.  Reducing a vector at the smallest pivot column
     present therefore only introduces larger columns, and reduce returns the
-    unique residue of the vector that is zero at every pivot column; ranks,
-    residues and tag coefficients depend on the pivot set alone.
+    unique residue that is zero at every pivot column with the multiple of
+    each row subtracted; both depend on the pivot set alone.
     """
 
     def __init__(self, field=QQ):
         self.field = field
-        self.rows = {}  # pivot col -> (row dict, coeffs dict tag -> value)
-        # pivot col of a tagged insert -> (tag, 1 / pivot value, {earlier pivot
+        self.rows = {}  # pivot col -> row dict, 1 at the pivot
+        # pivot col of a tagged row -> (tag, 1 / pivot value, {older pivot
         # col: multiple of its row subtracted}), in insertion order
         self.multipliers = {}
 
@@ -140,96 +140,94 @@ class TrackedEchelon:
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec, steps=None):
-        """Return (residue, coeffs) with vec = residue + sum coeffs[tag]*V_tag.
-
-        If steps is a dict, it also receives the multiple of each stored row
-        subtracted, by pivot column: vec = residue + sum steps[c] * row_c.
-        """
+    def reduce(self, vec):
+        """Return (residue, steps) with vec = residue + sum steps[c] * rows[c]."""
         f = self.field
         v = {c: x for c, x in vec.items() if not f.is_zero(x)}
-        coeffs = {}
+        steps = {}
         rows = self.rows
         while True:
             hits = [c for c in v if c in rows]  # O(|v|), not O(rank)
             if not hits:
-                return v, coeffs
+                return v, steps
             c = min(hits)
-            coef = v[c]
-            if steps is not None:
-                steps[c] = coef
-            row, rc = rows[c]
-            for cc, rv in row.items():
-                nv = f.sub(v.get(cc, f.zero), f.mul(coef, rv))
-                if f.is_zero(nv):
-                    v.pop(cc, None)
-                else:
-                    v[cc] = nv
-            for tag, tv in rc.items():
-                nv = f.add(coeffs.get(tag, f.zero), f.mul(coef, tv))
-                if f.is_zero(nv):
-                    coeffs.pop(tag, None)
-                else:
-                    coeffs[tag] = nv
+            coef = steps[c] = v.pop(c)  # the row is 1 at c, so c cancels
+            for cc, rv in rows[c].items():
+                if cc != c:
+                    nv = f.sub(v.get(cc, f.zero), f.mul(coef, rv))
+                    if f.is_zero(nv):
+                        v.pop(cc, None)
+                    else:
+                        v[cc] = nv
 
-    def _store(self, residue, coeffs, tag):
+    def _store(self, residue, tag, steps):
         """Store a nonzero residue as the row of its smallest column, which it
-        returns."""
+        returns; a tag records the row's multipliers."""
         f = self.field
         c = min(residue)
         inv = f.inv(residue[c])
-        row = {cc: f.mul(x, inv) for cc, x in residue.items()}
-        rc = {t: f.mul(f.neg(x), inv) for t, x in coeffs.items()}
+        self.rows[c] = {cc: f.mul(x, inv) for cc, x in residue.items()}
         if tag is not None:
-            rc[tag] = inv
-        self.rows[c] = (row, rc)
+            self.multipliers[c] = (tag, inv, steps)
         return c
 
     def add_row(self, row, tag=None):
-        """Store row, 1 at its smallest column (no stored pivot), tagged by tag."""
-        self.rows[min(row)] = (row, {} if tag is None else {tag: self.field.one})
+        """Store row as it is, 1 at its smallest column (no stored pivot); a
+        tag records it as made with pivot value 1 and no steps."""
+        c = min(row)
+        self.rows[c] = row
+        if tag is not None:
+            self.multipliers[c] = (tag, self.field.one, {})
 
     def insert(self, vec, tag=None):
         """Reduce vec and store its residue if it is nonzero; returns the new
-        pivot col, or None if vec is dependent on the stored rows.
+        pivot col, or None if vec is dependent on the stored rows."""
+        v, steps = self.reduce(vec)
+        return self._store(v, tag, steps) if v else None
 
-        A tagged vector records its row's multipliers for solve, and its tag
-        enters no tag combination: vec = p * row + sum steps[c] * row_c, with
-        p its pivot value and every c an earlier row.
+    def _back_substitute(self, y):
+        """h with sum y[c] * rows[c] = sum h[tag] * V_tag plus a combination
+        of the untagged rows.
+
+        It runs over the tagged rows that y reaches through the multipliers,
+        each after every reached row that names it (a row's multipliers name
+        only older rows): the coefficient of row_c in sum h * V is p_c * h_c
+        plus the multiples m * h_r of the newer rows r that subtracted it, so
+        h_c = (y_c - those) / p_c.  The cost is the multipliers of the
+        reached rows, not the rank.
         """
-        steps = None if tag is None else {}
-        v, coeffs = self.reduce(vec, steps)
-        if not v:
-            return None
-        c = self._store(v, coeffs, None)
-        if tag is not None:
-            self.multipliers[c] = (tag, self.field.inv(v[c]), steps)
-        return c
+        f, mult = self.field, self.multipliers
+        namers = {c: 0 for c in y if c in mult}  # reached row -> reached rows naming it
+        todo = list(namers)
+        while todo:
+            for r in mult[todo.pop()][2]:
+                if r in mult:
+                    if r not in namers:
+                        todo.append(r)
+                    namers[r] = namers.get(r, 0) + 1
+        ready = [c for c, k in namers.items() if not k]
+        h, pending = {}, {}
+        while ready:
+            c = ready.pop()
+            tag, p_inv, steps = mult[c]
+            x = f.sub(y.get(c, f.zero), pending.get(c, f.zero))
+            if not f.is_zero(x):
+                h[tag] = x = f.mul(x, p_inv)
+                for r, m in steps.items():
+                    pending[r] = f.add(pending.get(r, f.zero), f.mul(m, x))
+            for r in steps:
+                if r in mult:
+                    namers[r] -= 1
+                    if not namers[r]:
+                        ready.append(r)
+        return h
 
     def solve(self, vec):
-        """Return (residue, h) with vec = residue + sum h[tag] * V_tag over the
-        tagged inserts, every stored row being one.
-
-        Forward substitution is reduce, recording y = steps (vec = residue +
-        sum y_c * row_c).  Back substitution runs over the rows newest first,
-        since a row's multipliers name only older rows: the coefficient of
-        row_c in sum h * V is p_c * h_c plus the multiples m * h_r of the
-        newer rows r that subtracted it, so h_c = (y_c - those) / p_c.  The
-        cost is the stored entries and multipliers touched, one pass each.
-        """
-        f = self.field
-        y = {}
-        residue, _ = self.reduce(vec, y)
-        h, pending = {}, {}
-        for c in reversed(self.multipliers):
-            tag, p_inv, steps = self.multipliers[c]
-            x = f.sub(y.get(c, f.zero), pending.get(c, f.zero))
-            if f.is_zero(x):
-                continue
-            h[tag] = x = f.mul(x, p_inv)
-            for r, m in steps.items():
-                pending[r] = f.add(pending.get(r, f.zero), f.mul(m, x))
-        return residue, h
+        """Return (residue, h) with vec = residue + sum h[tag] * V_tag plus a
+        combination of the untagged rows, whose multiples drop out (the
+        boundaries of a homology coordinate echelon)."""
+        residue, y = self.reduce(vec)
+        return residue, self._back_substitute(y)
 
     def independent(self, vectors):
         """Insert each vector, untagged.
@@ -250,19 +248,19 @@ class TrackedEchelon:
 
         Inserts the columns in order, tagged by position, and returns
         (kernel, pivots): one kernel vector e_j - (combination of earlier
-        columns) per dependent column j, and the positions j whose column was
-        independent.
+        columns, by back substitution) per dependent column j, and the
+        positions j whose column was independent.
         """
         f = self.field
         kernel, pivots = [], []
         for j, col in enumerate(columns):
-            residue, coeffs = self.reduce(col)
+            residue, steps = self.reduce(col)
             if residue:
-                self._store(residue, coeffs, j)
+                self._store(residue, j, steps)
                 pivots.append(j)
             else:
                 vec = {j: f.one}
-                for t, x in coeffs.items():
+                for t, x in self._back_substitute(steps).items():
                     vec[t] = f.neg(x)
                 kernel.append(vec)
         return kernel, pivots

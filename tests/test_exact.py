@@ -375,13 +375,12 @@ def test_rank_agrees_with_dense_oracle():
             assert list(pivots) == TrackedEchelon(f).kernel_of_columns(cols)[1]
             assert sorted(pivots.values()) == sorted(ech.rows)
             assert all(not ech.reduce(c)[0] for c in cols)
-            assert all(not rc for _, rc in ech.rows.values())
             # insert keeps the one row form: no stored row is back-substituted
             ech = TrackedEchelon(f)
             for c in cols:
-                before = {pc: dict(row) for pc, (row, _) in ech.rows.items()}
+                before = {pc: dict(row) for pc, row in ech.rows.items()}
                 ech.insert(c)
-                assert all(ech.rows[pc][0] == row for pc, row in before.items())
+                assert all(ech.rows[pc] == row for pc, row in before.items())
             assert ech.rank == rank
             assert all(not ech.reduce(c)[0] for c in cols)
             extra = [Fraction(rng.randint(-5, 5)) for _ in range(8)]
@@ -389,15 +388,15 @@ def test_rank_agrees_with_dense_oracle():
             residue, _ = ech.reduce({i: f.of(x) for i, x in enumerate(extra)})
             assert (not residue) == (extra_rank == rank)
             extra_in_span.add(not residue)
-            for pc, (row, _) in ech.rows.items():
+            for pc, row in ech.rows.items():
                 assert row[pc] == f.one and min(row) == pc
         assert extra_in_span == {True, False}, f
 
 
 def test_multiplier_solve_matches_the_tag_route():
-    # a tagged insert records multipliers instead of tag combinations; solve's
-    # forward and back substitution through them must give the unique h on
-    # the independent tags that reduce gives on a kernel_of_columns echelon
+    # a tagged insert records its multipliers; solve's forward and back
+    # substitution through them must give the residue and an h on the
+    # independent tags that rebuild the vector
     for f in (QQ, PrimeField(3), PrimeField(5)):
         rng, low = random.Random(6), random.Random(8)
         for k in range(12):
@@ -410,18 +409,36 @@ def test_multiplier_solve_matches_the_tag_route():
             pivots = [j for j, c in enumerate(cols) if ech.insert(c, tag=j) is not None]
             assert tagged.kernel_of_columns(cols)[1] == pivots
             assert [t for t, _, _ in ech.multipliers.values()] == pivots
-            assert all(not rc for _, rc in ech.rows.values())
             for _ in range(4):
                 vec = {i: f.of(rng.randint(-4, 4)) for i in range(len(rows))}
                 residue, h = ech.solve(vec)
-                want = tagged.reduce(vec)
-                assert (residue, h) == want
+                assert residue == ech.reduce(vec)[0] and set(h) <= set(pivots)
                 back = dict(residue)
                 for j, x in h.items():
                     for i, v in cols[j].items():
                         back[i] = f.add(back.get(i, f.zero), f.mul(x, v))
                 assert {i: x for i, x in back.items() if not f.is_zero(x)} == {
                     i: x for i, x in vec.items() if not f.is_zero(x)}
+
+
+def test_a_kernel_vector_makes_linearly_many_field_multiplications(monkeypatch):
+    # the chained columns e_0, e_0 + e_1, ..., e_(n-2) + e_(n-1), e_(n-1): the
+    # first n pivot and the last is their alternating sum.  Storing the n
+    # rows makes n multiplications and the back substitution through the
+    # multipliers 2n - 1; an explicit inverse (a combination of j inputs per
+    # row j) would fill in and make n^2 + 2n
+    for n in (64, 128):
+        cols = [{0: 1}] + [{j - 1: 1, j: 1} for j in range(1, n)] + [{n - 1: 1}]
+        calls = []
+        real = QQ.mul
+        monkeypatch.setattr(QQ, "mul", lambda x, y: calls.append(1) or real(x, y))
+        kernel, pivots = TrackedEchelon(QQ).kernel_of_columns(cols)
+        monkeypatch.undo()
+        assert len(calls) == 3 * n - 1
+        assert pivots == list(range(n)) and len(kernel) == 1
+        v = kernel[0]
+        m = SparseMat(n, n + 1, {(i, j): x for j, c in enumerate(cols) for i, x in c.items()})
+        assert v[n] == 1 and m.apply(v) == {}
 
 
 def test_kernel_basis_normal_form():

@@ -340,7 +340,7 @@ def _solve_outcome(g, va, vb):
 
 def _factor_snapshot(factored):
     pos, echelon = factored
-    return (dict(pos), {c: dict(row) for c, (row, _) in echelon.rows.items()},
+    return (dict(pos), {c: dict(row) for c, row in echelon.rows.items()},
             {c: (t, p, dict(steps)) for c, (t, p, steps) in echelon.multipliers.items()})
 
 
@@ -404,40 +404,76 @@ def test_two_minus_q_is_factored_once_per_group(monkeypatch):
     assert sizes == []
 
 
-TAG_ROUTE_GROUPS = (
+DENSE_ROUTE_GROUPS = (
     [cyclic(k) for k in range(1, 65)]
     + [binary_dihedral(k) for k in range(2, 49)]
     + [T_STAR, O_STAR, I_STAR]
 )
 
 
-def _tag_route_outcomes(g, vecs):
-    """Each ordered pair's outcome by the tag-echelon route: all of 2I - A,
-    theta included, factored by kernel_of_columns and solved by reduce, whose
-    tag combinations hold the dense inverse; then H_0 = 0 by the dimension
-    vector, integrality, normalization and (2 - Q)H recomputed here.
+def _gauss_jordan(matrix):
+    """One dense exact Gauss-Jordan over Fraction on [matrix | I], written
+    here so that the references below share no code with the elimination
+    kernel they check.  Returns (pivots, left): left * matrix is in reduced
+    row echelon form, its leading 1s in the columns pivots, and the rows of
+    left past the rank span the left kernel of matrix."""
+    n, m = len(matrix), len(matrix[0])
+    rows = [[Fraction(x) for x in r] + [Fraction(i == k) for k in range(n)]
+            for i, r in enumerate(matrix)]
+    pivots = []
+    for j in range(m):
+        lead = len(pivots)
+        p = next((i for i in range(lead, n) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[lead], rows[p] = rows[p], rows[lead]
+        inv = 1 / rows[lead][j]
+        rows[lead] = [x * inv for x in rows[lead]]
+        nonzero = [(k, x) for k, x in enumerate(rows[lead]) if x]
+        for i, r in enumerate(rows):
+            if i != lead and r[j]:
+                c = r[j]
+                for k, x in nonzero:
+                    r[k] -= c * x
+        pivots.append(j)
+    return pivots, [r[m:] for r in rows]
 
-    reduce is linear, so each vector is reduced once: a pair's residue is the
-    difference of its ends' residues, and its candidate H the difference of
-    their candidates, kept as ints over one common denominator."""
+
+def _dense_solve(form, b):
+    """(residue, x) for matrix * x = b, form being _gauss_jordan(matrix): x
+    on the pivot columns, the free ones 0, and residue the entries of
+    left * b past the rank, all zero iff b is in the column span."""
+    pivots, left = form
+    nonzero = [(k, x) for k, x in enumerate(b) if x]
+    lb = [sum((r[k] * x for k, x in nonzero), Fraction(0)) for r in left]
+    return lb[len(pivots):], dict(zip(pivots, lb))
+
+
+def _dense_route_outcomes(g, vecs):
+    """Each ordered pair's outcome by a dense route: all of 2I - A, theta
+    included, solved by _gauss_jordan; then H_0 = 0 by the dimension vector,
+    integrality, normalization and (2 - Q)H recomputed here.
+
+    The solve is linear, so each vector is solved once: a pair is solvable
+    iff its ends have the same residue, and its candidate H is the
+    difference of their candidates, kept as ints over one common
+    denominator."""
     a = q_tensor_matrix(g)
     n = len(a)
     dims = [ir.dim for ir in character_table(g).irreps]
-    echelon = TrackedEchelon(QQ)
-    echelon.kernel_of_columns([{i: 2 * (i == j) - a[j][i] for i in range(n)} for j in range(n)])
+    form = _gauss_jordan([[2 * (i == j) - a[j][i] for j in range(n)] for i in range(n)])
     residues, cands = [], []
     for v in vecs:
-        residue, h = echelon.reduce(dict(enumerate(v.coeffs)))
+        residue, h = _dense_solve(form, v.coeffs)
         residues.append(residue)
-        cands.append([Fraction(h.get(i, 0) - h.get(0, 0) * d) for i, d in enumerate(dims)])
+        cands.append([h.get(i, 0) - h.get(0, 0) * d for i, d in enumerate(dims)])
     den = math.lcm(*(c.denominator for cand in cands for c in cand))
     nums = [[int(c * den) for c in cand] for cand in cands]
     nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in a]
     out = []
     for va, ra, na in zip(vecs, residues, nums):
         for vb, rb, nb in zip(vecs, residues, nums):
-            diff = {k: ra.get(k, 0) - rb.get(k, 0) for k in set(ra) | set(rb)}
-            if any(diff.values()):
+            if ra != rb:
                 out.append("Unsolvable: no solution of the representation-ring equation")
                 continue
             cand = [x - y for x, y in zip(na, nb)]
@@ -458,17 +494,18 @@ def _tag_route_outcomes(g, vecs):
     return out
 
 
-@pytest.mark.parametrize("g", TAG_ROUTE_GROUPS, ids=str)
-def test_solve_matches_the_tag_echelon_route(g):
+@pytest.mark.parametrize("g", DENSE_ROUTE_GROUPS, ids=str)
+def test_solve_matches_the_dense_gauss_jordan_route(g):
     vecs = [VirtualRep.of_quat(g, q) for q in quaternionic_reps(g)]
     got = [_solve_outcome(g, va, vb) for va in vecs for vb in vecs]
-    assert got == _tag_route_outcomes(g, vecs)
+    assert got == _dense_route_outcomes(g, vecs)
 
 
 def test_a_solve_makes_linearly_many_field_multiplications(monkeypatch):
-    # forward and back substitution over the path 1..n-1 of C_n: 4n - 6
-    # multiplications for lambda1 against theta, where the tag route's dense
-    # inverse made O(n^2)
+    # forward and back substitution over the path 1..n-1 of C_n: 3n - 5
+    # multiplications for lambda1 against theta, where a dense inverse makes
+    # O(n^2); reduce pops each pivot entry instead of multiplying the row's 1
+    # there, which would add n - 1
     counts = []
     for k in (64, 128):
         g = cyclic(k)
@@ -480,10 +517,10 @@ def test_a_solve_makes_linearly_many_field_multiplications(monkeypatch):
         solve_rep_equation(g, va, vb)
         monkeypatch.undo()
         counts.append(len(calls))
-    assert counts == [250, 506]
+    assert counts == [187, 379]
 
 
-@pytest.mark.parametrize("g", TAG_ROUTE_GROUPS, ids=str)
+@pytest.mark.parametrize("g", DENSE_ROUTE_GROUPS, ids=str)
 def test_mult_by_two_minus_q_matches_the_dense_product(g):
     a = q_tensor_matrix(g)
     n = len(a)
@@ -572,9 +609,8 @@ def _cartan_route(g, alpha, beta, factored):
     """The deletion oracle's outcome by linear algebra, as its reference:
     delete beta's vertices from the dense McKay matrix, take the component of
     alpha's surviving vertices, recognize it, and solve its Cartan system
-    (2I - A)h = alpha there by kernel_of_columns and reduce, whose tag
-    combinations hold the inverse; h must be integral and positive on the
-    component.  factored caches each component's echelon."""
+    (2I - A)h = alpha there by _gauss_jordan; h must be integral and
+    positive on the component.  factored caches each component's form."""
     a = q_tensor_matrix(g)
     n = len(a)
     keep = [i for i in range(n) if not beta.coeffs[i]]
@@ -591,12 +627,10 @@ def _cartan_route(g, alpha, beta, factored):
     sub, order = recognize_subgroup(comp, lambda v: [w for w in comp if a[v][w]])
     pos = {v: i for i, v in enumerate(comp)}
     if comp not in factored:
-        echelon = TrackedEchelon(QQ)
-        echelon.kernel_of_columns(
-            [{pos[v]: 2 * (v == w) - (a[v][w] != 0) for v in comp} for w in comp])
-        factored[comp] = echelon
-    residue, h = factored[comp].reduce({pos[v]: alpha.coeffs[v] for v in comp})
-    if residue:
+        factored[comp] = _gauss_jordan(
+            [[2 * (v == w) - (a[v][w] != 0) for w in comp] for v in comp])
+    residue, h = _dense_solve(factored[comp], [alpha.coeffs[v] for v in comp])
+    if any(residue):
         raise Unsolvable("singular Cartan system")
     coeffs = [0] * n
     for v in comp:
