@@ -39,12 +39,12 @@ print("=" * 72)
 print("Three independent routes to the same window numbers:")
 print("  (a) the encoded closed-form module,")
 print("  (b) the module assembled from the page engine,")
-print("  (c) direct homology of the truncated chain model.")
+print("  (c) the chain route: bars read off one U-adic reduction of the window.")
 print("=" * 72)
 g = parse_group("D*_6")
-# one GroupRun holds the group's page run, the window it sizes and the
-# chain models: the window and level margin come from the last page that
-# fires, and the safe interior is degrees -7..7 for every group
+# one GroupRun holds the group's page run, the window it sizes and each
+# orientation's reduction: the window and level margin come from the last
+# page that fires, and the safe interior is degrees -7..7 for every group
 run = GroupRun(g)
 win, margin = run.comparison_window()
 print("  comparison window %r, level margin %d, safe interior %r"
@@ -56,6 +56,7 @@ rep_ab = compare_windows(ModuleWindow(asm, win), ModuleWindow(enc, win), win, 4,
 rep_cb = compare_windows(hw, ModuleWindow(enc, win), win, 4, margin, 3)
 print("  assembled vs encoded:", "PASS" if rep_ab.ok else rep_ab.mismatches[:3])
 print("  direct    vs encoded:", "PASS" if rep_cb.ok else rep_cb.mismatches[:3])
+print("  reduction of the (bar) source window:", run.reduction(BAR, win.source).describe())
 
 print()
 print("Truncated-page accounting on an arbitrary bounded window:")

@@ -16,10 +16,12 @@ from .equivariant import (
     MINUS,
     PLUS,
     TATE,
+    UReduction,
     bar_oracle,
     exact_triangle_check,
     functor_model,
     orbit_homology,
+    u_reduction,
 )
 from .fields import QQ, PrimeField, parse_field
 from .floer import (
@@ -53,7 +55,7 @@ from .mckay import (
     s_graph,
     solve_rep_equation,
 )
-from .presented import Family, ModuleWindow, PresentedModule, compare_windows
+from .presented import BarWindow, Family, ModuleWindow, PresentedModule, compare_windows
 from .sparse import SparseMat, rank_kernel_image
 from .theorems import encoded_module
 

@@ -43,7 +43,7 @@ from .groups import (
     verify_orthogonality,
 )
 from .mckay import s_graph, s_graph_matches_expected
-from .presented import MIN_CHECKED_DEGREES
+from .presented import MIN_CHECKED_DEGREES, HomologyWindow
 from .theorems import encoded_module
 
 DEFAULT_GROUPS = (
@@ -283,8 +283,10 @@ def cmd_floer_raw(args, cfg):
     field = parse_field(_merged(args, cfg, "coeff", "q"))
     win = _window_from(args, cfg)
     run = GroupRun(g, field)
-    hw = run.homology_window(orientation, flavor, win)
-    dims = {n: hw.dim(n) for n in hw.h.complex.degrees() if hw.dim(n)}
+    # the raw truncated model, edge degrees included: its homology and induced U
+    fm = run.functor(orientation, flavor, win)
+    hw = HomologyWindow(fm.homology(), fm.u)
+    dims = {n: hw.dim(n) for n in fm.complex.degrees() if hw.dim(n)}
     uranks = {}
     for n in sorted(dims):
         r = hw.u_power_rank(1, n)
@@ -415,11 +417,14 @@ def _verify_group(g: GroupId, field):
                for route, o, f, rep in reports if not rep.ok]
         if bad:
             raise BPFloerError(repr(bad[:3]))
+        source = shared.comparison_window()[0].source
         return ("6 pairs chain-level + bar/- page-assembled vs encoded; %d degrees; "
-                "U-ranks %d made, %d skipped" % (
+                "U-ranks %d made, %d skipped; %s" % (
                     sum(len(rep.checked_degrees) for *_, rep in reports),
                     sum(rep.urank_made for *_, rep in reports),
-                    sum(rep.urank_skipped for *_, rep in reports)))
+                    sum(rep.urank_skipped for *_, rep in reports),
+                    "; ".join("%s: %s" % (o, shared.reduction(o, source).describe())
+                              for o in (BAR, STD))))
     run("assembly-vs-closed-form", assembly)
 
     def triangle():

@@ -1,6 +1,8 @@
 """Double-complex models for the three equivariant chain functors over the
 exterior algebra on one degree-3 generator, the norm map and its cone, a
-literal bar-construction oracle, and orbit-homology calculators.
+literal bar-construction oracle, orbit-homology calculators, and the U-adic
+reduction of a source window, from which the chain route reads all three
+flavors as bars.
 
 One code path materializes all three flavors: the double complex has columns
 p (p >= 0 for '+', p <= 0 for '-', all p for 'inf'), column p carrying the
@@ -10,13 +12,14 @@ coincide degreewise, so the flavor only selects the column range.
 """
 from __future__ import annotations
 
+import heapq
 from typing import NamedTuple
 
 from .chains import ChainMap, FiniteComplex, HomologyData, induced_map_between, matrix_rank
 from .donaldson import WindowedComplex
 from .errors import BPFloerError, OracleMismatch, TriangleViolation
 from .groups import FULLY_REDUCIBLE, IRREDUCIBLE, ORBITS
-from .presented import FINITE, PI8, PIINF8, Family, PresentedModule
+from .presented import FINITE, PI8, PIINF8, BarWindow, Family, PresentedModule
 from .sparse import _apply_columns
 
 PLUS = "+"
@@ -93,6 +96,183 @@ class FunctorModel:
 
 def functor_model(window: WindowedComplex, flavor, deg_lo, deg_hi) -> FunctorModel:
     return FunctorModel(window.complex, window.u, flavor, deg_lo, deg_hi)
+
+
+# ---------------------------------------------------------------------------
+# One U-adic reduction per source window, read as bars.
+
+
+class UReduction:
+    """The U-adic reduction of a free graded F[U]-complex, and its bars.
+
+    The complex has one F[U] generator per key of degrees (a dict generator
+    -> degree, whose order breaks ties) and D x = sum of c * U^k y over the
+    entries {y: c} of differential[x], U of degree -4.  An entry is stored
+    as the constant c: D has degree -1, so k = (deg y - deg x + 1)/4, and an
+    entry where that is negative or not an integer raises BPFloerError.
+
+    One elimination loop pivots on an entry x -> y of least k, among those
+    of least Markowitz cost (|column x| - 1)(|row y| - 1), then generator
+    order; the cost is the one at the last push, and an entry whose cost
+    has changed goes back on the heap with the new one when it comes up.
+    Every entry of y's row and x's column has power at least k, so the Schur
+    complement on them stays homogeneous; x and y then split off as
+    F[U]x -> U^k F[U]y, recorded as the pair (x, y, k), and drop out.  k = 0
+    pairs cancel (Bar-Natan, "Fast Khovanov homology computations", Lemma
+    4.2); k >= 1 pairs are F[U]/U^k summands.  Splitting x and y off is
+    valid only if, in the new basis, x's row and y's column vanish, that is
+    D^2 x = 0 and the y-entries of D^2 vanish; each pivot checks both and
+    raises BPFloerError naming the entry left, so a finished loop certifies
+    D^2 = 0.  The generators left have zero differential: free towers.
+
+    bar_window reads one flavor off the pairs and towers as bars, the
+    normal form of Zomorodian-Carlsson ("Computing persistent homology",
+    2005): flavor '-' is the complex itself, '+' its tensor with
+    F[U, U^-1]/U F[U], 'inf' with F[U, U^-1].
+    """
+
+    def __init__(self, field, degrees, differential):
+        self.field = field
+        labels = list(degrees)
+        index = {g: i for i, g in enumerate(labels)}
+        deg = [degrees[g] for g in labels]
+        self.labels, self.degrees = labels, deg
+        cols = [{} for _ in labels]
+        rows = [{} for _ in labels]
+        for x, img in differential.items():
+            i = index[x]
+            for y, v in img.items():
+                if field.is_zero(v):
+                    continue
+                j = index[y]
+                k, rem = divmod(deg[j] - deg[i] + 1, 4)
+                if rem or k < 0:
+                    raise BPFloerError(
+                        "entry %r -> %r: U-power (%d - %d + 1)/4 is %s" % (
+                            x, y, deg[j], deg[i],
+                            "not an integer" if rem else "negative"))
+                cols[i][j] = rows[j][i] = v
+        self.pairs = []  # (x, y, k) as generator positions, in elimination order
+        self._eliminate_all(cols, rows)
+        paired = {g for x, y, _ in self.pairs for g in (x, y)}
+        self.free = [i for i in range(len(labels)) if i not in paired]
+
+    def _eliminate_all(self, cols, rows):
+        f, deg = self.field, self.degrees
+        heap = [((deg[y] - deg[x] + 1) >> 2, (len(col) - 1) * (len(rows[y]) - 1), x, y)
+                for x, col in enumerate(cols) for y in col]
+        heapq.heapify(heap)
+        while heap:
+            k, cost, x, y = heapq.heappop(heap)
+            col_x = cols[x]
+            if y not in col_x:  # cancelled, or x or y gone
+                continue
+            row_y = rows[y]
+            now = (len(col_x) - 1) * (len(row_y) - 1)
+            if now != cost:
+                heapq.heappush(heap, (k, now, x, y))
+                continue
+            self._check_square(x, y, cols, rows)
+            c_inv = f.inv(col_x[y])
+            for t in col_x:
+                del rows[t][x]
+            for u in row_y:
+                del cols[u][y]
+            for v in rows[x]:
+                del cols[v][x]
+            for z in cols[y]:
+                del rows[z][y]
+            cols[x], rows[x], cols[y], rows[y] = {}, {}, {}, {}
+            # Schur complement: u -> t loses (u -> y)(x -> t)/(x -> y)
+            for u, a in row_y.items():
+                if u == x:
+                    continue
+                m = f.neg(f.mul(a, c_inv))
+                col_u = cols[u]
+                for t, b in col_x.items():
+                    if t == y:
+                        continue
+                    old = col_u.get(t)
+                    new = f.mul(m, b) if old is None else f.add(old, f.mul(m, b))
+                    if f.is_zero(new):
+                        del col_u[t], rows[t][u]
+                        continue
+                    col_u[t] = rows[t][u] = new
+                    if old is None:
+                        heapq.heappush(heap, ((deg[t] - deg[u] + 1) >> 2,
+                                              (len(col_u) - 1) * (len(rows[t]) - 1), u, t))
+            self.pairs.append((x, y, k))
+
+    def _check_square(self, x, y, cols, rows):
+        """x's row and y's column in the basis that splits x -> y off are the
+        y-entries of D^2 and D^2 x, over (x -> y): both must vanish."""
+        f, lab = self.field, self.labels
+        for start, step in ((cols[x], cols), (rows[y], rows)):
+            acc = {}
+            for mid, a in start.items():
+                for end, b in step[mid].items():
+                    acc[end] = f.add(acc.get(end, f.zero), f.mul(a, b))
+            for end, v in acc.items():
+                if not f.is_zero(v):
+                    src, tgt = (x, end) if step is cols else (end, y)
+                    raise BPFloerError(
+                        "eliminating %r -> %r leaves an entry: D^2 %r has an entry on %r, "
+                        "so D does not square to zero" % (lab[x], lab[y], lab[src], lab[tgt]))
+
+    def counts(self):
+        """(generators, cancelled pairs, bars, free towers)."""
+        cancelled = sum(1 for _, _, k in self.pairs if k == 0)
+        return len(self.labels), cancelled, len(self.pairs) - cancelled, len(self.free)
+
+    def describe(self):
+        return "%d generators, %d cancelled, %d bars, %d towers" % self.counts()
+
+    def bar_window(self, flavor, n_lo, n_hi) -> BarWindow:
+        """One flavor's homology on the degrees [n_lo, n_hi] as bars.
+
+        A pair (x, y, k >= 1) gives for '-' the bar deg y, deg y - 4, ...,
+        deg y - 4(k-1), for '+' the bar deg x, deg x + 4, ...,
+        deg x + 4(k-1), and nothing for 'inf'; a tower z gives the degrees
+        deg z - 4j for '-', deg z + 4j for '+' (j >= 0), and its whole
+        residue class mod 4 for 'inf'.  Each bar is cut to [n_lo, n_hi].
+        """
+        if flavor not in (PLUS, MINUS, TATE):
+            raise BPFloerError("flavor must be '+', '-' or 'inf'")
+        deg, bars = self.degrees, []
+
+        def cut(lo, hi, r):  # None: the bar does not end on that side
+            lo = n_lo + (r - n_lo) % 4 if lo is None or lo < n_lo else lo
+            hi = n_hi - (n_hi - r) % 4 if hi is None or hi > n_hi else hi
+            if lo <= hi:
+                bars.append((lo, hi))
+
+        if flavor != TATE:
+            for x, y, k in self.pairs:
+                if k:
+                    lo = deg[y] - 4 * (k - 1) if flavor == MINUS else deg[x]
+                    cut(lo, lo + 4 * (k - 1), lo)
+        for z in self.free:
+            d = deg[z]
+            cut(d if flavor == PLUS else None, d if flavor == MINUS else None, d)
+        return BarWindow(bars, n_lo, n_hi)
+
+
+def u_reduction(window: WindowedComplex) -> UReduction:
+    """The reduction of the window's free F[U]-complex: D x = d x +
+    (-1)^(deg x + 1) U u(x), FunctorModel's sign (its degree n is
+    deg x + 4p), so every flavor's model is this complex tensored over F[U]."""
+    cx, u, f = window.complex, window.u, window.field
+    degrees, differential = {}, {}
+    for d in cx.degrees():
+        sgn = f.of(1 if d % 2 else -1)
+        down, up = cx.basis.get(d - 1, ()), cx.basis.get(d + 3, ())
+        for i, g in enumerate(cx.basis[d]):
+            degrees[g] = d
+            img = {down[r]: v for r, v in cx.boundary_columns(d)[i].items()}
+            for r, v in u.column(d, i).items():
+                img[up[r]] = f.mul(sgn, v)
+            differential[g] = img
+    return UReduction(f, degrees, differential)
 
 
 def orbit_homology(kind, flavor) -> PresentedModule:

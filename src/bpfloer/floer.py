@@ -10,16 +10,26 @@ The page engine derives the (bar, -) module; its dual is the (std, +)
 module.  The other four (orientation, flavor) pairs have no page derivation
 here: their closed forms live only in theorems.py.  A GroupRun is the one
 handle on a group's shared computations over one field: the (bar, -) pages,
-the comparison window they size, the assembled modules and the window
-models.  pair_reports checks every pair on it against the chain-level
-window homology, and (bar, -) also against the page route;
+the comparison window they size, the assembled modules, each orientation's
+U-adic reduction of a source window and the window models.  pair_reports
+checks every pair on it against the chain route, the pair's bars read off
+the reduction of its orientation, and (bar, -) also against the page route;
 direct_homology_window is the one-shot chain route on a fresh GroupRun.
 """
 from __future__ import annotations
 
 from .chains import FilteredPages
 from .donaldson import BAR, STD, DonaldsonModel, Gen, Window, WindowedComplex, build_model
-from .equivariant import MINUS, PLUS, TATE, FunctorModel, exact_triangle_check, functor_model
+from .equivariant import (
+    MINUS,
+    PLUS,
+    TATE,
+    FunctorModel,
+    UReduction,
+    exact_triangle_check,
+    functor_model,
+    u_reduction,
+)
 from .errors import (
     BPFloerError,
     FreenessFailure,
@@ -33,8 +43,8 @@ from .mckay import s_graph as s_graph_of
 from .presented import (
     MIN_CHECKED_DEGREES,
     OPLUS8,
+    BarWindow,
     Family,
-    HomologyWindow,
     ModuleWindow,
     PresentedModule,
     compare_windows,
@@ -263,19 +273,21 @@ class GroupRun:
     one field, each made once on first use.
 
     It holds the (bar, -) page run and the comparison window it sets, the
-    assembled modules, each orientation's source window and each flavor's
-    FunctorModel, keyed by (orientation, window) and (orientation, flavor,
-    window); a FunctorModel keeps its HomologyData, which computes a degree
-    when it is first read.  verify and the floer commands make one per group
-    and drop it when the group is done.  The independent routes (bar_oracle,
-    ss_accounting) build their own, so that no cross-check compares an
-    object with itself.
+    assembled modules, each orientation's source window and its U-adic
+    reduction, keyed by (orientation, window), and each flavor's
+    FunctorModel, keyed by (orientation, flavor, window).  The chain route
+    reads all three flavors off the one reduction; the FunctorModels, each
+    with its HomologyData, serve the cone triangle and floer-raw.  verify and
+    the floer commands make one per group and drop it when the group is done.
+    The independent routes (bar_oracle, ss_accounting) build their own, so
+    that no cross-check compares an object with itself.
     """
 
     def __init__(self, group, field=QQ):
         self.group = group
         self.field = field
         self._models, self._windows, self._functors, self._assembled = {}, {}, {}, {}
+        self._reductions = {}
         self._pages = None
 
     def model(self, orientation) -> DonaldsonModel:
@@ -320,22 +332,33 @@ class GroupRun:
                 )
         return self._assembled[key]
 
+    def window(self, orientation, source: Window) -> WindowedComplex:
+        """The orientation's model on the source window."""
+        key = orientation, source
+        if key not in self._windows:
+            self._windows[key] = self.model(orientation).window(source, self.field)
+        return self._windows[key]
+
+    def reduction(self, orientation, source: Window) -> UReduction:
+        """The U-adic reduction of the orientation's source window."""
+        key = orientation, source
+        if key not in self._reductions:
+            self._reductions[key] = u_reduction(self.window(orientation, source))
+        return self._reductions[key]
+
     def functor(self, orientation, flavor, win: Window) -> FunctorModel:
         """The flavor's model on win: the source window is win.source, and the
         degree range [win.n_lo, win.n_hi] applies to the totalization."""
         key = orientation, flavor, win
         if key not in self._functors:
-            source = orientation, win.source
-            if source not in self._windows:
-                self._windows[source] = self.model(orientation).window(win.source, self.field)
-            self._functors[key] = functor_model(self._windows[source], flavor,
+            self._functors[key] = functor_model(self.window(orientation, win.source), flavor,
                                                 win.n_lo, win.n_hi)
         return self._functors[key]
 
-    def homology_window(self, orientation, flavor, win: Window) -> HomologyWindow:
-        """Window homology of the flavor's model on win, as a rank view."""
-        fm = self.functor(orientation, flavor, win)
-        return HomologyWindow(fm.homology(), fm.u)
+    def homology_window(self, orientation, flavor, win: Window) -> BarWindow:
+        """The flavor's window homology on win, as bars read off the reduction
+        of win.source, on the degrees [win.n_lo, win.n_hi]."""
+        return self.reduction(orientation, win.source).bar_window(flavor, win.n_lo, win.n_hi)
 
 
 def duality_pairing_report(g):
@@ -419,11 +442,10 @@ def duality_transpose_check(wstd: WindowedComplex):
 
 
 def direct_homology_window(group, orientation, flavor, win: Window, field=QQ):
-    """Window homology of the materialized functor model, as a rank view.
+    """The flavor's window homology as bars, from the reduction of win.source.
 
-    The model is materialized on win.source, so that only the filtration
-    truncation is active on the source; the requested degree range applies
-    to the totalization.  A one-shot GroupRun(group, field).homology_window.
+    Only the filtration truncation is active on the source; the requested
+    degree range cuts the bars.  A one-shot GroupRun(group, field).homology_window.
     """
     return GroupRun(group, field).homology_window(orientation, flavor, win)
 
@@ -466,9 +488,12 @@ def norm_vanishing_and_splitting(run: GroupRun):
     """The norm map vanishes on homology, so dim Hinf_n = dim Hminus_n +
     dim Hplus_{n-4}: the (bar, +) closed form and the assembled (bar, -)
     module sit in even degrees, and exact_triangle_check on the three bar
-    comparison-window models checks the whole safe interior, at least
-    MIN_CHECKED_DEGREES degrees, with H(nu) of rank 0.  Returns the degrees
-    checked."""
+    models of the comparison window's source checks the whole safe interior,
+    at least MIN_CHECKED_DEGREES degrees, with H(nu) of rank 0.  The check
+    reads Hplus and H(nu) out of it from 4 degrees below the interior, so
+    the models span from 5 below to 1 above it: each degree it reads lies
+    strictly inside, where the truncated homology is exact.  Returns the
+    degrees checked."""
     group = run.group
     for flavor, pm in ((PLUS, encoded_module(group, BAR, PLUS)),
                        (MINUS, run.assembled(BAR, MINUS))):
@@ -476,7 +501,8 @@ def norm_vanishing_and_splitting(run: GroupRun):
             raise SplittingViolation("%s flavor %s has odd-degree classes" % (group, flavor))
     win, margin = run.comparison_window()
     degrees = win.interior(4, margin)
-    report = exact_triangle_check(*(run.functor(BAR, fl, win) for fl in (PLUS, MINUS, TATE)),
+    read = Window(win.q, win.p, degrees.start - 5, degrees.stop)
+    report = exact_triangle_check(*(run.functor(BAR, fl, read) for fl in (PLUS, MINUS, TATE)),
                                   degrees)
     if report["flagged_boundary"] or len(report["checked"]) < MIN_CHECKED_DEGREES:
         raise SplittingViolation("%s: the triangle checked %d of %d degrees, %d needed"

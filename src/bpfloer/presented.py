@@ -9,15 +9,16 @@ explicit correction into other families is stored for (label, k).  Window
 realizations enumerate the finitely many elements with level in (q, p] and
 degree in [n_lo, n_hi].
 
-Both window views (ModuleWindow for a presentation, HomologyWindow for a
-computed window homology) answer dims and share one U pass (_UWalk).  Its
-U-ranks are the rank invariant of the persistence module formed, along each
-residue class mod 4, by the groups H_m and the degree -4 maps U between
-them: one elimination per degree keeps a basis of H_m adapted to the image
-filtration I_k(m) = im(U^k: H_{m+4k} -> H_m), and rank U^k out of n is
-dim I_k(n - 4k).  Where U leaves the window through a nonzero class, that
-power and every higher one from the same degree have no rank (None).
-compare_windows asks each side for one table over its interior.
+Three window views answer dims and U-ranks.  ModuleWindow (a presentation)
+and HomologyWindow (the homology of a materialized complex with its induced
+U) share one U pass (_UWalk); BarWindow holds a sum of bars, the normal form
+the chain route reads off equivariant.UReduction, and counts them.  All give
+the rank invariant of the persistence module formed, along each residue class
+mod 4, by the groups H_m and the degree -4 maps U between them: rank U^k out
+of n is dim I_k(n - 4k), I_k(m) = im(U^k: H_{m+4k} -> H_m), which for bars is
+the number of bars through n and n - 4k.  Where U leaves the window through
+a nonzero class, that power and every higher one from the same degree have no
+rank (None).  compare_windows asks each side for one table over its interior.
 """
 from __future__ import annotations
 
@@ -124,7 +125,9 @@ class PresentedModule:
 
 
 class _UWalk:
-    """The U-power ranks of a window view, from one pass down a residue chain.
+    """The U-power ranks of a window view, from one pass down a residue chain:
+    the view over a presentation (ModuleWindow), and the test oracle for the
+    chain route's bars, the homology of a totalized model (HomologyWindow).
 
     A view gives its field, dim(n), a dict _u_cols and _build_u_columns(n),
     built when a pass first applies U out of n: the columns of U out of
@@ -273,7 +276,9 @@ class ModuleWindow(_UWalk):
 
 
 class HomologyWindow(_UWalk):
-    """dims / U^k-rank view of a computed window homology."""
+    """dims / U^k-rank view of a computed window homology: floer-raw's view of
+    the truncated model, and the oracle the chain route's bars are tested
+    against."""
 
     def __init__(self, homology, u_chain_map):
         self.h = homology
@@ -292,6 +297,51 @@ class HomologyWindow(_UWalk):
             return induced_map_between(self.h, self.h, self.u, n)
         except BPFloerError:
             return None
+
+
+class BarWindow:
+    """dims / U^k-rank view of a direct sum of bars on the degrees [n_lo, n_hi].
+
+    A bar (lo, hi) spans the classes in degrees lo, lo + 4, ..., hi, and U
+    moves each one down the bar, the lowest to zero.  dim(n) is the number of
+    bars through n, and rank U^k out of n the number through both n and
+    n - 4k; it is None where n - 4k < n_lo, below the window.
+    """
+
+    def __init__(self, bars, n_lo, n_hi):
+        self.n_lo, self.n_hi = n_lo, n_hi
+        self.bars = {}  # (lo, hi) -> multiplicity
+        self._dims = {}
+        for lo, hi in bars:
+            if (hi - lo) % 4 or not n_lo <= lo <= hi <= n_hi:
+                raise BPFloerError("bar %r does not run down one residue class of [%d, %d]"
+                                   % ((lo, hi), n_lo, n_hi))
+            self.bars[lo, hi] = self.bars.get((lo, hi), 0) + 1
+            for n in range(lo, hi + 1, 4):
+                self._dims[n] = self._dims.get(n, 0) + 1
+
+    def dim(self, n):
+        return self._dims.get(n, 0)
+
+    def u_rank_table(self, lo, hi, kmax):
+        """{(k, n): rank of U^k out of n (None: no rank)} for lo <= n <= hi
+        and 1 <= k <= kmax with n - 4k >= lo, the keys of _UWalk's table."""
+        table = {(k, n): None if n - 4 * k < self.n_lo else 0
+                 for n in range(lo, hi + 1) for k in range(1, min(kmax, (n - lo) // 4) + 1)}
+        for (b_lo, b_hi), mult in self.bars.items():
+            for n in range(b_lo + 4, min(b_hi, hi) + 1, 4):
+                for k in range(1, min(kmax, (n - max(b_lo, lo)) // 4) + 1):
+                    table[k, n] += mult
+        return table
+
+    def u_power_ranks(self, n, kmax):
+        """[rank U^k out of degree n for k = 1..kmax], None where there is no rank."""
+        table = self.u_rank_table(n - 4 * kmax, n, kmax)
+        return [table[k, n] for k in range(1, kmax + 1)]
+
+    def u_power_rank(self, k, n):
+        """rank of U^k from the degree-n slice to degree n-4k (None: no rank)."""
+        return self.u_power_ranks(n, k)[-1]
 
 
 MIN_CHECKED_DEGREES = 8  # one mod-8 period; a comparison over fewer degrees fails

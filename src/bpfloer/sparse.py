@@ -1,8 +1,11 @@
 """Sparse exact linear algebra over a coefficient field.
 
-TrackedEchelon is the package's one elimination kernel: homology, filtered
-pages, the page engine and the representation-ring solves in mckay all run on
-it.  Its pivot rule is fixed: vectors are taken in insertion order, and each
+TrackedEchelon is the package's one one-sided elimination kernel: it reduces
+vectors against a row space, and homology, filtered pages, the page engine
+and the representation-ring solves in mckay all run on it.  The package's one
+two-sided elimination, rows and columns of one differential at once, is
+equivariant.UReduction, the U-adic reduction the chain route reads.  The
+echelon's pivot rule is fixed: vectors are taken in insertion order, and each
 stored row pivots at its smallest column.  Every elimination is therefore
 deterministic; golden tests rely on this.  A row remembers how it was made
 in one way: its multipliers, the multiple of each older row that reduce

@@ -162,25 +162,30 @@ def test_floer_builds_the_pages_once(capsys, monkeypatch):
 
 
 def test_verify_shares_one_computation_per_group(capsys, monkeypatch):
-    # the assembly and triangle checks read one GroupRun, which builds the
-    # six pairs' window models once (the triangle check reads the three bar
-    # ones again) and the (bar, -) pages once.  The bar oracle and the
-    # accounting build their own: 2 models each.  The oracle proves a chain
-    # isomorphism and computes no homology (it used to eliminate its 2 models
-    # and 2 bar complexes, 4 more).  Before the sharing this was 13 models,
-    # 15 homologies and 4 page runs.
+    # the assembly and triangle checks read one GroupRun.  The chain route
+    # reads all six pairs off one reduction per orientation and builds no
+    # model; the triangle check builds the three bar models and their
+    # homologies; the (bar, -) pages run once.  The bar oracle and the
+    # accounting build their own: 2 models each, and the accounting 2
+    # homologies.  Before the reduction this was 10 models and 8 homologies,
+    # and before the sharing 13 models, 15 homologies and 4 page runs.
     from bpfloer.chains import HomologyData
-    from bpfloer.equivariant import FunctorModel
+    from bpfloer.donaldson import BAR, STD
+    from bpfloer.equivariant import MINUS, PLUS, TATE, FunctorModel, UReduction
     from bpfloer.floer import GroupRun, MinusPages
 
-    built = count_builds(monkeypatch, FunctorModel, HomologyData, MinusPages, GroupRun)
+    built = count_builds(monkeypatch, FunctorModel, HomologyData, MinusPages, UReduction,
+                         GroupRun)
     code, out = run_cli(capsys, "verify", "--groups", "T*")
     assert code == 0 and "verify: PASS" in out
     count = lambda name: sum(b[0] == name for b in built)
-    assert (count("FunctorModel"), count("HomologyData"), count("MinusPages")) == (10, 8, 1)
+    assert (count("FunctorModel"), count("HomologyData"), count("MinusPages"),
+            count("UReduction")) == (7, 5, 1, 2)
     (owner,) = [b[1] for b in built if b[0] == "GroupRun"]
+    assert sorted(owner._reductions) == [(o, owner.comparison_window()[0].source)
+                                         for o in (BAR, STD)]
     shared = {id(fm) for fm in owner._functors.values()}
-    assert len(shared) == 6
+    assert [key[:2] for key in owner._functors] == [(BAR, PLUS), (BAR, MINUS), (BAR, TATE)]
     for callers in ("bar_oracle", "ss_accounting"):
         own = [b[1] for b in built if b[0] == "FunctorModel" and callers in b[2]]
         assert len(own) == 2 and not shared & {id(fm) for fm in own}, callers

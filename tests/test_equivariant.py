@@ -13,10 +13,12 @@ from bpfloer.equivariant import (
     ColGen,
     FunctorModel,
     NormData,
+    UReduction,
     bar_oracle,
     exact_triangle_check,
     functor_model,
     orbit_homology,
+    u_reduction,
 )
 from bpfloer.errors import BPFloerError, OracleMismatch
 from bpfloer.fields import PrimeField, QQ
@@ -359,3 +361,103 @@ def test_long_exact_sequence_with_framed_homology():
             rank_um = matrix_rank(induced_map_between(hp, hp, fm.u, m), QQ)
             ker = hp.dim(m) - rank_um
             assert hsrc.dim(m) == coker + ker, (str(g), m)
+
+
+# ---------------------------------------------------------------------------
+# The U-adic reduction
+
+
+def planted_complex(rng, field):
+    """A random direct sum of elementary complexes F[U]x -> U^k F[U]y
+    (k = 0..4) and free generators, conjugated by random elementary basis
+    changes a -> a + c U^j b (deg b = deg a + 4j, j >= 0), each invertible
+    and homogeneous: the column of a gains c times the column of b, and the
+    row of b loses c times the row of a.  Returns (degrees, differential,
+    planted (deg y, k) for k >= 1, planted free degrees)."""
+    degrees, cols, bars, free = {}, {}, [], []
+    for i in range(rng.randint(1, 12)):
+        d, k = rng.randint(-6, 6), rng.randint(0, 4)
+        x, y = ("x", i), ("y", i)
+        degrees[x], degrees[y] = d, d - 1 + 4 * k
+        cols[x], cols[y] = {y: field.of(rng.choice([1, -1, 2, -2]))}, {}
+        if k:
+            bars.append((d - 1 + 4 * k, k))
+    for i in range(rng.randint(0, 5)):
+        z = ("z", i)
+        degrees[z], cols[z] = rng.randint(-6, 6), {}
+        free.append(degrees[z])
+    gens = list(degrees)
+    rng.shuffle(gens)
+    degrees = {g: degrees[g] for g in gens}
+    for _ in range(3 * len(gens)):
+        a, b = rng.sample(gens, 2)
+        if degrees[b] < degrees[a] or (degrees[b] - degrees[a]) % 4:
+            continue
+        c = field.of(rng.choice([1, -1, 2, -2, 3]))
+        for t, v in cols[b].items():
+            cols[a][t] = field.add(cols[a].get(t, field.zero), field.mul(c, v))
+        for col in cols.values():
+            if a in col:
+                col[b] = field.sub(col.get(b, field.zero), field.mul(c, col[a]))
+        for col in cols.values():
+            for t in [t for t, v in col.items() if field.is_zero(v)]:
+                del col[t]
+    return degrees, cols, sorted(bars), sorted(free)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)], ids=lambda f: f.name)
+def test_reduction_recovers_planted_bars(field):
+    # the normal form over F[U] is unique: the torsion summands F[U]/U^k at
+    # deg y and the free generators' degrees do not depend on the basis
+    rng = random.Random(30 + field.char)
+    mixed = 0
+    for _ in range(80):
+        degrees, cols, bars, free = planted_complex(rng, field)
+        mixed += any(cols[t] for col in cols.values() for t in col)  # D^2 terms to check
+        red = UReduction(field, degrees, cols)
+        got = sorted((red.degrees[y], k) for _, y, k in red.pairs if k)
+        assert got == bars
+        assert sorted(red.degrees[z] for z in red.free) == free
+        assert all(red.degrees[y] - red.degrees[x] == 4 * k - 1 for x, y, k in red.pairs)
+    assert mixed > 10
+
+
+def test_reduction_rejects_an_entry_of_no_u_power():
+    with pytest.raises(BPFloerError, match=r"'a' -> 'b': U-power \(0 - 0 \+ 1\)/4 is not an "
+                                           r"integer"):
+        UReduction(QQ, {"a": 0, "b": 0}, {"a": {"b": 1}})
+    with pytest.raises(BPFloerError, match=r"'a' -> 'b': U-power \(-5 - 0 \+ 1\)/4 is negative"):
+        UReduction(QQ, {"a": 0, "b": -5}, {"a": {"b": 1}})
+
+
+def test_reduction_rejects_a_differential_that_does_not_square_to_zero():
+    # a -> b -> c with D^2 a = c: whichever entry is eliminated first, the
+    # basis that splits it off leaves the other one standing
+    with pytest.raises(BPFloerError, match="leaves an entry: D\\^2 'a' has an entry on 'c'"):
+        UReduction(QQ, {"a": 2, "b": 1, "c": 0}, {"a": {"b": 1}, "b": {"c": 1}})
+    # a -> b and a' -> b' with U^1 b' -> c: here D^2 a' = U c
+    with pytest.raises(BPFloerError, match="D does not square to zero"):
+        UReduction(PrimeField(5), {"a": 2, "b": 1, "c": 4},
+                   {"a": {"b": 1}, "b": {"c": 2}})
+    # the same shapes with D^2 = 0 reduce
+    red = UReduction(QQ, {"a": 2, "b": 1, "c": 1, "d": 0},
+                     {"a": {"b": 1, "c": -1}, "b": {"d": 1}, "c": {"d": 1}})
+    assert red.counts() == (4, 2, 0, 0)
+
+
+@pytest.mark.parametrize("g", [T_STAR, binary_dihedral(7)], ids=str)
+def test_reduction_flavors_are_the_totalized_homology(g):
+    # each flavor's bars against the homology of its totalization, in every
+    # degree strictly inside the totalized range (its end degrees are
+    # truncated: every chain of the lowest degree is a cycle, and nothing
+    # bounds into the highest)
+    win = Window(-13, 11, -12, 12)
+    for orientation in (BAR, STD):
+        w = build_model(g, orientation).window(win.source)
+        red = u_reduction(w)
+        assert red.counts()[0] == w.complex.total_dim()
+        for flavor in (PLUS, MINUS, TATE):
+            bars = red.bar_window(flavor, win.n_lo, win.n_hi)
+            h = functor_model(w, flavor, win.n_lo, win.n_hi).homology()
+            for n in range(win.n_lo + 1, win.n_hi):
+                assert bars.dim(n) == h.dim(n), (orientation, flavor, n)

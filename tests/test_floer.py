@@ -7,7 +7,7 @@ from fractions import Fraction
 from bpfloer.chains import FilteredPages
 from bpfloer.donaldson import BAR, STD, Window, build_model
 from bpfloer.equivariant import MINUS, PLUS, TATE, functor_model
-from bpfloer.errors import FreenessFailure, WrongFlavor
+from bpfloer.errors import BPFloerError, FreenessFailure, WrongFlavor
 from bpfloer.fields import PrimeField, QQ
 import bpfloer.floer as floer
 import bpfloer.mckay as mk
@@ -24,7 +24,7 @@ from bpfloer.floer import (
     ss_accounting,
 )
 from bpfloer.groups import I_STAR, O_STAR, T_STAR, binary_dihedral, cyclic, parse_group
-from bpfloer.presented import ModuleWindow, PresentedModule, _UWalk, compare_windows
+from bpfloer.presented import BarWindow, HomologyWindow, ModuleWindow, PresentedModule, _UWalk, compare_windows
 from bpfloer.sparse import TrackedEchelon, _apply_columns
 from bpfloer.theorems import encoded_module, negative_bar_module, positive_std_module
 
@@ -264,29 +264,27 @@ def test_closed_form_reports_make_every_u_rank(g):
                 str(g), field.name, route, orientation, flavor)
 
 
-def test_chain_route_computes_u_only_where_the_comparison_walks(monkeypatch):
-    # HomologyWindow computes the induced U out of a degree on first use, so
-    # a comparison pays for at most the degrees it walks (all inside its
-    # interior), not for every degree of the window complex
-    import bpfloer.presented as presented
+def test_chain_route_builds_no_functor_model_and_no_homology(monkeypatch):
+    # the chain route reads every flavor off one U-adic reduction of the
+    # source window: no totalization, no homology elimination, no induced U;
+    # one GroupRun reduces each orientation's source window once
+    from bpfloer.chains import HomologyData
+    from bpfloer.equivariant import FunctorModel, UReduction
 
-    calls = []
-    real = presented.induced_map_between
-
-    def counted(hs, ht, cmap, n):
-        calls.append(n)
-        return real(hs, ht, cmap, n)
-
-    monkeypatch.setattr(presented, "induced_map_between", counted)
-    win, margin = GroupRun(T_STAR).comparison_window()
-    hw = direct_homology_window(T_STAR, BAR, TATE, win)
-    assert calls == []
-    enc = ModuleWindow(encoded_module(T_STAR, BAR, TATE), win)
-    rep = compare_windows(hw, enc, win, 4, margin, 6)
-    assert rep.ok and rep.urank_made > 0
-    assert 0 < len(calls) == len(set(calls)) <= len(rep.checked_degrees)
-    assert set(calls) <= set(rep.checked_degrees)
-    assert len(calls) < len(hw.h.complex.degrees())
+    built = []
+    for cls in (FunctorModel, HomologyData, UReduction):
+        def counted(self, *args, real=cls.__init__, name=cls.__name__):
+            built.append(name)
+            real(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    run = GroupRun(T_STAR)
+    win, margin = run.comparison_window()
+    for orientation, flavor in PAIRS:
+        enc = ModuleWindow(encoded_module(T_STAR, orientation, flavor), win)
+        rep = compare_windows(run.homology_window(orientation, flavor, win), enc, win,
+                              4, margin, 6)
+        assert rep.ok and rep.urank_made > 0
+    assert built == ["UReduction", "UReduction"]
 
 
 def walked_u_ranks(view, n, kmax):
@@ -373,46 +371,72 @@ def test_u_rank_table_matches_the_walk_on_random_views(field):
     assert nones and drops
 
 
-@pytest.mark.parametrize("g", [T_STAR, cyclic(5), binary_dihedral(7)], ids=str)
+def test_bar_window_counts_bars():
+    # dims count the bars through n, rank U^k the bars through n and n - 4k;
+    # below the window (n - 4k < n_lo) there is no rank
+    bw = BarWindow([(0, 8), (4, 4), (1, 9), (1, 9)], 0, 12)
+    assert [bw.dim(n) for n in range(-1, 11)] == [0, 1, 2, 0, 0, 2, 2, 0, 0, 1, 2, 0]
+    assert bw.u_power_ranks(8, 3) == [1, 1, None]
+    assert bw.u_power_ranks(9, 2) == [2, 2]
+    assert bw.u_power_rank(1, 4) == 1
+    assert bw.u_rank_table(4, 9, 2) == {(1, 8): 1, (1, 9): 2}
+    with pytest.raises(BPFloerError, match="does not run down one residue class"):
+        BarWindow([(0, 6)], 0, 12)
+
+
+ACCEPT_GROUPS = ([cyclic(k) for k in range(2, 13)] + [binary_dihedral(k) for k in range(2, 13)]
+                 + [T_STAR, O_STAR, I_STAR])
+
+
+@pytest.mark.parametrize("g", ACCEPT_GROUPS, ids=str)
 def test_u_rank_table_matches_the_walk_on_real_windows(g):
-    win, margin = GroupRun(g).comparison_window()
+    # the oracle is the homology of each flavor's totalized model with its
+    # induced U (HomologyWindow), whose table must match one walk per degree;
+    # the bar view of the chain route must give its dims and its table, every
+    # interior degree and k <= 6.  The encoded table's view matches the walk.
+    run = GroupRun(g)
+    win, margin = run.comparison_window()
     interior = win.interior(4, margin)
+    lo, hi = interior.start, interior.stop - 1
     for orientation, flavor in PAIRS:
-        views = (direct_homology_window(g, orientation, flavor, win),
-                 ModuleWindow(encoded_module(g, orientation, flavor), win))
-        for view in views:
-            table = view.u_rank_table(interior.start, interior.stop - 1, 6)
-            for n, got, want in table_against_walks(table, view, interior):
+        fm = run.functor(orientation, flavor, win)
+        oracle = HomologyWindow(fm.homology(), fm.u)
+        bars = run.homology_window(orientation, flavor, win)
+        table = oracle.u_rank_table(lo, hi, 6)
+        assert bars.u_rank_table(lo, hi, 6) == table, (orientation, flavor)
+        assert [bars.dim(n) for n in interior] == [oracle.dim(n) for n in interior]
+        mw = ModuleWindow(encoded_module(g, orientation, flavor), win)
+        for view, tab in ((oracle, table), (mw, mw.u_rank_table(lo, hi, 6))):
+            for n, got, want in table_against_walks(tab, view, interior):
                 assert got == want, (orientation, flavor, type(view).__name__, n)
 
 
 def test_u_rank_table_eliminates_once_per_degree(monkeypatch):
-    # the width-48 chain-route comparison of T* (bar, inf): each side's table
-    # makes at most one elimination per interior degree, where one walk per
-    # degree made one per step, up to six per degree
+    # the width-48 chain-route comparison of T* (bar, inf): the encoded
+    # table's view makes at most one elimination per interior degree, where
+    # one walk per degree made one per step, up to six per degree; the bar
+    # view counts bars and makes none
     g = T_STAR
     _, margin = GroupRun(g).comparison_window()
     win = Window(-24, 24, -24, 24)
     interior = win.interior(4, margin)
     hw = direct_homology_window(g, BAR, TATE, win)
     mw = ModuleWindow(encoded_module(g, BAR, TATE), win)
-    # the homology eliminates a degree when it is first read, with
-    # kernel_of_columns too: fill every degree so that only the U pass counts
-    hw.h.dims()
     calls = []
-    for name in ("independent", "kernel_of_columns"):
-        def counted(self, vectors, real=getattr(TrackedEchelon, name)):
-            calls.append(1)
-            return real(self, vectors)
+    for name in ("__init__", "independent", "kernel_of_columns"):
+        def counted(self, *args, real=getattr(TrackedEchelon, name), name=name):
+            calls.append(name)
+            return real(self, *args)
         monkeypatch.setattr(TrackedEchelon, name, counted)
-    for side in (hw, mw):
-        calls.clear()
-        side.u_rank_table(interior.start, interior.stop - 1, 6)
-        assert 0 < len(calls) <= len(interior)
+    hw.u_rank_table(interior.start, interior.stop - 1, 6)
+    assert calls == []
+    mw.u_rank_table(interior.start, interior.stop - 1, 6)
+    eliminations = calls.count("independent") + calls.count("kernel_of_columns")
+    assert 0 < eliminations <= len(interior)
     calls.clear()
     rep = compare_windows(hw, mw, win, 4, margin, 6)
     assert rep.ok and rep.urank_made > 3 * len(interior)
-    assert len(calls) <= 2 * len(interior)
+    assert calls.count("independent") + calls.count("kernel_of_columns") == eliminations
 
 
 def zeroed_label_model(g, edge):
