@@ -107,10 +107,13 @@ class ChainMap:
 
 
 class HomologyData:
-    """Homology of a FiniteComplex: dims, representatives and coordinates.
+    """Homology of a FiniteComplex: dims, and the representatives and
+    coordinates that the tests' oracles (induced_map_between) read.
 
-    One elimination per degree: kernel_of_columns(d_n) with rows keyed by -r
-    gives the cycle basis, one z_j = e_j - (earlier pivot columns) with top
+    dim(n) is dim C_n - rank d_n - rank d_(n+1), each rank from one rank-only
+    elimination (TrackedEchelon.independent) of d_n with rows keyed by -r.
+    Representatives come from kernel_of_columns(d_n), keyed the same way:
+    the cycle basis, one z_j = e_j - (earlier pivot columns) with top
     (largest position) j per dependent column j, and rows spanning B_{n-1}
     that pivot at their tops.  z_j is a representative iff j is no boundary
     top: that is the greedy rule z_j not in B + span(z_i, i < j), since a
@@ -118,24 +121,37 @@ class HomologyData:
     rows plus the representatives at their tops (tagged) give coordinates by
     solve, in which the boundaries' multiples drop out.
 
-    Degrees are computed lazily: the first read of dim, coords or reps_in of
-    degree n eliminates d_n and d_{n+1}, once each.  cycle_basis,
-    rank_boundary, reps and dims() fill every degree.
+    Degrees are computed lazily: the first read of dim(n) ranks d_n and
+    d_(n+1), the first read of coords or reps_in of degree n eliminates
+    them, each once (an elimination also gives the rank).  cycle_basis, reps
+    and dims() fill every degree.
     """
 
     def __init__(self, complex_):
         self.complex = complex_
-        self._kernels = {}  # n -> (cycle basis of C_n, rank d_n, rows spanning B_{n-1})
+        self._kernels = {}  # n -> (cycle basis of C_n, rows spanning B_{n-1})
+        self._ranks = {}    # n -> rank d_n
         self._reps, self._coord = {}, {}
+
+    def _rows(self, n):
+        return ({-r: v for r, v in col.items()} for col in self.complex.boundary_columns(n))
 
     def _eliminate(self, n):
         got = self._kernels.get(n)
         if got is None:
             ech = TrackedEchelon(self.complex.field)
-            kernel, pivots = ech.kernel_of_columns(
-                {-r: v for r, v in col.items()} for col in self.complex.boundary_columns(n))
-            got = self._kernels[n] = (kernel, len(pivots), list(ech.rows.values()))
+            kernel, pivots = ech.kernel_of_columns(self._rows(n))
+            got = self._kernels[n] = (kernel, list(ech.rows.values()))
+            self._ranks[n] = len(pivots)
         return got
+
+    def _rank(self, n):
+        """rank of d_n : C_n -> C_(n-1); 0 off the complex."""
+        rank = self._ranks.get(n)
+        if rank is None and n in self.complex.basis:
+            rank = self._ranks[n] = len(TrackedEchelon(self.complex.field).independent(
+                self._rows(n)))
+        return rank or 0
 
     def reps_in(self, n):
         """Cycles representing a basis of H_n; [] off the complex."""
@@ -146,7 +162,7 @@ class HomologyData:
             return []
         coord = self._coord[n] = TrackedEchelon(self.complex.field)
         if n + 1 in self.complex.basis:
-            for row in self._eliminate(n + 1)[2]:
+            for row in self._eliminate(n + 1)[1]:
                 coord.add_row(row)
         reps = self._reps[n] = []
         for z in self._eliminate(n)[0]:
@@ -162,14 +178,14 @@ class HomologyData:
     @property
     def rank_boundary(self):
         """rank of d_n : C_n -> C_{n-1}, per degree n."""
-        return {n: self._eliminate(n)[1] for n in self.complex.degrees()}
+        return {n: self._rank(n) for n in self.complex.degrees()}
 
     @property
     def reps(self):
         return {n: self.reps_in(n) for n in self.complex.degrees()}
 
     def dim(self, n):
-        return len(self.reps_in(n))
+        return self.complex.dim(n) - self._rank(n) - self._rank(n + 1)
 
     def dims(self):
         return {n: self.dim(n) for n in self.complex.degrees()}
@@ -188,7 +204,8 @@ class HomologyData:
 
 
 def induced_map_between(h_source: HomologyData, h_target: HomologyData, cmap: ChainMap, n):
-    """Induced map H_n(source) -> H_{n+d}(target) as a list of coordinate dicts."""
+    """Induced map H_n(source) -> H_{n+d}(target) as a list of coordinate dicts:
+    the tests' oracle (HomologyWindow's U), with no caller in the package."""
     cols = []
     for vec in h_source.reps_in(n):
         img = cmap.apply(n, vec)

@@ -43,7 +43,7 @@ from .groups import (
     verify_orthogonality,
 )
 from .mckay import s_graph, s_graph_matches_expected
-from .presented import MIN_CHECKED_DEGREES, HomologyWindow
+from .presented import MIN_CHECKED_DEGREES
 from .theorems import encoded_module
 
 DEFAULT_GROUPS = (
@@ -283,10 +283,9 @@ def cmd_floer_raw(args, cfg):
     field = parse_field(_merged(args, cfg, "coeff", "q"))
     win = _window_from(args, cfg)
     run = GroupRun(g, field)
-    # the raw truncated model, edge degrees included: its homology and induced U
-    fm = run.functor(orientation, flavor, win)
-    hw = HomologyWindow(fm.homology(), fm.u)
-    dims = {n: hw.dim(n) for n in fm.complex.degrees() if hw.dim(n)}
+    # the bars of the source window's reduction, cut to the degrees
+    hw = run.homology_window(orientation, flavor, win)
+    dims = {n: hw.dim(n) for n in range(win.n_lo, win.n_hi + 1) if hw.dim(n)}
     uranks = {}
     for n in sorted(dims):
         r = hw.u_power_rank(1, n)
@@ -428,9 +427,12 @@ def _verify_group(g: GroupId, field):
     run("assembly-vs-closed-form", assembly)
 
     def triangle():
-        checked = norm_vanishing_and_splitting(shared)
-        return ("even degrees: bar/+ closed form, bar/- assembled; cone triangle on %d "
-                "degrees, 0 flagged; H(nu) rank 0" % len(checked))
+        rep = norm_vanishing_and_splitting(shared)
+        return ("even degrees: bar/+ closed form, bar/- assembled; models on degrees %d..%d: "
+                "nu a chain map on %d '+' generators, cone(nu) = Tate on %d generators; "
+                "cone triangle on %d degrees, %d flagged; H(nu) summed rank %d" % (
+                    *rep["span"], rep["nu_generators"], rep["cone_generators"],
+                    len(rep["checked"]), len(rep["flagged_boundary"]), rep["norm_rank"]))
     run("triangle-and-norm", triangle)
 
     run("cs-golden-values", lambda: _check_cs(g))

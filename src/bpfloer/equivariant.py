@@ -1,5 +1,6 @@
 """Double-complex models for the three equivariant chain functors over the
-exterior algebra on one degree-3 generator, the norm map and its cone, a
+exterior algebra on one degree-3 generator, the norm map and the check that
+its cone is the Tate model, the cone triangle read from dims alone, a
 literal bar-construction oracle, orbit-homology calculators, and the U-adic
 reduction of a source window, from which the chain route reads all three
 flavors as bars.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import heapq
 from typing import NamedTuple
 
-from .chains import ChainMap, FiniteComplex, HomologyData, induced_map_between, matrix_rank
+from .chains import ChainMap, FiniteComplex, HomologyData
 from .donaldson import WindowedComplex
 from .errors import BPFloerError, OracleMismatch, TriangleViolation
 from .groups import FULLY_REDUCIBLE, IRREDUCIBLE, ORBITS
@@ -437,13 +438,13 @@ def bar_oracle(window: WindowedComplex, flavor, deg_lo, deg_hi):
 
 
 # ---------------------------------------------------------------------------
-# Norm map, cone, Tate comparison.
+# Norm map, cone = Tate, the cone triangle.
 
 
 class NormData:
-    """The degree-3 composite from the '+' to the '-' model, the degree-0
-    homotopy witnessing its commutation with the degree -4 action up to
-    homotopy, and the cone with the adjusted action."""
+    """The degree-3 composite nu from the '+' to the '-' model, and the
+    degree-0 homotopy psi_s witnessing its commutation with the degree -4
+    action up to homotopy, which adjusts the action on its cone."""
 
     def __init__(self, plus: FunctorModel, minus: FunctorModel):
         if plus.flavor != PLUS or minus.flavor != MINUS:
@@ -490,129 +491,91 @@ class NormData:
                     return False
         return True
 
-    def cone(self):
-        """Cone of nu with the adjusted degree -4 action.
-
-        Returns (complex, u) where degree n holds the '-' part in degree n
-        and the '+' part in degree n - 4.
-        """
-        f = self.plus.complex.field
-        cx = FiniteComplex(f)
-        lo = max(self.minus.deg_lo, self.plus.deg_lo + 4)
-        hi = min(self.minus.deg_hi, self.plus.deg_hi + 4)
-        for n in range(lo, hi + 1):
-            for cg in self.minus.complex.basis.get(n, []):
-                cx.add_generator(n, ("m", cg), level=None)
-            for cg in self.plus.complex.basis.get(n - 4, []):
-                cx.add_generator(n, ("p", cg), level=None)
-        for n in range(lo, hi + 1):
-            for cg in self.minus.complex.basis.get(n, []):
-                pos = self.minus.complex.index[n][cg]
-                img = {}
-                for row, v in self.minus.complex.boundary_columns(n)[pos].items():
-                    img[("m", self.minus.complex.basis[n - 1][row])] = v
-                cx.set_boundary(n, ("m", cg), img)
-            for cg in self.plus.complex.basis.get(n - 4, []):
-                pos = self.plus.complex.index[n - 4][cg]
-                img = {}
-                for row, v in self.plus.complex.boundary_columns(n - 4)[pos].items():
-                    img[("p", self.plus.complex.basis[n - 5][row])] = v
-                for row, v in self.nu.column(n - 4, pos).items():
-                    tgt = ("m", self.minus.complex.basis[n - 1][row])
-                    img[tgt] = f.add(img.get(tgt, f.zero), f.neg(v))
-                cx.set_boundary(n, ("p", cg), img)
-        u = ChainMap(cx, cx, -4)
-        for n in range(lo, hi + 1):
-            for cg in self.minus.complex.basis.get(n, []):
-                pos = self.minus.complex.index[n][cg]
-                img = {("m", self.minus.complex.basis[n - 4][row]): v
-                       for row, v in self.minus.u.column(n, pos).items()}
-                u.set_image(n, ("m", cg), img)
-            for cg in self.plus.complex.basis.get(n - 4, []):
-                pos = self.plus.complex.index[n - 4][cg]
-                img = {}
-                for row, v in self.plus.u.column(n - 4, pos).items():
-                    img[("p", self.plus.complex.basis[n - 8][row])] = v
-                for row, v in self.psi_s.column(n - 4, pos).items():
-                    tgt = ("m", self.minus.complex.basis[n - 4][row])
-                    img[tgt] = f.add(img.get(tgt, f.zero), v)
-                u.set_image(n, ("p", cg), img)
-        return cx, u
-
     def cone_matches_tate(self, tate: FunctorModel):
-        """The cone is degreewise the flavor-'inf' model: the '-' part sits in
-        columns p <= 0 and the '+' part shifted into columns p >= 1; check
-        that differentials and the adjusted action agree on the overlap."""
-        cone_cx, cone_u = self.cone()
+        """cone(nu) is the flavor-'inf' model on the degrees [lo, hi] where
+        both are materialized: the '-' part sits in columns p <= 0 and the
+        '+' part, one column up, in p >= 1, with differential d on the '-'
+        part and d - nu on the '+' part, and action U on the '-' part and
+        U + psi_s on the '+' part.  Checks that the Tate basis is the cone
+        basis in each degree of [lo, hi], and that the Tate columns equal the
+        cone formula: the differential out of each degree above lo, the
+        action out of each degree from lo + 4."""
+        m, p, t = self.minus, self.plus, tate
+        f = t.complex.field
+        lo = max(m.deg_lo, p.deg_lo + 4, t.deg_lo)
+        hi = min(m.deg_hi, p.deg_hi + 4, t.deg_hi)
+        # degree n -> the Tate position of each '-' generator of degree n,
+        # and of each '+' generator of degree n - 4 moved one column up
+        at_m, at_p = {}, {}
+        for n in range(lo, hi + 1):
+            index = t.complex.index.get(n, {})
+            at_m[n] = [index.get(cg) for cg in m.complex.basis.get(n, ())]
+            at_p[n] = [index.get(ColGen(cg.p + 1, cg.gen)) for cg in p.complex.basis.get(n - 4, ())]
+            cone = at_m[n] + at_p[n]
+            if None in cone or len(cone) != len(index):
+                return False
 
-        def relabel(lbl):
-            part, cg = lbl
-            return ColGen(cg.p if part == "m" else cg.p + 1, cg.gen)
+        def moved(col, at, sign=f.one):
+            return {at[r]: f.mul(sign, v) for r, v in col.items()}
 
-        lo = max(min(cone_cx.degrees(), default=0), tate.deg_lo + 1)
-        hi = min(max(cone_cx.degrees(), default=0), tate.deg_hi)
+        minus_one = f.neg(f.one)
         for n in range(lo + 1, hi + 1):
-            for lbl in cone_cx.basis.get(n, []):
-                tgt_idx = tate.complex.index.get(n, {})
-                if relabel(lbl) not in tgt_idx:
+            d, act = t.complex.boundary_columns(n), n - 4 >= lo
+            for pos, at in enumerate(at_m[n]):
+                if d[at] != moved(m.complex.boundary_columns(n)[pos], at_m[n - 1]):
                     return False
-                pos = cone_cx.index[n][lbl]
-                got = {relabel(cone_cx.basis[n - 1][row]): v
-                       for row, v in cone_cx.boundary_columns(n)[pos].items()}
-                tpos = tgt_idx[relabel(lbl)]
-                want = {tate.complex.basis[n - 1][row]: v
-                        for row, v in tate.complex.boundary_columns(n)[tpos].items()}
-                if got != want:
+                if act and t.u.column(n, at) != moved(m.u.column(n, pos), at_m[n - 4]):
                     return False
-                if n - 4 >= lo:
-                    gotu = {relabel(cone_cx.basis[n - 4][row]): v
-                            for row, v in cone_u.column(n, pos).items()}
-                    wantu = {tate.complex.basis[n - 4][row]: v
-                             for row, v in tate.u.column(n, tpos).items()}
-                    if gotu != wantu:
-                        return False
+            for pos, at in enumerate(at_p[n]):
+                if d[at] != {**moved(p.complex.boundary_columns(n - 4)[pos], at_p[n - 1]),
+                             **moved(self.nu.column(n - 4, pos), at_m[n - 1], minus_one)}:
+                    return False
+                if act and t.u.column(n, at) != {**moved(p.u.column(n - 4, pos), at_p[n - 4]),
+                                                 **moved(self.psi_s.column(n - 4, pos), at_m[n - 4])}:
+                    return False
         return True
 
 
 def exact_triangle_check(plus: FunctorModel, minus: FunctorModel, tate: FunctorModel, degrees):
-    """Verify the cone long exact sequence of the norm map nu, for every n in
-    degrees, on the flavor models of one source complex and degree range:
-        dim Hinf_n = dim coker(H(nu) -> Hminus_n) + dim ker(H(nu) on Hplus_{n-4}).
-    A degree where an induced map leaves the models' range is flagged.
-    Returns {"checked", "flagged_boundary", "norm_rank"}, the last the rank
-    of H(nu) into Hminus_n summed over the checked n; raises
-    TriangleViolation on a checked degree where the dimensions disagree.
+    """Verify the cone long exact sequence of the norm map nu on the flavor
+    models of one source complex and degree range [lo, hi].
+
+    nu must be a chain map and cone(nu) the Tate model (NormData), or
+    TriangleViolation is raised.  Then the sequence (Weibel, 1.5) gives
+        dim Hinf_n = dim Hminus_n + dim Hplus_{n-4} - r_{n-3} - r_{n-4},
+    r_d the rank of H(nu) out of Hplus_d, on each n in degrees with
+    lo + 5 <= n <= hi - 1, where the truncated complexes and the cone agree
+    with the Tate model from n - 1 to n + 1 and Hplus_{n-4} is above lo; the
+    other degrees are flagged.  Returns {"checked", "flagged_boundary",
+    "norm_rank", "span", "nu_generators", "cone_generators"}: norm_rank is
+    the sum of r_{n-3} + r_{n-4} over the checked n, a negative term raising
+    TriangleViolation; span is (lo, hi), nu_generators the number of '+'
+    generators on which nu was checked, cone_generators that of the Tate
+    generators of [lo + 4, hi] compared with the cone.
     """
     models = (plus, minus, tate)
     if ([m.flavor for m in models] != [PLUS, MINUS, TATE]
             or len({(id(m.source), m.deg_lo, m.deg_hi) for m in models}) > 1):
         raise BPFloerError("the triangle needs '+', '-' and 'inf' models of one source "
                            "complex and degree range")
-    report = {"checked": [], "flagged_boundary": [], "norm_rank": 0}
     norm = NormData(plus, minus)
+    if not norm.check_chain_map():
+        raise TriangleViolation("nu is not a chain map")
+    if not norm.cone_matches_tate(tate):
+        raise TriangleViolation("cone(nu) is not the Tate model")
+    lo, hi = tate.deg_lo, tate.deg_hi
+    report = {"checked": [], "flagged_boundary": [], "norm_rank": 0, "span": (lo, hi),
+              "nu_generators": plus.complex.total_dim(),
+              "cone_generators": sum(tate.complex.dim(n) for n in range(lo + 4, hi + 1))}
     hp, hm, ht = plus.homology(), minus.homology(), tate.homology()
-    field = plus.complex.field
-    ranks = {}  # source degree d -> rank of H(nu) out of Hplus_d, None off the range
-
-    def nu_rank(d):
-        if d not in ranks:
-            try:
-                ranks[d] = matrix_rank(induced_map_between(hp, hm, norm.nu, d), field)
-            except BPFloerError:
-                ranks[d] = None
-        return ranks[d]
-
     for n in degrees:
-        into, out_of = nu_rank(n - 3), nu_rank(n - 4)
-        if into is None or out_of is None:
+        if not lo + 5 <= n <= hi - 1:
             report["flagged_boundary"].append(n)
             continue
-        coker = hm.dim(n) - into
-        ker = hp.dim(n - 4) - out_of
-        if ht.dim(n) != coker + ker:
-            raise TriangleViolation(
-                "degree %d: dim Hinf = %d but coker+ker = %d+%d" % (n, ht.dim(n), coker, ker)
-            )
+        ranks = hm.dim(n) + hp.dim(n - 4) - ht.dim(n)
+        if ranks < 0:
+            raise TriangleViolation("degree %d: dim Hinf = %d exceeds dim Hminus + dim "
+                                    "Hplus[-4] = %d + %d" % (n, ht.dim(n), hm.dim(n), hp.dim(n - 4)))
         report["checked"].append(n)
-        report["norm_rank"] += into
+        report["norm_rank"] += ranks
     return report

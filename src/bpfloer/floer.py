@@ -276,8 +276,9 @@ class GroupRun:
     assembled modules, each orientation's source window and its U-adic
     reduction, keyed by (orientation, window), and each flavor's
     FunctorModel, keyed by (orientation, flavor, window).  The chain route
-    reads all three flavors off the one reduction; the FunctorModels, each
-    with its HomologyData, serve the cone triangle and floer-raw.  verify and
+    and floer-raw read all three flavors off the one reduction; the
+    FunctorModels, each with its HomologyData, serve the cone triangle only
+    (verify's and floer-raw's), which reads their dims.  verify and
     the floer commands make one per group and drop it when the group is done.
     The independent routes (bar_oracle, ss_accounting) build their own, so
     that no cross-check compares an object with itself.
@@ -489,11 +490,9 @@ def norm_vanishing_and_splitting(run: GroupRun):
     dim Hplus_{n-4}: the (bar, +) closed form and the assembled (bar, -)
     module sit in even degrees, and exact_triangle_check on the three bar
     models of the comparison window's source checks the whole safe interior,
-    at least MIN_CHECKED_DEGREES degrees, with H(nu) of rank 0.  The check
-    reads Hplus and H(nu) out of it from 4 degrees below the interior, so
-    the models span from 5 below to 1 above it: each degree it reads lies
-    strictly inside, where the truncated homology is exact.  Returns the
-    degrees checked."""
+    at least MIN_CHECKED_DEGREES degrees, with H(nu) of rank 0.  The models
+    span from 5 below the interior to 1 above it, the degrees on which the
+    check reads the triangle.  Returns the check's report."""
     group = run.group
     for flavor, pm in ((PLUS, encoded_module(group, BAR, PLUS)),
                        (MINUS, run.assembled(BAR, MINUS))):
@@ -508,9 +507,9 @@ def norm_vanishing_and_splitting(run: GroupRun):
         raise SplittingViolation("%s: the triangle checked %d of %d degrees, %d needed"
                                  % (group, len(report["checked"]), len(degrees), MIN_CHECKED_DEGREES))
     if report["norm_rank"]:
-        raise SplittingViolation("%s: H(nu) has rank %d on the checked degrees"
-                                 % (group, report["norm_rank"]))
-    return report["checked"]
+        raise SplittingViolation("%s: H(nu) is nonzero: r_(n-3) + r_(n-4) sums to %d on the "
+                                 "checked degrees" % (group, report["norm_rank"]))
+    return report
 
 
 def ss_accounting(group, orientation, flavor, win: Window, field=QQ):

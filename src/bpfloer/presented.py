@@ -11,8 +11,9 @@ degree in [n_lo, n_hi].
 
 Three window views answer dims and U-ranks.  ModuleWindow (a presentation)
 and HomologyWindow (the homology of a materialized complex with its induced
-U) share one U pass (_UWalk); BarWindow holds a sum of bars, the normal form
-the chain route reads off equivariant.UReduction, and counts them.  All give
+U, the tests' oracle, with no caller in the package) share one U pass
+(_UWalk); BarWindow holds a sum of bars, the normal form the chain route and
+floer-raw read off equivariant.UReduction, and counts them.  All give
 the rank invariant of the persistence module formed, along each residue class
 mod 4, by the groups H_m and the degree -4 maps U between them: rank U^k out
 of n is dim I_k(n - 4k), I_k(m) = im(U^k: H_{m+4k} -> H_m), which for bars is
@@ -276,9 +277,9 @@ class ModuleWindow(_UWalk):
 
 
 class HomologyWindow(_UWalk):
-    """dims / U^k-rank view of a computed window homology: floer-raw's view of
-    the truncated model, and the oracle the chain route's bars are tested
-    against."""
+    """dims / U^k-rank view of a computed window homology, by induced maps:
+    the tests' oracle for the chain route's bars.  Nothing in the package
+    calls it; it stays here because perfbench's tracer wraps it by name."""
 
     def __init__(self, homology, u_chain_map):
         self.h = homology

@@ -7,7 +7,7 @@ import pytest
 
 from bpfloer.cli import _verify_group, main
 from bpfloer.errors import DecompositionFailure
-from bpfloer.fields import QQ
+from bpfloer.fields import PrimeField, QQ
 from bpfloer.groups import T_STAR, cyclic
 
 
@@ -106,6 +106,22 @@ def test_floer_raw(capsys):
     assert code == 0 and doc["homology_dims"]
 
 
+def test_floer_raw_prints_the_bars_at_the_edge_degrees(capsys):
+    # floer-raw prints the bars of the source window's reduction.  U leaves
+    # the window out of its two lowest degrees, so they have no rank U, and
+    # -8 has the 4 bars through it, not the 6 classes of the truncated model
+    # (every chain there is a cycle); -4..8 are the model's homology
+    argv = ("floer-raw", "T*", "--flavor=-", "--window=-8:8", "--degrees=-8:8")
+    code, out = run_cli(capsys, *argv)
+    rows = [line.split() for line in out.splitlines() if line.startswith("  H_")]
+    assert code == 0 and rows[:2] == [["H_-8", "dim", "4"], ["H_-6", "dim", "2"]]
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    dims = {"-4": 4, "-2": 2, "0": 3, "2": 2, "4": 2, "6": 1, "8": 1}
+    assert doc["homology_dims"] == {"-8": 4, "-6": 2, **dims}
+    assert doc["u_ranks"] == dims  # rank U = dim from -4 up, no key -8 or -6
+
+
 def test_floer_raw_fails_on_an_empty_triangle_interior(capsys):
     # the README window checks 6 degrees; at width 9 the interior is empty
     code, out = run_cli(capsys, "floer-raw", "O*", "--flavor", "inf",
@@ -135,8 +151,8 @@ def count_builds(monkeypatch, *classes):
 
 
 def test_floer_raw_builds_each_flavor_once(capsys, monkeypatch):
-    # one GroupRun builds each flavor's model and homology; the U-rank view
-    # and the cone triangle check read them
+    # one GroupRun builds each flavor's model and homology for the cone
+    # triangle check; the printed homology is the bars of its reduction
     from bpfloer.chains import HomologyData
     from bpfloer.equivariant import FunctorModel
 
@@ -441,8 +457,9 @@ def test_verify_duality_and_triangle_name_what_they_compared(monkeypatch):
         "PASS", "3 vertices paired, 4 correction entries transposed; "
                 "transposed window on 15 generators")
     assert rows["triangle-and-norm"] == (
-        "PASS", "even degrees: bar/+ closed form, bar/- assembled; cone triangle on 15 "
-                "degrees, 0 flagged; H(nu) rank 0")
+        "PASS", "even degrees: bar/+ closed form, bar/- assembled; models on degrees -12..8: "
+                "nu a chain map on 45 '+' generators, cone(nu) = Tate on 92 generators; "
+                "cone triangle on 15 degrees, 0 flagged; H(nu) summed rank 0")
 
     import bpfloer.floer as floer
     from bpfloer.presented import PresentedModule
@@ -461,20 +478,86 @@ def test_verify_duality_and_triangle_name_what_they_compared(monkeypatch):
     assert status == "FAIL" and detail.startswith("BPFloerError: [('transpose'")
 
 
-def test_verify_triangle_computes_the_norm_map(monkeypatch):
+def triangle_row(field=QQ):
+    (row,) = [c for c in _verify_group(T_STAR, field) if c[0] == "triangle-and-norm"]
+    return row[2:4]
+
+
+def with_free_orbit(window):
+    """A copy of a WindowedComplex's complex and u with a free orbit added
+    at level 0: x in degree 0 and y = u x in degree 3, no differential.  Its
+    norm map sends H+_0 = <x> onto H-_3 = <y>."""
+    from bpfloer.chains import ChainMap, FiniteComplex
+    from bpfloer.donaldson import Gen
+
+    cx, f = window.complex, window.field
+    out = FiniteComplex(f)
+    for part in ("basis", "index", "levels", "boundary"):
+        getattr(out, part).update({n: type(v)(v) for n, v in getattr(cx, part).items()})
+    x, y = Gen("planted", 0, 0), Gen("planted", 3, 0)
+    out.add_generator(0, x, level=0)
+    out.add_generator(3, y, level=0)
+    u = ChainMap(out, out, 3)
+    u.columns = {n: list(cols) for n, cols in window.u.columns.items()}
+    u.columns.setdefault(0, []).append({out.index[3][y]: f.one})
+    u.columns.setdefault(3, []).append({})
+    return out, u
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_verify_triangle_fails_on_a_corrupt_norm_map_cone_or_splitting(field, monkeypatch):
     import bpfloer.equivariant as equivariant
     import bpfloer.floer as floer
 
-    def triangle_row():
-        (row,) = [c for c in _verify_group(T_STAR, QQ) if c[0] == "triangle-and-norm"]
-        return row[2:4]
+    assert triangle_row(field)[0] == "PASS"
+    # a flipped nu entry: nu is no chain map.  On T* nu hits only cycles and
+    # no boundary has a source of nu in it, so a sign flip keeps it one: the
+    # entry changed by 1 is one out of a generator in a boundary
+    real_norm = equivariant.NormData.__init__
 
-    # a nonzero induced norm rank breaks the dims of the triangle
-    real_rank = equivariant.matrix_rank
-    monkeypatch.setattr(equivariant, "matrix_rank", lambda cols, f: real_rank(cols, f) + 1)
-    status, detail = triangle_row()
-    assert status == "FAIL" and detail.startswith("TriangleViolation")
+    def flipped(self, plus, minus):
+        real_norm(self, plus, minus)
+        n, pos = next((n, pos) for n in sorted(self.nu.columns) if minus.complex.dim(n + 3)
+                      for pos, cg in enumerate(plus.complex.basis[n]) if cg.p == 0
+                      and any(pos in col for col in plus.complex.boundary_columns(n + 1)))
+        col = self.nu.columns[n][pos]
+        col[0] = field.add(col.get(0, field.zero), field.one)
+
+    monkeypatch.setattr(equivariant.NormData, "__init__", flipped)
+    assert triangle_row(field) == ("FAIL", "TriangleViolation: nu is not a chain map")
     monkeypatch.undo()
+
+    # a changed Tate boundary entry: the Tate model is no cone of nu
+    real_model = equivariant.FunctorModel.__init__
+
+    def changed(self, source, u, flavor, lo, hi):
+        real_model(self, source, u, flavor, lo, hi)
+        if flavor == equivariant.TATE:  # the first entry out of the middle degree or above
+            col = next(col for n in range((lo + hi) // 2, hi + 1)
+                       for col in self.complex.boundary_columns(n) if col)
+            r = next(iter(col))
+            col[r] = field.add(col[r], col[r])
+
+    monkeypatch.setattr(equivariant.FunctorModel, "__init__", changed)
+    assert triangle_row(field) == ("FAIL", "TriangleViolation: cone(nu) is not the Tate model")
+    monkeypatch.undo()
+
+    # a free orbit planted in the triangle's source: nu is a chain map and
+    # its cone the Tate model, but H(nu) is nonzero and the triangle does not split
+    planted = {}
+
+    def planted_model(window, flavor, lo, hi):
+        if id(window) not in planted:
+            planted[id(window)] = with_free_orbit(window)
+        return equivariant.FunctorModel(*planted[id(window)], flavor, lo, hi)
+
+    monkeypatch.setattr(floer, "functor_model", planted_model)
+    assert triangle_row(field) == ("FAIL", "SplittingViolation: T*: H(nu) is nonzero: "
+                                           "r_(n-3) + r_(n-4) sums to 2 on the checked degrees")
+
+
+def test_verify_triangle_computes_the_norm_map(monkeypatch):
+    import bpfloer.floer as floer
 
     # an exact triangle with H(nu) nonzero does not split
     real_check = floer.exact_triangle_check
@@ -483,8 +566,8 @@ def test_verify_triangle_computes_the_norm_map(monkeypatch):
         return {**real_check(*args), "norm_rank": 1}
 
     monkeypatch.setattr(floer, "exact_triangle_check", nonzero_norm)
-    assert triangle_row() == ("FAIL", "SplittingViolation: T*: H(nu) has rank 1 on the "
-                                      "checked degrees")
+    assert triangle_row() == ("FAIL", "SplittingViolation: T*: H(nu) is nonzero: "
+                                      "r_(n-3) + r_(n-4) sums to 1 on the checked degrees")
     monkeypatch.undo()
 
     # so do a flagged interior degree and too few checked degrees

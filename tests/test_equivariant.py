@@ -294,26 +294,44 @@ def test_exact_triangle(g):
 
 
 @pytest.mark.parametrize("g", [T_STAR, binary_dihedral(30)], ids=str)
-def test_exact_triangle_computes_each_norm_map_once(g, monkeypatch):
-    # the map out of Hplus_{n-4} serves degree n (its kernel) and degree
-    # n-1 (its image): the 15 degrees -7..7 read 16 source degrees, once each
-    import bpfloer.equivariant as equivariant
+def test_exact_triangle_ranks_each_boundary_once(g, monkeypatch):
+    # no representatives and no induced maps: the 15 degrees -7..7 read the
+    # dims of Hminus and Hinf at -7..7 and of Hplus at -11..3, each from the
+    # ranks of the boundaries out of and into it, so each model ranks its
+    # boundaries out of 16 degrees, once each (a degree off the complex
+    # needs no elimination)
     from bpfloer.floer import GroupRun
+    from bpfloer.sparse import TrackedEchelon
 
-    sources = []
-    real = equivariant.induced_map_between
-
-    def counted(hs, ht, cmap, n):
-        sources.append(n)
-        return real(hs, ht, cmap, n)
-
-    monkeypatch.setattr(equivariant, "induced_map_between", counted)
     run = GroupRun(g)
     win, margin = run.comparison_window()
-    models = (run.functor(BAR, flavor, win) for flavor in (PLUS, MINUS, TATE))
+    models = [run.functor(BAR, flavor, win) for flavor in (PLUS, MINUS, TATE)]
+    calls = []
+    real_rank, real_kernel = TrackedEchelon.independent, TrackedEchelon.kernel_of_columns
+
+    def independent(self, vectors):
+        calls.append("rank")
+        return real_rank(self, vectors)
+
+    def kernel_of_columns(self, columns):
+        calls.append("kernel")
+        return real_kernel(self, columns)
+
+    monkeypatch.setattr(TrackedEchelon, "independent", independent)
+    monkeypatch.setattr(TrackedEchelon, "kernel_of_columns", kernel_of_columns)
     report = exact_triangle_check(*models, win.interior(4, margin))
     assert report["checked"] == list(range(-7, 8)) and report["norm_rank"] == 0
-    assert sorted(sources) == list(range(-11, 5))
+    ranked = [n in m.complex.basis for m, lo in zip(models, (-11, -7, -7)) for n in range(lo, lo + 16)]
+    assert calls == ["rank"] * sum(ranked)
+
+
+def test_cone_comparison_refuses_a_tate_model_with_an_extra_generator():
+    w = build_model(T_STAR, BAR).window(Window(-9, 15, -8, 18))
+    plus, minus, tate = (functor_model(w, flavor, -12, 12) for flavor in (PLUS, MINUS, TATE))
+    nd = NormData(plus, minus)
+    assert nd.cone_matches_tate(tate)
+    tate.complex.add_generator(0, ColGen(9, "extra"))
+    assert not nd.cone_matches_tate(tate)
 
 
 def test_exact_triangle_refuses_models_of_another_range_or_source():

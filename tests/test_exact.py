@@ -565,36 +565,45 @@ def test_homology_data_against_the_dense_oracle(f):
 
 
 def test_homology_reads_eliminate_one_degree_and_the_one_above(monkeypatch):
-    # a read of degree n eliminates d_n (its cycles) and d_(n+1) (its
-    # boundaries), once each, and no other degree
+    # a dim read of degree n ranks d_n and d_(n+1), and a read of its
+    # representatives or coordinates eliminates them, once each and no
+    # other degree
     cx = _random_complex(random.Random(4), QQ, [3, 5, 6, 5, 4, 2])
     calls, degrees = [], []
-    real_kernel, real_columns = TrackedEchelon.kernel_of_columns, cx.boundary_columns
+    real_kernel, real_independent = TrackedEchelon.kernel_of_columns, TrackedEchelon.independent
+    real_columns = cx.boundary_columns
 
     def kernel_of_columns(self, columns):
-        calls.append(1)
+        calls.append("kernel")
         return real_kernel(self, columns)
+
+    def independent(self, vectors):
+        calls.append("rank")
+        return real_independent(self, vectors)
 
     def boundary_columns(n):
         degrees.append(n)
         return real_columns(n)
 
     monkeypatch.setattr(TrackedEchelon, "kernel_of_columns", kernel_of_columns)
+    monkeypatch.setattr(TrackedEchelon, "independent", independent)
     monkeypatch.setattr(cx, "boundary_columns", boundary_columns)
     h = HomologyData(cx)
     assert calls == [] and degrees == []
     h.dim(2)
-    assert len(calls) == 2 and sorted(degrees) == [2, 3]
+    assert calls == ["rank"] * 2 and sorted(degrees) == [2, 3]
     h.coords(2, {})
     h.reps_in(2)
-    assert len(calls) == 2
-    h.dim(3)  # d_3 is known: only d_4 is new
-    assert len(calls) == 3 and sorted(degrees) == [2, 3, 4]
+    assert calls == ["rank"] * 2 + ["kernel"] * 2 and sorted(degrees) == [2, 2, 3, 3]
+    h.dim(2)
+    h.dim(3)  # d_3 is ranked: only d_4 is new
+    assert calls[4:] == ["rank"] and sorted(set(degrees)) == [2, 3, 4]
     h.dim(5)  # the top degree has no boundaries
-    assert len(calls) == 4 and sorted(degrees) == [2, 3, 4, 5]
-    assert h.dim(7) == 0 and h.coords(7, {}) == {} and len(calls) == 4
+    assert calls[4:] == ["rank"] * 2 and sorted(set(degrees)) == [2, 3, 4, 5]
+    assert h.dim(7) == 0 and h.coords(7, {}) == {} and len(calls) == 6
     h.dims()
-    assert len(calls) == 6 and sorted(degrees) == [0, 1, 2, 3, 4, 5]
+    assert calls[6:] == ["rank"] * 2 and sorted(set(degrees)) == [0, 1, 2, 3, 4, 5]
+    assert calls.count("kernel") == 2
 
 
 @pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=str)

@@ -550,7 +550,7 @@ def test_ss_accounting_randomized():
 @pytest.mark.parametrize("g", [T_STAR, O_STAR, binary_dihedral(5), cyclic(6), binary_dihedral(12)],
                          ids=str)
 def test_norm_vanishing(g):
-    checked = norm_vanishing_and_splitting(GroupRun(g))
+    checked = norm_vanishing_and_splitting(GroupRun(g))["checked"]
     assert len(checked) >= 8
     # the safe interior of the comparison window, whatever r_last (3 for D*_12)
     assert checked == list(range(-7, 8))
