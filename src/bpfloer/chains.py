@@ -2,7 +2,9 @@
 
 A FiniteComplex holds, per degree, an ordered basis of hashable labels and a
 sparse boundary into the next degree down.  Chain maps are stored the same
-way.  Everything is exact over the attached field.
+way.  Homology is read from boundary ranks alone: its dims (HomologyData)
+and the rank of a chain map on it (induced_rank).  Everything is exact over
+the attached field.
 """
 from __future__ import annotations
 
@@ -107,43 +109,22 @@ class ChainMap:
 
 
 class HomologyData:
-    """Homology of a FiniteComplex: dims, and the representatives and
-    coordinates that the tests' oracles (induced_map_between) read.
+    """Homology of a FiniteComplex by ranks only.
 
     dim(n) is dim C_n - rank d_n - rank d_(n+1), each rank from one rank-only
-    elimination (TrackedEchelon.independent) of d_n with rows keyed by -r.
-    Representatives come from kernel_of_columns(d_n), keyed the same way:
-    the cycle basis, one z_j = e_j - (earlier pivot columns) with top
-    (largest position) j per dependent column j, and rows spanning B_{n-1}
-    that pivot at their tops.  z_j is a representative iff j is no boundary
-    top: that is the greedy rule z_j not in B + span(z_i, i < j), since a
-    boundary with top j less a multiple of z_j is a cycle below j.  Boundary
-    rows plus the representatives at their tops (tagged) give coordinates by
-    solve, in which the boundaries' multiples drop out.
-
-    Degrees are computed lazily: the first read of dim(n) ranks d_n and
-    d_(n+1), the first read of coords or reps_in of degree n eliminates
-    them, each once (an elimination also gives the rank).  cycle_basis, reps
-    and dims() fill every degree.
+    elimination (TrackedEchelon.independent) of d_n with rows keyed by -r, so
+    that each stored row pivots at its largest position.  Degrees are ranked
+    lazily: the first read of dim(n) ranks d_n and d_(n+1), once each;
+    rank_boundary and dims() fill every degree.  The rank of a map on
+    homology comes from the same ranks and one more (induced_rank).
     """
 
     def __init__(self, complex_):
         self.complex = complex_
-        self._kernels = {}  # n -> (cycle basis of C_n, rows spanning B_{n-1})
-        self._ranks = {}    # n -> rank d_n
-        self._reps, self._coord = {}, {}
+        self._ranks = {}  # n -> rank d_n
 
     def _rows(self, n):
         return ({-r: v for r, v in col.items()} for col in self.complex.boundary_columns(n))
-
-    def _eliminate(self, n):
-        got = self._kernels.get(n)
-        if got is None:
-            ech = TrackedEchelon(self.complex.field)
-            kernel, pivots = ech.kernel_of_columns(self._rows(n))
-            got = self._kernels[n] = (kernel, list(ech.rows.values()))
-            self._ranks[n] = len(pivots)
-        return got
 
     def _rank(self, n):
         """rank of d_n : C_n -> C_(n-1); 0 off the complex."""
@@ -153,36 +134,10 @@ class HomologyData:
                 self._rows(n)))
         return rank or 0
 
-    def reps_in(self, n):
-        """Cycles representing a basis of H_n; [] off the complex."""
-        reps = self._reps.get(n)
-        if reps is not None:
-            return reps
-        if n not in self.complex.basis:
-            return []
-        coord = self._coord[n] = TrackedEchelon(self.complex.field)
-        if n + 1 in self.complex.basis:
-            for row in self._eliminate(n + 1)[1]:
-                coord.add_row(row)
-        reps = self._reps[n] = []
-        for z in self._eliminate(n)[0]:
-            if -max(z) not in coord.rows:
-                coord.add_row({-r: v for r, v in z.items()}, tag=len(reps))
-                reps.append(z)
-        return reps
-
-    @property
-    def cycle_basis(self):
-        return {n: self._eliminate(n)[0] for n in self.complex.degrees()}
-
     @property
     def rank_boundary(self):
         """rank of d_n : C_n -> C_{n-1}, per degree n."""
         return {n: self._rank(n) for n in self.complex.degrees()}
-
-    @property
-    def reps(self):
-        return {n: self.reps_in(n) for n in self.complex.degrees()}
 
     def dim(self, n):
         return self.complex.dim(n) - self._rank(n) - self._rank(n + 1)
@@ -190,34 +145,35 @@ class HomologyData:
     def dims(self):
         return {n: self.dim(n) for n in self.complex.degrees()}
 
-    def coords(self, n, vec):
-        """Coordinates of a cycle in the homology basis of degree n.
 
-        Returns None when vec is not a cycle class of this complex.
-        """
-        vec = {-r: v for r, v in vec.items() if not self.complex.field.is_zero(v)}
-        self.reps_in(n)  # builds the reducer of degree n
-        if n not in self._coord:
-            return {} if not vec else None
-        residue, coeffs = self._coord[n].solve(vec)
-        return None if residue else coeffs
+def induced_rank(h_source: HomologyData, h_target: HomologyData, columns, n, m):
+    """Rank of the map H_n(source) -> H_m(target) induced by a chain map f
+    (f d = +-d f, so f maps cycles to cycles and boundaries to boundaries)
+    whose columns out of degree n are columns: one dict (position in degree
+    m of the target -> value) per generator of degree n of the source.
 
-
-def induced_map_between(h_source: HomologyData, h_target: HomologyData, cmap: ChainMap, n):
-    """Induced map H_n(source) -> H_{n+d}(target) as a list of coordinate dicts:
-    the tests' oracle (HomologyWindow's U), with no caller in the package."""
-    cols = []
-    for vec in h_source.reps_in(n):
-        img = cmap.apply(n, vec)
-        coords = h_target.coords(n + cmap.degree, img)
-        if coords is None:
-            raise BPFloerError("image of a cycle is not a cycle mod boundaries")
-        cols.append(coords)
-    return cols
-
-
-def matrix_rank(cols, field):
-    return len(TrackedEchelon(field).independent(cols))
+    The block [[f, d_(m+1)], [d_n, 0]] has image {(f x + d y, d x)}.  It
+    projects onto im d_n, and the kernel of that projection is
+    (f(Z_n) + B_m) x 0, so its rank less rank d_n and rank d_(m+1) is
+    dim (f(Z_n) + B_m) / B_m, the rank on homology.  The block is ranked by
+    one elimination with rows keyed by -r as in HomologyData, those of d_n
+    below those of C_m, the columns of f first.  0 without an elimination
+    when f is zero or H_n or H_m is.
+    """
+    if len(columns) != h_source.complex.dim(n):
+        raise BPFloerError("%d columns out of degree %d, which has %d generators"
+                           % (len(columns), n, h_source.complex.dim(n)))
+    if not any(columns) or not h_source.dim(n) or not h_target.dim(m):
+        return 0
+    below = -h_target.complex.dim(m)  # C_(n-1) rows sit below every C_m row
+    block = []
+    for col, d in zip(columns, h_source.complex.boundary_columns(n)):
+        row = {below - r: v for r, v in d.items()}
+        row.update((-r, v) for r, v in col.items())
+        block.append(row)
+    block.extend(h_target._rows(m + 1))
+    rank = len(TrackedEchelon(h_source.complex.field).independent(block))
+    return rank - h_source._rank(n) - h_target._rank(m + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,23 +10,25 @@ realizations enumerate the finitely many elements with level in (q, p] and
 degree in [n_lo, n_hi].
 
 Three window views answer dims and U-ranks.  ModuleWindow (a presentation)
-and HomologyWindow (the homology of a materialized complex with its induced
-U, the tests' oracle, with no caller in the package) share one U pass
-(_UWalk); BarWindow holds a sum of bars, the normal form the chain route and
-floer-raw read off equivariant.UReduction, and counts them.  All give
-the rank invariant of the persistence module formed, along each residue class
-mod 4, by the groups H_m and the degree -4 maps U between them: rank U^k out
-of n is dim I_k(n - 4k), I_k(m) = im(U^k: H_{m+4k} -> H_m), which for bars is
+walks U down each residue chain mod 4; HomologyWindow (the homology of a
+materialized complex, the tests' oracle for the chain route, with no caller
+in the package) reads rank U^k from one block rank (chains.induced_rank);
+BarWindow holds a sum of bars, the normal form the chain route and floer-raw
+read off equivariant.UReduction, and counts them.  All give the rank
+invariant of the persistence module formed, along each residue class mod 4,
+by the groups H_m and the degree -4 maps U between them: rank U^k out of n
+is dim I_k(n - 4k), I_k(m) = im(U^k: H_{m+4k} -> H_m), which for bars is
 the number of bars through n and n - 4k.  Where U leaves the window through
-a nonzero class, that power and every higher one from the same degree have no
-rank (None).  compare_windows asks each side for one table over its interior.
+a nonzero class, that power and every higher one from the same degree have
+no rank (None); HomologyWindow always has one.  compare_windows asks each
+side for one table over its interior.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 
-from .chains import induced_map_between
+from .chains import induced_rank
 from .donaldson import Window
 from .errors import BPFloerError
 from .fields import QQ
@@ -125,15 +127,16 @@ class PresentedModule:
         return PresentedModule(self.flavor_tag, fams)
 
 
-class _UWalk:
-    """The U-power ranks of a window view, from one pass down a residue chain:
-    the view over a presentation (ModuleWindow), and the test oracle for the
-    chain route's bars, the homology of a totalized model (HomologyWindow).
+class ModuleWindow:
+    """Finite realization of a PresentedModule inside a window, and its
+    U-power ranks from one pass down a residue chain.
 
-    A view gives its field, dim(n), a dict _u_cols and _build_u_columns(n),
-    built when a pass first applies U out of n: the columns of U out of
-    degree n (one per basis element there, each a dict from positions in
-    degree n - 4 to values), or None where U leaves the window.
+    _build_u_columns(n), built when a pass first applies U out of n, gives
+    the columns of U out of degree n (one per basis element there, each a
+    dict from positions in degree n - 4 to values), or None where U leaves
+    the window.  A presentation's own columns are never None (an image
+    outside the window drops out); the None rule serves views that override
+    _build_u_columns.
 
     The pass starts at the top degree of a chain n, n - 4, n - 8, ... with
     every basis vector tagged 0 and keeps, at each degree m, a basis of H_m
@@ -148,66 +151,6 @@ class _UWalk:
     I_j(m) out of m has no rank (None), nor has any higher power from the
     same degree; the filtration restarts below m.
     """
-
-    def _u_columns(self, n):
-        if n not in self._u_cols:
-            self._u_cols[n] = self._build_u_columns(n)
-        return self._u_cols[n]
-
-    def u_rank_table(self, lo, hi, kmax):
-        """{(k, n): rank of U^k out of n (None: no rank)} for lo <= n <= hi
-        and 1 <= k <= kmax with n - 4k >= lo: one pass per residue chain."""
-        table = {}
-        for top in range(max(lo, hi - 3), hi + 1):
-            table.update(self._rank_pass(top, lo, kmax))
-        return table
-
-    def u_power_ranks(self, n, kmax):
-        """[rank U^k out of degree n for k = 1..kmax], None where there is no
-        rank: read from the pass down n's chain."""
-        table = self._rank_pass(n, n - 4 * kmax, kmax)
-        return [table[k, n] for k in range(1, kmax + 1)]
-
-    def u_power_rank(self, k, n):
-        """rank of U^k from the degree-n slice to degree n-4k (None: no rank)."""
-        return self.u_power_ranks(n, k)[-1]
-
-    def _rank_pass(self, top, bottom, kmax):
-        """{(k, n): rank of U^k out of n} for k <= kmax and the degrees n of
-        the chain top, top - 4, ... with n - 4k >= bottom."""
-        f = self.field
-        ranks = {}
-        seg = top  # where the filtration last (re)started
-        tagged = [(0, {i: f.one}) for i in range(self.dim(top))]
-        m = top
-        while True:
-            tags = [t for t, _ in tagged]
-            starts = range(m, min(seg, m + 4 * kmax) + 1, 4)
-            for n in starts:
-                j = (n - m) // 4
-                if j:
-                    ranks[j, n] = sum(t >= j for t in tags)
-            if m - 4 < bottom:
-                return ranks
-            cols = self._u_columns(m) if tagged else []
-            if cols is None:  # U leaves the window out of m
-                for n in starts:
-                    j = (n - m) // 4
-                    lost = any(t >= j for t in tags)
-                    for k in range(j + 1, min(kmax, (n - bottom) // 4) + 1):
-                        ranks[k, n] = None if lost else 0
-                seg, tagged, pivots = m - 4, [], {}
-            else:  # tagged is in descending tag order: images first, then units
-                ech = TrackedEchelon(f)
-                pivots = ech.independent([_apply_columns(f, cols, v) for _, v in tagged])
-                tagged = [(tagged[j][0] + 1, ech.rows[c]) for j, c in pivots.items()]
-            taken = set(pivots.values())
-            tagged += [(0, {i: f.one}) for i in range(self.dim(m - 4)) if i not in taken]
-            m -= 4
-
-
-class ModuleWindow(_UWalk):
-    """Finite realization of a PresentedModule inside a window."""
 
     def __init__(self, module: PresentedModule, win: Window, field=QQ):
         self.module = module
@@ -275,29 +218,96 @@ class ModuleWindow(_UWalk):
             cols.append({p: v for p, v in col.items() if not f.is_zero(v)})
         return cols
 
+    def _u_columns(self, n):
+        if n not in self._u_cols:
+            self._u_cols[n] = self._build_u_columns(n)
+        return self._u_cols[n]
 
-class HomologyWindow(_UWalk):
-    """dims / U^k-rank view of a computed window homology, by induced maps:
-    the tests' oracle for the chain route's bars.  Nothing in the package
-    calls it; it stays here because perfbench's tracer wraps it by name."""
+    def u_rank_table(self, lo, hi, kmax):
+        """{(k, n): rank of U^k out of n (None: no rank)} for lo <= n <= hi
+        and 1 <= k <= kmax with n - 4k >= lo: one pass per residue chain."""
+        table = {}
+        for top in range(max(lo, hi - 3), hi + 1):
+            table.update(self._rank_pass(top, lo, kmax))
+        return table
+
+    def u_power_ranks(self, n, kmax):
+        """[rank U^k out of degree n for k = 1..kmax], None where there is no
+        rank: read from the pass down n's chain."""
+        table = self._rank_pass(n, n - 4 * kmax, kmax)
+        return [table[k, n] for k in range(1, kmax + 1)]
+
+    def u_power_rank(self, k, n):
+        """rank of U^k from the degree-n slice to degree n-4k (None: no rank)."""
+        return self.u_power_ranks(n, k)[-1]
+
+    def _rank_pass(self, top, bottom, kmax):
+        """{(k, n): rank of U^k out of n} for k <= kmax and the degrees n of
+        the chain top, top - 4, ... with n - 4k >= bottom."""
+        f = self.field
+        ranks = {}
+        seg = top  # where the filtration last (re)started
+        tagged = [(0, {i: f.one}) for i in range(self.dim(top))]
+        m = top
+        while True:
+            tags = [t for t, _ in tagged]
+            starts = range(m, min(seg, m + 4 * kmax) + 1, 4)
+            for n in starts:
+                j = (n - m) // 4
+                if j:
+                    ranks[j, n] = sum(t >= j for t in tags)
+            if m - 4 < bottom:
+                return ranks
+            cols = self._u_columns(m) if tagged else []
+            if cols is None:  # U leaves the window out of m
+                for n in starts:
+                    j = (n - m) // 4
+                    lost = any(t >= j for t in tags)
+                    for k in range(j + 1, min(kmax, (n - bottom) // 4) + 1):
+                        ranks[k, n] = None if lost else 0
+                seg, tagged, pivots = m - 4, [], {}
+            else:  # tagged is in descending tag order: images first, then units
+                ech = TrackedEchelon(f)
+                pivots = ech.independent([_apply_columns(f, cols, v) for _, v in tagged])
+                tagged = [(tagged[j][0] + 1, ech.rows[c]) for j, c in pivots.items()]
+            taken = set(pivots.values())
+            tagged += [(0, {i: f.one}) for i in range(self.dim(m - 4)) if i not in taken]
+            m -= 4
+
+
+class HomologyWindow:
+    """dims / U^k-rank view of a computed window homology: the tests' oracle
+    for the chain route's bars.  rank U^k out of n is chains.induced_rank of
+    the chain-level composite U^k, so there is always a rank (0 where degree
+    n or n - 4k has no generators).  Nothing in the package calls it; it
+    stays here because perfbench's tracer wraps it by name."""
 
     def __init__(self, homology, u_chain_map):
         self.h = homology
         self.u = u_chain_map
-        self.field = homology.complex.field
-        self._u_cols = {}
 
     def dim(self, n):
         return self.h.dim(n)
 
-    def _build_u_columns(self, n):
-        """The induced U out of degree n; None off the complex or where U leaves it."""
-        if n not in self.h.complex.basis:
-            return None
-        try:
-            return induced_map_between(self.h, self.h, self.u, n)
-        except BPFloerError:
-            return None
+    def u_rank_table(self, lo, hi, kmax):
+        """{(k, n): rank of U^k out of n} for lo <= n <= hi and 1 <= k <= kmax
+        with n - 4k >= lo: ModuleWindow's keys."""
+        return {(k, n): r for n in range(lo, hi + 1)
+                for k, r in enumerate(self.u_power_ranks(n, min(kmax, (n - lo) // 4)), 1)}
+
+    def u_power_ranks(self, n, kmax):
+        """[rank U^k out of degree n for k = 1..kmax]."""
+        cx = self.h.complex
+        cols = [{i: cx.field.one} for i in range(cx.dim(n))]
+        ranks = []
+        for k in range(1, kmax + 1):
+            cols = [self.u.apply(n - 4 * (k - 1), c) for c in cols]
+            ranks.append(induced_rank(self.h, self.h, cols, n, n - 4 * k))
+        return ranks
+
+    def u_power_rank(self, k, n):
+        """rank of U^k from the degree-n slice to degree n-4k."""
+        return self.u_power_ranks(n, k)[-1]
 
 
 class BarWindow:
@@ -326,7 +336,7 @@ class BarWindow:
 
     def u_rank_table(self, lo, hi, kmax):
         """{(k, n): rank of U^k out of n (None: no rank)} for lo <= n <= hi
-        and 1 <= k <= kmax with n - 4k >= lo, the keys of _UWalk's table."""
+        and 1 <= k <= kmax with n - 4k >= lo, ModuleWindow's keys."""
         table = {(k, n): None if n - 4 * k < self.n_lo else 0
                  for n in range(lo, hi + 1) for k in range(1, min(kmax, (n - lo) // 4) + 1)}
         for (b_lo, b_hi), mult in self.bars.items():

@@ -1,10 +1,10 @@
 """Sparse exact linear algebra over a coefficient field.
 
 TrackedEchelon is the package's one one-sided elimination kernel: it reduces
-vectors against a row space, and homology, filtered pages, the page engine
-and the representation-ring solves in mckay all run on it.  The package's one
-two-sided elimination, rows and columns of one differential at once, is
-equivariant.UReduction, the U-adic reduction the chain route reads.  The
+vectors against a row space, and homology ranks, filtered pages, the page
+engine and the representation-ring solves in mckay all run on it.  The
+package's one two-sided elimination, rows and columns of one differential at
+once, is equivariant.UReduction, the U-adic reduction the chain route reads.  The
 echelon's pivot rule is fixed: vectors are taken in insertion order, and each
 stored row pivots at its smallest column.  Every elimination is therefore
 deterministic; golden tests rely on this.  A row remembers how it was made
@@ -174,14 +174,6 @@ class TrackedEchelon:
             self.multipliers[c] = (tag, inv, steps)
         return c
 
-    def add_row(self, row, tag=None):
-        """Store row as it is, 1 at its smallest column (no stored pivot); a
-        tag records it as made with pivot value 1 and no steps."""
-        c = min(row)
-        self.rows[c] = row
-        if tag is not None:
-            self.multipliers[c] = (tag, self.field.one, {})
-
     def insert(self, vec, tag=None):
         """Reduce vec and store its residue if it is nonzero; returns the new
         pivot col, or None if vec is dependent on the stored rows."""
@@ -227,8 +219,7 @@ class TrackedEchelon:
 
     def solve(self, vec):
         """Return (residue, h) with vec = residue + sum h[tag] * V_tag plus a
-        combination of the untagged rows, whose multiples drop out (the
-        boundaries of a homology coordinate echelon)."""
+        combination of the untagged rows, whose multiples drop out."""
         residue, y = self.reduce(vec)
         return residue, self._back_substitute(y)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from bpfloer.chains import HomologyData, induced_map_between, matrix_rank
+from bpfloer.chains import HomologyData, induced_rank
 from bpfloer.donaldson import BAR, STD, Window, build_model, single_orbit_complex, toi_multicomplex_matches
 from bpfloer.equivariant import (
     MINUS,
@@ -88,12 +88,10 @@ def test_criterion_3_orbit_homology():
             mw = ModuleWindow(pm, Window(-1, 1, -20, 20))
             for n in range(-14, 15):
                 assert h.dim(n) == mw.dim(n), (kind, flavor, n)
-            # the degree -4 action matches the stated rules
+            # the degree -4 action matches the stated rules on every degree
             hw = HomologyWindow(h, fm.u)
             for n in range(-10, 11):
-                ra, rb = hw.u_power_rank(1, n), mw.u_power_rank(1, n)
-                if ra is not None:
-                    assert ra == rb, (kind, flavor, n)
+                assert hw.u_power_rank(1, n) == mw.u_power_rank(1, n), (kind, flavor, n)
     _report(3, "orbit homology closed forms", t0, 1)
 
 
@@ -246,8 +244,7 @@ def test_criterion_8_triangle_norm():
         fm = functor_model(w, TATE, -12, 12)
         h = fm.homology()
         for n in range(-3, 5):
-            cols = induced_map_between(h, h, fm.u, n)
-            r = matrix_rank(cols, QQ)
+            r = induced_rank(h, h, [fm.u.column(n, i) for i in range(fm.complex.dim(n))], n, n - 4)
             assert r == h.dim(n) == h.dim(n - 4), (str(g), n)
     _report(8, "norm zero, splitting, invertible action", t0, 60)
 

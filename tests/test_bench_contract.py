@@ -14,6 +14,7 @@ import pytest
 from bpfloer.groups import I_STAR
 
 WORKLOAD = Path(__file__).resolve().parent.parent / "perfbench" / "workload.py"
+TRACER = WORKLOAD.with_name("tracer.py")
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +46,22 @@ def test_one_group_catalog_pass(workload):
     json.dumps(items)
     assert anomalies == [] and report is None
     assert len(items) == 7 and all(i["ok"] for i in items), items
+
+
+def test_every_name_the_tracer_wraps_exists():
+    # the traced pass looks these up by name; read the tables only, since
+    # instrument() would patch the package for the rest of the session
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for short, names in tracer.ENTRY_CLASSES.items():
+        module = importlib.import_module("bpfloer." + short)
+        for name in names:
+            assert isinstance(getattr(module, name, None), type), (short, name)
+    for short, (cls_name, method) in tracer.ENTRY_METHODS.items():
+        cls = getattr(importlib.import_module("bpfloer." + short), cls_name, None)
+        assert callable(getattr(cls, method, None)), (short, cls_name, method)
+    # the HomologyData counter reads these two
+    from bpfloer.chains import HomologyData
+
+    assert callable(HomologyData.dims) and isinstance(HomologyData.rank_boundary, property)

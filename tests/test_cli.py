@@ -556,6 +556,33 @@ def test_verify_triangle_fails_on_a_corrupt_norm_map_cone_or_splitting(field, mo
                                            "r_(n-3) + r_(n-4) sums to 2 on the checked degrees")
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_planted_norm_rank_is_the_rank_of_h_nu(field):
+    # on the models verify's triangle reads, with the free orbit planted, the
+    # rank the triangle reads from dims is the rank of H(nu) out of Hplus_(n-3)
+    # and Hplus_(n-4) over the checked n, each read directly, and it is 2
+    from bpfloer.chains import induced_rank
+    from bpfloer.donaldson import BAR, Window
+    from bpfloer.equivariant import MINUS, PLUS, TATE, FunctorModel, NormData, exact_triangle_check
+    from bpfloer.floer import GroupRun
+
+    run = GroupRun(T_STAR, field)
+    win, margin = run.comparison_window()
+    degrees = win.interior(4, margin)
+    read = Window(win.q, win.p, degrees.start - 5, degrees.stop)
+    cx, u = with_free_orbit(run.window(BAR, read.source))
+    plus, minus, tate = (FunctorModel(cx, u, flavor, read.n_lo, read.n_hi)
+                         for flavor in (PLUS, MINUS, TATE))
+    report = exact_triangle_check(plus, minus, tate, degrees)
+    nu, hp, hm = NormData(plus, minus).nu, plus.homology(), minus.homology()
+
+    def nu_rank(d):
+        return induced_rank(hp, hm, [nu.column(d, i) for i in range(plus.complex.dim(d))], d, d + 3)
+
+    direct = sum(nu_rank(n - 3) + nu_rank(n - 4) for n in report["checked"])
+    assert report["checked"] == list(degrees) and report["norm_rank"] == direct == 2
+
+
 def test_verify_triangle_computes_the_norm_map(monkeypatch):
     import bpfloer.floer as floer
 

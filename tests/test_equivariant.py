@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bpfloer.chains import HomologyData
+from bpfloer.chains import HomologyData, induced_rank
 from bpfloer.donaldson import BAR, STD, Window, build_model, single_orbit_complex
 from bpfloer.equivariant import (
     MINUS,
@@ -282,6 +282,119 @@ def test_norm_image_on_free_orbit_points_only():
                 assert tgt.gen.t == 3  # only top classes of free orbits
 
 
+def _dense_rank_and_kernel(cols, nrows, f):
+    """Rank and a kernel basis of the nrows-row matrix with the given sparse
+    columns, by the tests' own dense Gauss-Jordan elimination over f."""
+    a = [[col.get(i, f.zero) for col in cols] for i in range(nrows)]
+    pivots = []
+    for j in range(len(cols)):
+        r = len(pivots)
+        p = next((i for i in range(r, nrows) if not f.is_zero(a[i][j])), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = f.inv(a[r][j])
+        a[r] = [f.mul(x, inv) for x in a[r]]
+        for i in range(nrows):
+            if i != r and not f.is_zero(a[i][j]):
+                c = a[i][j]
+                a[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(j)
+    kernel = []
+    for j in (j for j in range(len(cols)) if j not in pivots):
+        v = {j: f.one}
+        for row, pj in zip(a, pivots):
+            if not f.is_zero(row[j]):
+                v[pj] = f.neg(row[j])
+        kernel.append(v)
+    return len(pivots), kernel
+
+
+def dense_induced_rank(source, target, columns, n, m):
+    """dim (f(Z_n) + B_m) - dim B_m for the chain map f with these columns
+    out of degree n, with Z_n and both spans from dense elimination."""
+    f = source.field
+    _, cycles = _dense_rank_and_kernel(source.boundary_columns(n), source.dim(n - 1), f)
+    images = []
+    for z in cycles:
+        img = {}
+        for j, x in z.items():
+            for i, v in columns[j].items():
+                img[i] = f.add(img.get(i, f.zero), f.mul(x, v))
+        images.append(img)
+    bounds = target.boundary_columns(m + 1)
+    spanned, _ = _dense_rank_and_kernel(images + bounds, target.dim(m), f)
+    return spanned - _dense_rank_and_kernel(bounds, target.dim(m), f)[0]
+
+
+def u_power_columns(fm, n, k):
+    """The columns of the chain-level U^k out of degree n of fm."""
+    cols = [{i: fm.complex.field.one} for i in range(fm.complex.dim(n))]
+    for j in range(k):
+        cols = [fm.u.apply(n - 4 * j, c) for c in cols]
+    return cols
+
+
+def nu_columns(norm, d):
+    return [norm.nu.column(d, pos) for pos in range(norm.plus.complex.dim(d))]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_induced_rank_against_the_dense_oracle(field):
+    # U, U^2 and U^3 on the three flavors of T* and D*_4 (both orientations)
+    # and of the single-orbit windows, and nu from '+' to '-' (nonzero on
+    # homology for a free orbit): every degree of each model.  Ranks drop
+    # below the dims at the tower ends, and some lie strictly between 0 and
+    # both dims
+    sources = []
+    for g in (T_STAR, binary_dihedral(4)):
+        for orientation in (BAR, STD):
+            w = build_model(g, orientation).window(Window(-9, 15, -8, 18), field)
+            sources.append([functor_model(w, flavor, -12, 12) for flavor in (PLUS, MINUS, TATE)])
+    for kind in KINDS:
+        cx, u = single_orbit_complex(kind, 0, 3, field)
+        sources.append([FunctorModel(cx, u, flavor, -12, 12) for flavor in (PLUS, MINUS, TATE)])
+    compared = nonzero = drops = partial = nu_nonzero = 0
+    for plus, minus, tate in sources:
+        for fm in (plus, minus, tate):
+            h = fm.homology()
+            for n in fm.complex.degrees():
+                for k in (1, 2, 3):
+                    cols = u_power_columns(fm, n, k)
+                    got = induced_rank(h, h, cols, n, n - 4 * k)
+                    assert got == dense_induced_rank(fm.complex, fm.complex, cols, n, n - 4 * k), \
+                        (fm.flavor, n, k)
+                    dims = h.dim(n), h.dim(n - 4 * k)
+                    compared += 1
+                    nonzero += got > 0
+                    drops += min(dims) > 0 and got < max(dims)
+                    partial += 0 < got < min(dims)
+        norm = NormData(plus, minus)
+        hp, hm = plus.homology(), minus.homology()
+        for d in plus.complex.degrees():
+            cols = nu_columns(norm, d)
+            got = induced_rank(hp, hm, cols, d, d + 3)
+            assert got == dense_induced_rank(plus.complex, minus.complex, cols, d, d + 3), d
+            nu_nonzero += got > 0
+    assert compared > 700 and nonzero and drops and partial and nu_nonzero
+
+
+def test_induced_rank_refuses_columns_of_another_degree():
+    cx, u = single_orbit_complex(FULLY_REDUCIBLE, 0, 3)
+    fm = FunctorModel(cx, u, PLUS, -12, 12)
+    with pytest.raises(BPFloerError, match="columns out of degree 0"):
+        induced_rank(fm.homology(), fm.homology(), [], 0, -4)
+
+
+def triangle_norm_rank(plus, minus, degrees):
+    """sum over n of the rank of H(nu) out of Hplus_(n-3) and Hplus_(n-4),
+    each read directly by induced_rank."""
+    norm = NormData(plus, minus)
+    hp, hm = plus.homology(), minus.homology()
+    return sum(induced_rank(hp, hm, nu_columns(norm, d), d, d + 3)
+               for n in degrees for d in (n - 3, n - 4))
+
+
 @pytest.mark.parametrize("g", [T_STAR, O_STAR, cyclic(5), binary_dihedral(4), I_STAR], ids=str)
 def test_exact_triangle(g):
     model = build_model(g, BAR)
@@ -289,8 +402,10 @@ def test_exact_triangle(g):
     models = [functor_model(w, flavor, -12, 12) for flavor in (PLUS, MINUS, TATE)]
     report = exact_triangle_check(*models, Window(-9, 15, -8, 12).interior(4, 4))
     assert report["checked"] == list(range(-3, 8)) and report["flagged_boundary"] == []
-    # the reversed orientation's norm map vanishes on homology
+    # the reversed orientation's norm map vanishes on homology, and the rank
+    # the triangle reads from dims is the rank of H(nu) itself
     assert report["norm_rank"] == 0
+    assert triangle_norm_rank(models[0], models[1], report["checked"]) == 0
 
 
 @pytest.mark.parametrize("g", [T_STAR, binary_dihedral(30)], ids=str)
@@ -365,8 +480,6 @@ def test_triangle_single_orbit_cases():
 def test_long_exact_sequence_with_framed_homology():
     # from 0 -> M -> D+ -(U)-> D+[4] -> 0:
     # dim H(M)_m = dim coker(U: H+_{m+1} -> H+_{m-3}) + dim ker(U: H+_m -> H+_{m-4})
-    from bpfloer.chains import induced_map_between, matrix_rank
-
     for g in (T_STAR, O_STAR, binary_dihedral(4)):
         model = build_model(g, BAR)
         w = model.window(Window(-13, 11, -12, 14))
@@ -374,9 +487,9 @@ def test_long_exact_sequence_with_framed_homology():
         hp = fm.homology()
         hsrc = HomologyData(w.complex)
         for m in range(-6, 6):
-            rank_up = matrix_rank(induced_map_between(hp, hp, fm.u, m + 1), QQ)
+            rank_up = induced_rank(hp, hp, u_power_columns(fm, m + 1, 1), m + 1, m - 3)
             coker = hp.dim(m - 3) - rank_up
-            rank_um = matrix_rank(induced_map_between(hp, hp, fm.u, m), QQ)
+            rank_um = induced_rank(hp, hp, u_power_columns(fm, m, 1), m, m - 4)
             ker = hp.dim(m) - rank_um
             assert hsrc.dim(m) == coker + ker, (str(g), m)
 

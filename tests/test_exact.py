@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from bpfloer.chains import ChainMap, FiniteComplex, HomologyData
+from bpfloer.chains import ChainMap, FiniteComplex, HomologyData, induced_rank
 from bpfloer.cyclo import Cyclo, _min_relation, cyclo_inner, evaluation_point
 from bpfloer.donaldson import BAR, Window, build_model
 from bpfloer.equivariant import MINUS, PLUS, functor_model
 from bpfloer.errors import BPFloerError, NonRationalResult
 from bpfloer.fields import QQ, PrimeField, parse_field
 from bpfloer.groups import I_STAR
-from bpfloer.sparse import SparseMat, TrackedEchelon, dense_rank, rank_kernel_image
+from bpfloer.sparse import SparseMat, TrackedEchelon, _apply_columns, dense_rank, rank_kernel_image
 
 
 def test_field_axioms_rational():
@@ -442,7 +442,7 @@ def test_a_kernel_vector_makes_linearly_many_field_multiplications(monkeypatch):
 
 
 def test_kernel_basis_normal_form():
-    # the basis HomologyData.reps and the MinusPages goldens rely on: pivot
+    # the basis FilteredPages and the MinusPages goldens rely on: pivot
     # columns are those raising the dense rank of the leading columns, and
     # each dependent column j gives the kernel vector e_j - (earlier pivots)
     for f in (QQ, PrimeField(5)):
@@ -486,7 +486,8 @@ def test_rank_kernel_and_homology_over_q_with_non_unit_pivots():
         h = HomologyData(cx)
         assert h.rank_boundary[1] == want
         assert h.dim(1) == ncols - want and h.dim(0) == nrows - want
-        for v in kernel + h.cycle_basis[1]:
+        assert induced_rank(h, h, _identity(cx, 1), 1, 1) == ncols - want
+        for v in kernel:
             assert v and m.apply(v) == {}
             assert all(sum(rows[i][j] * x for j, x in v.items()) == 0 for i in range(nrows))
 
@@ -520,6 +521,32 @@ def _dense(vec, size, f):
     return [vec.get(i, f.zero) for i in range(size)]
 
 
+def _identity(cx, n):
+    return [{j: cx.field.one} for j in range(cx.dim(n))]
+
+
+def _random_homotopy(rng, cx):
+    """{n: columns of a random s_n : C_n -> C_(n+1)}, entries in -2..2."""
+    f = cx.field
+    return {n: [{i: f.of(rng.randint(-2, 2)) for i in range(cx.dim(n + 1)) if rng.random() < 0.5}
+                for _ in range(cx.dim(n))] for n in cx.degrees()}
+
+
+def _plus_ds_sd(cx, s, n, c):
+    """Columns out of degree n of the chain map c * id + d s + s d, which is
+    homotopic to c * id."""
+    f = cx.field
+    cols = []
+    for j, dcol in enumerate(cx.boundary_columns(n)):
+        col = {j: c}
+        for part in (_apply_columns(f, cx.boundary_columns(n + 1), s[n][j]),
+                     _apply_columns(f, s.get(n - 1, []), dcol)):
+            for i, v in part.items():
+                col[i] = f.add(col.get(i, f.zero), v)
+        cols.append({i: v for i, v in col.items() if not f.is_zero(v)})
+    return cols
+
+
 @pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=str)
 def test_homology_data_against_the_dense_oracle(f):
     rng = random.Random(21)
@@ -534,40 +561,17 @@ def test_homology_data_against_the_dense_oracle(f):
             rank_b = dense_rank(bounds, f) if bounds else 0
             assert h.rank_boundary[n] == rank_d
             assert h.dim(n) == (size - rank_d) - rank_b
-            # greedy rule: a cycle is kept iff it is independent of the
-            # boundaries plus the representatives kept before it
-            kept = []
-            for z in h.cycle_basis[n]:
-                rows = bounds + [_dense(r, size, f) for r in kept]
-                before = dense_rank(rows, f) if rows else 0
-                grows = dense_rank(rows + [_dense(z, size, f)], f) > before
-                assert grows == any(z is r for r in h.reps[n])
-                if grows:
-                    kept.append(z)
-            assert kept == h.reps[n]
-            # coords of a combination of representatives plus a boundary
-            want = {i: f.of(rng.randint(-3, 3)) for i in range(len(kept))}
-            want = {i: c for i, c in want.items() if not f.is_zero(c)}
-            vec = {}
-            for i, c in want.items():
-                for r, v in kept[i].items():
-                    vec[r] = f.add(vec.get(r, f.zero), f.mul(c, v))
-            for col in cx.boundary_columns(n + 1):
-                c = f.of(rng.randint(-2, 2))
-                for r, v in col.items():
-                    vec[r] = f.add(vec.get(r, f.zero), f.mul(c, v))
-            assert h.coords(n, vec) == want
-            # a chain with a nonzero boundary is no cycle class
-            for j, col in enumerate(cx.boundary_columns(n)):
-                if col:
-                    assert h.coords(n, {**vec, j: f.add(vec.get(j, f.zero), f.one)}) is None
-                    break
+            # a map homotopic to the identity has rank dim H_n on homology,
+            # one null-homotopic rank 0: the boundaries drop out
+            s = _random_homotopy(rng, cx)
+            assert induced_rank(h, h, _plus_ds_sd(cx, s, n, f.one), n, n) == h.dim(n)
+            assert induced_rank(h, h, _plus_ds_sd(cx, s, n, f.zero), n, n) == 0
 
 
 def test_homology_reads_eliminate_one_degree_and_the_one_above(monkeypatch):
-    # a dim read of degree n ranks d_n and d_(n+1), and a read of its
-    # representatives or coordinates eliminates them, once each and no
-    # other degree
+    # a dim read of degree n ranks d_n and d_(n+1), once each and no other
+    # degree; an induced rank out of n into n adds one elimination of those
+    # two degrees, and none where H_n = 0 (here every degree but 4)
     cx = _random_complex(random.Random(4), QQ, [3, 5, 6, 5, 4, 2])
     calls, degrees = [], []
     real_kernel, real_independent = TrackedEchelon.kernel_of_columns, TrackedEchelon.independent
@@ -592,18 +596,19 @@ def test_homology_reads_eliminate_one_degree_and_the_one_above(monkeypatch):
     assert calls == [] and degrees == []
     h.dim(2)
     assert calls == ["rank"] * 2 and sorted(degrees) == [2, 3]
-    h.coords(2, {})
-    h.reps_in(2)
-    assert calls == ["rank"] * 2 + ["kernel"] * 2 and sorted(degrees) == [2, 2, 3, 3]
+    assert induced_rank(h, h, _identity(cx, 2), 2, 2) == h.dim(2) == 0
+    assert calls == ["rank"] * 2 and sorted(degrees) == [2, 3]
     h.dim(2)
     h.dim(3)  # d_3 is ranked: only d_4 is new
-    assert calls[4:] == ["rank"] and sorted(set(degrees)) == [2, 3, 4]
+    assert calls[2:] == ["rank"] and sorted(set(degrees)) == [2, 3, 4]
     h.dim(5)  # the top degree has no boundaries
-    assert calls[4:] == ["rank"] * 2 and sorted(set(degrees)) == [2, 3, 4, 5]
-    assert h.dim(7) == 0 and h.coords(7, {}) == {} and len(calls) == 6
+    assert calls[2:] == ["rank"] * 2 and sorted(degrees) == [2, 3, 4, 5]
+    assert induced_rank(h, h, _identity(cx, 4), 4, 4) == h.dim(4) == 1
+    assert calls[2:] == ["rank"] * 3 and sorted(degrees) == [2, 3, 4, 4, 5, 5]
+    assert h.dim(7) == 0 and induced_rank(h, h, [], 7, 7) == 0 and len(calls) == 5
     h.dims()
-    assert calls[6:] == ["rank"] * 2 and sorted(set(degrees)) == [0, 1, 2, 3, 4, 5]
-    assert calls.count("kernel") == 2
+    assert calls[5:] == ["rank"] * 2 and sorted(set(degrees)) == [0, 1, 2, 3, 4, 5]
+    assert "kernel" not in calls
 
 
 @pytest.mark.parametrize("f", [QQ, PrimeField(5)], ids=str)
@@ -620,28 +625,13 @@ def test_lazy_homology_matches_the_forced_one(f):
         order = list(range(-1, len(dims) + 1))
         rng.shuffle(order)
         for n in order:
-            vec = {i: f.of(rng.randint(-2, 2)) for i in range(dims[n] if 0 <= n < len(dims) else 0)}
-            for z in forced.reps_in(n):  # a cycle: a combination of representatives
-                c = f.of(rng.randint(-2, 2))
-                for r, v in z.items():
-                    vec[r] = f.add(vec.get(r, f.zero), f.mul(c, v))
-            reader = rng.choice(("dim", "coords", "reps_in"))
-            if reader == "dim":
+            if rng.choice(("dim", "induced_rank")) == "dim":
                 assert lazy.dim(n) == forced.dim(n)
-            elif reader == "coords":
-                assert lazy.coords(n, vec) == forced.coords(n, vec)
             else:
-                assert lazy.reps_in(n) == forced.reps_in(n)
-        assert lazy.reps == forced.reps
+                identity = _identity(cx, n)
+                assert induced_rank(lazy, lazy, identity, n, n) == forced.dim(n)
         assert lazy.rank_boundary == forced.rank_boundary
-        assert lazy.cycle_basis == forced.cycle_basis
-        for n in cx.degrees():
-            cycle = {}
-            for z in forced.reps_in(n):
-                c = f.of(rng.randint(-2, 2))
-                for r, v in z.items():
-                    cycle[r] = f.add(cycle.get(r, f.zero), f.mul(c, v))
-            assert lazy.coords(n, cycle) == forced.coords(n, cycle)
+        assert lazy.dims() == forced.dims()
 
 
 def _rebuilt(cx, coerce, store_raw=False):
@@ -672,7 +662,6 @@ def test_fraction_and_int_inputs_give_the_same_homology():
         for other in (_rebuilt(cx, Fraction), _rebuilt(cx, Fraction, store_raw=True)):
             h = HomologyData(other)
             assert h.dims() == h_int.dims()
-            assert h.reps == h_int.reps
             assert h.rank_boundary == h_int.rank_boundary
 
 
