@@ -64,3 +64,6 @@ out = ss_accounting(g, BAR, MINUS, Window(-5, 7, -8, 8))
 nonzero = {n: v for n, v in sorted(out.items()) if v != (0, 0)}
 print("  degree -> (sum of stable page entries, direct homology dim):")
 print(" ", nonzero)
+n = max(nonzero, key=lambda n: nonzero[n][1])
+print("  degree %d read level by level, level s -> dim E^inf_{s,%d-s}:" % (n, n))
+print("   ", out.rows[n], "total", sum(out.rows[n].values()))

@@ -1,10 +1,11 @@
-"""Finite graded chain complexes with exact homology and filtered pages.
+"""Finite graded chain complexes with exact homology and E^infinity.
 
 A FiniteComplex holds, per degree, an ordered basis of hashable labels and a
 sparse boundary into the next degree down.  Chain maps are stored the same
 way.  Homology is read from boundary ranks alone: its dims (HomologyData)
-and the rank of a chain map on it (induced_rank).  Everything is exact over
-the attached field.
+and the rank of a chain map on it (induced_rank).  The E^infinity page of
+the filtration by levels is read at every level from one elimination per
+boundary (FilteredPages).  Everything is exact over the attached field.
 """
 from __future__ import annotations
 
@@ -181,10 +182,29 @@ def induced_rank(h_source: HomologyData, h_target: HomologyData, columns, n, m):
 
 
 class FilteredPages:
-    """E^r page dimensions of the filtration of a FiniteComplex by levels.
+    """E^infinity of the filtration of a FiniteComplex by levels.
 
-    Levels must be attached to every generator.  Only dimensions are
-    computed; this is the generic oracle used by the accounting checks.
+    F_s C is spanned by the generators of level <= s; levels must be attached
+    to every generator, and d F_s must lie in F_s: a boundary entry at a
+    higher level than its source raises BPFloerError naming the degree and
+    the generator.  E^infinity_{s,n-s} = Z_s / (Z_(s-1) + B_s), with
+    Z_s = ker d_n in F_s C_n and B_s = im d_(n+1) in F_s C_n (the stable page
+    of a bounded filtration), and is read at every level at once from one
+    elimination per boundary d_n, done when the pages are built:
+
+    - The columns of d_n go in by source level, their rows keyed by
+      -(level * N + position), N = dim C_(n-1), so that each stored row
+      pivots at its highest-level entry.
+    - A kernel vector is 1 at its dependent column and otherwise on earlier
+      ones, so it lies in the level of that column: Z_s is spanned by the
+      kernel vectors of dependent columns of level <= s.
+    - The stored rows are in echelon form with distinct pivots, so a
+      combination of them reaches the highest pivot level among its terms:
+      B_s in degree n - 1 is spanned by the rows pivoting at level <= s.
+
+    einfty_row(n) walks one echelon over C_n up the levels, inserting the
+    new B_s rows, then the new Z_s vectors; dim E^infinity_{s,n-s} is the
+    rank those vectors add.
     """
 
     def __init__(self, complex_: FiniteComplex):
@@ -195,59 +215,46 @@ class FilteredPages:
             raise BPFloerError("filtered pages need levels on every generator")
         self.min_level = min(levels) if levels else 0
         self.max_level = max(levels) if levels else 0
-        self._z_cache = {}
+        self._cycles = {}      # n -> level -> kernel vectors of d_n freed there
+        self._boundaries = {}  # n -> level -> rows of im d_(n+1) pivoting there
+        for n in complex_.degrees():
+            self._eliminate(n)
 
-    def _z_basis(self, s, n, r):
-        """Basis of Z^r_s in degree n: x in F_s C_n with dx in F_{s-r} C_{n-1}."""
-        # once s - r < min_level the row filter below keeps every row, so
-        # Z^r_s no longer depends on r: clamp it to share one cache entry
-        r = min(r, s - self.min_level + 1)
-        key = (s, n, r)
-        got = self._z_cache.get(key)
-        if got is not None:
-            return got
-        f = self.field
+    def _keys(self, n):
+        """Position in C_n -> row key -(level * N + position), N = dim C_n."""
+        levels = self.complex.levels.get(n, [])
+        return [-(l * len(levels) + p) for p, l in enumerate(levels)]
+
+    def _eliminate(self, n):
         cx = self.complex
-        idxs = [i for i, l in enumerate(cx.levels.get(n, [])) if l <= s]
-        cols = []
-        lev_lower = cx.levels.get(n - 1, [])
-        for i in idxs:
-            col = cx.boundary_columns(n)[i]
-            cols.append({row: v for row, v in col.items() if lev_lower[row] > s - r})
-        kernel, _ = TrackedEchelon(f).kernel_of_columns(cols)
-        out = []
+        src, tgt = cx.levels[n], cx.levels.get(n - 1, [])
+        order = sorted(range(len(src)), key=src.__getitem__)
+        keys, cols = self._keys(n - 1), []
+        for p in order:
+            col = cx.boundary_columns(n)[p]
+            for r in col:
+                if tgt[r] > src[p]:
+                    raise BPFloerError(
+                        "d raises the level in degree %d: %r at level %d hits %r at level %d"
+                        % (n, cx.basis[n][p], src[p], cx.basis[n - 1][r], tgt[r]))
+            cols.append({keys[r]: v for r, v in col.items()})
+        ech = TrackedEchelon(self.field)
+        kernel, _ = ech.kernel_of_columns(cols)
+        own = self._keys(n)
+        cycles = self._cycles[n] = {}
         for vec in kernel:
-            out.append({idxs[i]: v for i, v in vec.items()})
-        self._z_cache[key] = out
-        return out
+            cycles.setdefault(src[order[max(vec)]], []).append(
+                {own[order[j]]: v for j, v in vec.items()})
+        boundaries = self._boundaries[n - 1] = {}
+        for pivot, row in ech.rows.items():
+            boundaries.setdefault((-pivot) // len(tgt), []).append(row)
 
-    def page_dim(self, r, s, t):
-        """dim E^r_{s,t} for r >= 1."""
-        f = self.field
-        n = s + t
-        z = self._z_basis(s, n, r)
-        if not z:
-            return 0
-        ech = TrackedEchelon(f)
-        for vec in self._z_basis(s - 1, n, r - 1):
-            ech.insert(vec)
-        bcols = self.complex.boundary_columns(n + 1)
-        for vec in self._z_basis(s + r - 1, n + 1, r - 1):
-            ech.insert(_apply_columns(f, bcols, vec))
-        dim_bottom = ech.rank
-        for vec in z:
-            ech.insert(vec)
-        return ech.rank - dim_bottom
-
-    def stable_r(self):
-        return self.max_level - self.min_level + 2
-
-    def einfty_dim(self, s, t):
-        return self.page_dim(self.stable_r(), s, t)
-
-    def einfty_total(self, n):
-        """sum over s of dim E^infty_{s, n-s}; levels outside range contribute 0."""
-        total = 0
-        for s in range(self.min_level, self.max_level + 1):
-            total += self.einfty_dim(s, n - s)
-        return total
+    def einfty_row(self, n):
+        """{s: dim E^infinity_{s,n-s}} for every level s from min to max."""
+        cycles, boundaries = self._cycles.get(n, {}), self._boundaries.get(n, {})
+        ech = TrackedEchelon(self.field)
+        row = dict.fromkeys(range(self.min_level, self.max_level + 1), 0)
+        for s in sorted(cycles.keys() | boundaries.keys()):
+            ech.independent(boundaries.get(s, ()))
+            row[s] = len(ech.independent(cycles.get(s, ())))
+        return row

@@ -406,7 +406,10 @@ def _verify_group(g: GroupId, field):
             nonzero = sum(1 for _, h in dims.values() if h)
             if not nonzero:
                 raise BPFloerError("%s compared no degree with nonzero homology" % key)
-            parts.append("%s: %d degrees, %d nonzero" % (key, len(dims), nonzero))
+            levels = {s for row in dims.rows.values() for s in row}
+            entries = sum(1 for row in dims.rows.values() for d in row.values() if d)
+            parts.append("%s: %d degrees, %d nonzero, %d levels, %d E^inf entries"
+                         % (key, len(dims), nonzero, len(levels), entries))
         return "pages vs direct homology; " + "; ".join(parts)
     run("spectral-sequence-accounting", accounting)
 

@@ -512,21 +512,34 @@ def norm_vanishing_and_splitting(run: GroupRun):
     return report
 
 
+class Accounting(dict):
+    """{n: (sum_s dim E^infty_{s,n-s}, dim H_n)}, as ss_accounting compared
+    them; rows[n] = {s: dim E^infty_{s,n-s}} holds every level read."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = {}
+
+
 def ss_accounting(group, orientation, flavor, win: Window, field=QQ):
     """Truncated-filtration accounting: sum_s dim E^infty_{s,n-s} = dim H_n.
 
-    Runs the generic filtered-complex page machinery on the materialized
-    functor model and compares against direct homology in every degree.
+    Builds its own functor model, reads E^infty of its filtration by levels
+    at every level (FilteredPages: one elimination of each boundary, rows
+    keyed by level, then one echelon per degree walked up the levels), and
+    compares each degree's total against direct homology (HomologyData,
+    ranks keyed by position alone).  FilteredPages refuses a boundary that
+    raises the level.  Returns the Accounting of every degree of the model.
     """
     model = build_model(group, orientation)
     w = model.window(win, field)
     fm = functor_model(w, flavor, win.n_lo, win.n_hi)
     pages = FilteredPages(fm.complex)
     h = fm.homology()
-    out = {}
+    out = Accounting()
     for n in fm.complex.degrees():
-        lhs = pages.einfty_total(n)
-        rhs = h.dim(n)
+        row = out.rows[n] = pages.einfty_row(n)
+        lhs, rhs = sum(row.values()), h.dim(n)
         out[n] = (lhs, rhs)
         if lhs != rhs:
             raise BPFloerError(

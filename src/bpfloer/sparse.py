@@ -1,8 +1,9 @@
 """Sparse exact linear algebra over a coefficient field.
 
 TrackedEchelon is the package's one one-sided elimination kernel: it reduces
-vectors against a row space, and homology ranks, filtered pages, the page
-engine and the representation-ring solves in mckay all run on it.  The
+vectors against a row space, and homology ranks, the E^infinity of a
+filtered complex (one kernel per boundary), the page engine and the
+representation-ring solves in mckay all run on it.  The
 package's one two-sided elimination, rows and columns of one differential at
 once, is equivariant.UReduction, the U-adic reduction the chain route reads.  The
 echelon's pivot rule is fixed: vectors are taken in insertion order, and each

@@ -214,11 +214,29 @@ def test_accounting_says_what_it_compared(monkeypatch):
         return row[2:4]
 
     assert accounting_row() == ("PASS", "pages vs direct homology; bar/-: 13 degrees, "
-                                "8 nonzero; std/+: 14 degrees, 8 nonzero")
+                                "8 nonzero, 13 levels, 11 E^inf entries; std/+: 14 degrees, "
+                                "8 nonzero, 15 levels, 16 E^inf entries")
     # a comparison over no nonzero homology shows nothing and must not pass
     monkeypatch.setattr("bpfloer.cli.ss_accounting", lambda *a, **k: {})
     status, detail = accounting_row()
     assert status == "FAIL" and "no degree with nonzero homology" in detail
+    monkeypatch.undo()
+
+    # the gate compares each degree's per-level sum: one level's E^infinity
+    # dropped in one degree must fail it
+    from bpfloer.chains import FilteredPages
+
+    real = FilteredPages.einfty_row
+
+    def drop_one_level(self, n):
+        row = real(self, n)
+        if n == 0:
+            row[max(s for s, d in row.items() if d)] = 0
+        return row
+
+    monkeypatch.setattr(FilteredPages, "einfty_row", drop_one_level)
+    status, detail = accounting_row()
+    assert status == "FAIL" and "accounting fails in degree 0: 0 != 1" in detail
 
 
 def test_cs_command(capsys):
@@ -544,12 +562,14 @@ def test_verify_triangle_fails_on_a_corrupt_norm_map_cone_or_splitting(field, mo
 
     # a free orbit planted in the triangle's source: nu is a chain map and
     # its cone the Tate model, but H(nu) is nonzero and the triangle does not split
+    # id(window) -> (window, its planted copy); holding the window keeps its
+    # id from passing to a later window
     planted = {}
 
     def planted_model(window, flavor, lo, hi):
         if id(window) not in planted:
-            planted[id(window)] = with_free_orbit(window)
-        return equivariant.FunctorModel(*planted[id(window)], flavor, lo, hi)
+            planted[id(window)] = window, with_free_orbit(window)
+        return equivariant.FunctorModel(*planted[id(window)][1], flavor, lo, hi)
 
     monkeypatch.setattr(floer, "functor_model", planted_model)
     assert triangle_row(field) == ("FAIL", "SplittingViolation: T*: H(nu) is nonzero: "

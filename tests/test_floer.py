@@ -4,7 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from bpfloer.chains import FilteredPages
+from bpfloer.chains import FilteredPages, FiniteComplex
 from bpfloer.donaldson import BAR, STD, Window, build_model
 from bpfloer.equivariant import MINUS, PLUS, TATE, functor_model
 from bpfloer.errors import BPFloerError, FreenessFailure, WrongFlavor
@@ -505,34 +505,111 @@ def test_compare_lists_rank_mismatches_by_power_then_degree(monkeypatch):
     assert (rep.urank_made, rep.urank_skipped) == (55, 0)
 
 
+class OraclePages:
+    """The generic page E^r_{s,t} = Z^r_s / (Z^(r-1)_(s-1) + d Z^(r-1)_(s+r-1)),
+    Z^r_s = {x in F_s C_n : dx in F_(s-r) C_(n-1)}, one kernel per (s, n, r)
+    with rows keyed by position: the oracle for FilteredPages' E^infinity."""
+
+    def __init__(self, complex_):
+        self.complex = complex_
+        levels = [l for lst in complex_.levels.values() for l in lst]
+        self.min_level, self.max_level = min(levels), max(levels)
+        self._z = {}
+
+    def stable_r(self):
+        return self.max_level - self.min_level + 2
+
+    def z_basis(self, s, n, r):
+        # once s - r < min_level the row filter keeps every row, so Z^r_s no
+        # longer depends on r: clamp it to share one entry
+        r = min(r, s - self.min_level + 1)
+        if (s, n, r) not in self._z:
+            cx = self.complex
+            idxs = [i for i, l in enumerate(cx.levels.get(n, [])) if l <= s]
+            lower = cx.levels.get(n - 1, [])
+            cols = [{row: v for row, v in cx.boundary_columns(n)[i].items() if lower[row] > s - r}
+                    for i in idxs]
+            kernel, _ = TrackedEchelon(cx.field).kernel_of_columns(cols)
+            self._z[s, n, r] = [{idxs[i]: v for i, v in vec.items()} for vec in kernel]
+        return self._z[s, n, r]
+
+    def page_dim(self, r, s, t):
+        """dim E^r_{s,t} for r >= 1."""
+        f, n = self.complex.field, s + t
+        z = self.z_basis(s, n, r)
+        if not z:
+            return 0
+        ech = TrackedEchelon(f)
+        for vec in self.z_basis(s - 1, n, r - 1):
+            ech.insert(vec)
+        bcols = self.complex.boundary_columns(n + 1)
+        for vec in self.z_basis(s + r - 1, n + 1, r - 1):
+            ech.insert(_apply_columns(f, bcols, vec))
+        bottom = ech.rank
+        for vec in z:
+            ech.insert(vec)
+        return ech.rank - bottom
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_einfty_rows_match_the_oracle(field):
+    # every level of every degree, on verify's accounting window, (bar, -)
+    # and (std, +) of the acceptance groups
+    win = Window(-9, 7, -10, 10)
+    compared = nonzero = 0
+    for g in ALL_GROUPS:
+        for orientation, flavor in ((BAR, MINUS), (STD, PLUS)):
+            w = build_model(g, orientation).window(win, field)
+            cx = functor_model(w, flavor, win.n_lo, win.n_hi).complex
+            pages, oracle = FilteredPages(cx), OraclePages(cx)
+            r = oracle.stable_r()
+            for n in cx.degrees():
+                row = pages.einfty_row(n)
+                assert list(row) == list(range(oracle.min_level, oracle.max_level + 1))
+                for s, dim in row.items():
+                    assert dim == oracle.page_dim(r, s, n - s), (str(g), orientation, n, s)
+                    compared += 1
+                    nonzero += dim > 0
+    assert nonzero > 800 and compared > 5 * nonzero, (compared, nonzero)
+
+
 def test_page_periodicity_truncated():
     # E^r entries repeat under a shift by 8 in the filtration, away from edges
     g = O_STAR
     model = build_model(g, BAR)
     w = model.window(Window(-13, 19, -12, 22))
     fm = functor_model(w, MINUS, -12, 18)
-    pages = FilteredPages(fm.complex)
-    for r in (1, 4, 5):
+    oracle, pages = OraclePages(fm.complex), FilteredPages(fm.complex)
+    for r in (1, 4, 5, oracle.stable_r()):
         for s in (0, 4):
             for t in (0, 3):
-                a = pages.page_dim(r, s, t)
-                b = pages.page_dim(r, s + 8, t)
+                a = oracle.page_dim(r, s, t)
+                b = oracle.page_dim(r, s + 8, t)
                 assert a == b, (r, s, t, a, b)
+    seen = set()
+    for s in (0, 4):
+        for t in (-8, -4, 0, 3):
+            a, b = pages.einfty_row(s + t)[s], pages.einfty_row(s + t + 8)[s + 8]
+            assert a == b, (s, t, a, b)
+            seen.add(a)
+    assert seen == {0, 1}
 
 
-def test_stable_z_basis_computed_once():
-    # Z^r_s stops depending on r once s - r < min_level; the pages share
-    # one basis for all such r, and E^infty still matches direct homology
-    model = build_model(T_STAR, BAR)
-    fm = functor_model(model.window(Window(-7, 7, -6, 6)), MINUS, -6, 6)
-    pages = FilteredPages(fm.complex)
-    h = fm.homology()
-    for n in fm.complex.degrees():
-        assert pages.einfty_total(n) == h.dim(n), n
-    for s in range(pages.min_level, pages.max_level + 1):
-        for n in fm.complex.degrees():
-            for r in range(s - pages.min_level + 1, pages.stable_r() + 1):
-                assert pages._z_basis(s, n, r) is pages._z_basis(s, n, r + 1), (s, n, r)
+def test_filtered_pages_refuse_a_boundary_that_raises_the_level():
+    cx = FiniteComplex(QQ)
+    cx.add_generator(0, "y", level=2)
+    cx.add_generator(1, "x", level=1)
+    cx.set_boundary(1, "x", {"y": 1})
+    with pytest.raises(BPFloerError, match="d raises the level in degree 1: 'x' at level 1 "
+                                           "hits 'y' at level 2"):
+        FilteredPages(cx)
+    # the same pair with d lowering the level cancels: E^infinity is 0
+    ok = FiniteComplex(QQ)
+    ok.add_generator(0, "y", level=1)
+    ok.add_generator(1, "x", level=2)
+    ok.set_boundary(1, "x", {"y": 1})
+    pages = FilteredPages(ok)
+    assert (pages.einfty_row(0), pages.einfty_row(1)) == ({1: 0, 2: 0}, {1: 0, 2: 0})
 
 
 def test_ss_accounting_randomized():
