@@ -420,13 +420,21 @@ def _verify_group(g: GroupId, field):
         if bad:
             raise BPFloerError(repr(bad[:3]))
         source = shared.comparison_window()[0].source
+
+        def window_counts(route, side):
+            """(elements, plain bars, linked elements) summed over the module
+            windows on one side of the route's reports."""
+            return tuple(sum(c) for c in zip(*(rep.views[side].counts()
+                                               for r, *_, rep in reports if r == route)))
         return ("6 pairs chain-level + bar/- page-assembled vs encoded; %d degrees; "
-                "U-ranks %d made, %d skipped; %s" % (
+                "U-ranks %d made, %d skipped; %s; encoded windows: %d elements, %d plain bars, "
+                "%d linked; page window: %d elements, %d plain bars, %d linked" % (
                     sum(len(rep.checked_degrees) for *_, rep in reports),
                     sum(rep.urank_made for *_, rep in reports),
                     sum(rep.urank_skipped for *_, rep in reports),
                     "; ".join("%s: %s" % (o, shared.reduction(o, source).describe())
-                              for o in (BAR, STD))))
+                              for o in (BAR, STD)),
+                    *window_counts("chain", 1), *window_counts("pages", 0)))
     run("assembly-vs-closed-form", assembly)
 
     def triangle():

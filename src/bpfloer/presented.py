@@ -10,17 +10,18 @@ realizations enumerate the finitely many elements with level in (q, p] and
 degree in [n_lo, n_hi].
 
 Three window views answer dims and U-ranks.  ModuleWindow (a presentation)
-walks U down each residue chain mod 4; HomologyWindow (the homology of a
-materialized complex, the tests' oracle for the chain route, with no caller
-in the package) reads rank U^k from one block rank (chains.induced_rank);
-BarWindow holds a sum of bars, the normal form the chain route and floer-raw
-read off equivariant.UReduction, and counts them.  All give the rank
-invariant of the persistence module formed, along each residue class mod 4,
-by the groups H_m and the degree -4 maps U between them: rank U^k out of n
-is dim I_k(n - 4k), I_k(m) = im(U^k: H_{m+4k} -> H_m), which for bars is
-the number of bars through n and n - 4k.  Where U leaves the window through
-a nonzero class, that power and every higher one from the same degree have
-no rank (None); HomologyWindow always has one.  compare_windows asks each
+counts the bars of the families no non-empty correction links, with
+BarWindow, and walks U down each residue chain mod 4 over the linked ones;
+HomologyWindow (the homology of a materialized complex, the tests' oracle
+for the chain route, with no caller in the package) reads rank U^k from one
+block rank (chains.induced_rank); BarWindow holds a sum of bars, the normal
+form the chain route and floer-raw read off equivariant.UReduction, and
+counts them.  All give the rank invariant of the persistence module formed,
+along each residue class mod 4, by the groups H_m and the degree -4 maps U
+between them: rank U^k out of n is dim I_k(n - 4k), I_k(m) = im(U^k:
+H_{m+4k} -> H_m), which for bars is the number of bars through n and
+n - 4k.  BarWindow has no rank (None) where n - 4k lies below its window;
+ModuleWindow and HomologyWindow always have one.  compare_windows asks each
 side for one table over its interior.
 """
 from __future__ import annotations
@@ -128,15 +129,23 @@ class PresentedModule:
 
 
 class ModuleWindow:
-    """Finite realization of a PresentedModule inside a window, and its
-    U-power ranks from one pass down a residue chain.
+    """Finite realization of a PresentedModule inside a window, and its dims
+    and U-power ranks.
+
+    The window is a direct sum of U-submodules.  A family that no non-empty
+    correction names, as source or as target, is plain: U is its tower
+    shift, cut to 0 where an empty correction is stored, so each copy and
+    each residue class of its indices mod 4/|step| is one bar in the window
+    (a step-0 family gives one-class bars).  self.plain, a BarWindow, counts
+    those bars.  The families that non-empty corrections link keep a basis
+    (self.basis, sorted by degree and indexed within each degree) and their
+    ranks come from one pass down each residue chain mod 4.  dims and ranks
+    are the bars' count plus the pass's.
 
     _build_u_columns(n), built when a pass first applies U out of n, gives
-    the columns of U out of degree n (one per basis element there, each a
-    dict from positions in degree n - 4 to values), or None where U leaves
-    the window.  A presentation's own columns are never None (an image
-    outside the window drops out); the None rule serves views that override
-    _build_u_columns.
+    the columns of U out of degree n on the linked basis (one per basis
+    element there, each a dict from positions in degree n - 4 to values); an
+    image outside the window drops out.
 
     The pass starts at the top degree of a chain n, n - 4, n - 8, ... with
     every basis vector tagged 0 and keeps, at each degree m, a basis of H_m
@@ -147,21 +156,26 @@ class ModuleWindow:
     prefix span I_{k+1}(m - 4)), and completes them with unit vectors tagged
     0.  rank U^k out of n is the number of vectors at n - 4k tagged k or more.
     An empty basis requests no U: the ranks that pass through it are 0.
-    Where U out of m is None, a power that has to carry a nonzero class of
-    I_j(m) out of m has no rank (None), nor has any higher power from the
-    same degree; the filtration restarts below m.
+    Every rank is a number: where n - 4k lies below the window, U^k out of n
+    has rank 0.
     """
 
     def __init__(self, module: PresentedModule, win: Window, field=QQ):
         self.module = module
         self.win = win
         self.field = field
-        basis = []
+        linked = {lab for (source, _), images in module.corrections.items() if images
+                  for lab in (source, *(target for target, _, _ in images))}
+        basis, bars = [], []
         for f in module.families:
             # copies: level = column + 8*shift in (q, p]
             for level in win.levels(f.column):
                 s = (level - f.column) // 8
-                basis.extend((f.label, k, s) for k in self._indices(f, s))
+                if f.label in linked:
+                    basis.extend((f.label, k, s) for k in self._indices(f, s))
+                else:
+                    bars += self._bars(f, s)
+        self.plain = BarWindow(bars, win.n_lo, win.n_hi)
         self.basis = sorted(basis, key=lambda b: (self._deg(b), b))
         self.by_degree = {}
         for b in self.basis:
@@ -171,14 +185,11 @@ class ModuleWindow:
         self._u_cols = {}
 
     def _indices(self, f: Family, shift):
+        """The indices k of f's shift copy with degree in [n_lo, n_hi], a range."""
         lo, hi = self.win.n_lo, self.win.n_hi
-        out = []
         if f.step == 0:
             ks = range(f.floor or 0, (f.top if f.top is not None else f.floor or 0) + 1)
-            for k in ks:
-                if lo <= f.degree(k) + 8 * shift <= hi:
-                    out.append(k)
-            return out
+            return ks if lo <= f.degree(0) + 8 * shift <= hi else range(0)
         # solve lo <= base + step*k + 8*shift <= hi exactly over the integers
         a, b = lo - f.base_degree - 8 * shift, hi - f.base_degree - 8 * shift
         if f.step < 0:
@@ -186,17 +197,45 @@ class ModuleWindow:
         step = abs(f.step)
         kmin = -((-a) // step)   # ceil(a / step)
         kmax = b // step         # floor(b / step)
-        for k in range(kmin, kmax + 1):
-            if f.valid(k):
-                out.append(k)
-        return out
+        if f.floor is not None:
+            kmin = max(kmin, f.floor)
+        if f.top is not None:
+            kmax = min(kmax, f.top)
+        return range(kmin, kmax + 1)
+
+    def _bars(self, f: Family, shift):
+        """The bars (lo, hi) of a plain family's shift copy: one per residue
+        class of its indices mod 4/|step|, split below each stored (empty)
+        correction, where U is 0."""
+        ks, d8 = self._indices(f, shift), 8 * shift
+        if not f.step:
+            d = f.degree(0) + d8
+            return [(d, d)] * len(ks)
+        period = abs(4 // f.step)  # U x^k = x^(k - 4/step)
+        cuts = sorted((f.degree(k) + d8 for label, k in self.module.corrections
+                       if label == f.label and k in ks), reverse=True)
+        bars = []
+        for i in range(min(period, len(ks))):
+            chain = ks[i::period]
+            lo, hi = sorted((f.degree(chain[0]) + d8, f.degree(chain[-1]) + d8))
+            for d in cuts:
+                if lo < d <= hi and (d - lo) % 4 == 0:
+                    bars.append((d, hi))
+                    hi = d - 4
+            bars.append((lo, hi))
+        return bars
 
     def _deg(self, b):
         label, k, s = b
         return self.module.family(label).degree(k) + 8 * s
 
     def dim(self, n):
-        return len(self.by_degree.get(n, []))
+        return self.plain.dim(n) + len(self.by_degree.get(n, ()))
+
+    def counts(self):
+        """(window elements, plain bars, linked elements)."""
+        linked = len(self.basis)
+        return (sum(self.plain._dims.values()) + linked, sum(self.plain.bars.values()), linked)
 
     def _build_u_columns(self, n):
         f = self.field
@@ -224,54 +263,50 @@ class ModuleWindow:
         return self._u_cols[n]
 
     def u_rank_table(self, lo, hi, kmax):
-        """{(k, n): rank of U^k out of n (None: no rank)} for lo <= n <= hi
-        and 1 <= k <= kmax with n - 4k >= lo: one pass per residue chain."""
-        table = {}
-        for top in range(max(lo, hi - 3), hi + 1):
-            table.update(self._rank_pass(top, lo, kmax))
+        """{(k, n): rank of U^k out of n} for lo <= n <= hi and 1 <= k <= kmax
+        with n - 4k >= lo: the bars' count plus one pass per residue chain."""
+        # a bar view has no rank below its window (None); no class lies there
+        table = {key: r or 0 for key, r in self.plain.u_rank_table(lo, hi, kmax).items()}
+        if self.basis:
+            for top in range(max(lo, hi - 3), hi + 1):
+                for key, r in self._rank_pass(top, lo, kmax).items():
+                    table[key] += r
         return table
 
     def u_power_ranks(self, n, kmax):
-        """[rank U^k out of degree n for k = 1..kmax], None where there is no
-        rank: read from the pass down n's chain."""
-        table = self._rank_pass(n, n - 4 * kmax, kmax)
-        return [table[k, n] for k in range(1, kmax + 1)]
+        """[rank U^k out of degree n for k = 1..kmax]: the bars' count plus
+        the pass down n's chain."""
+        linked = self._rank_pass(n, n - 4 * kmax, kmax) if self.basis else {}
+        return [(r or 0) + linked.get((k, n), 0)
+                for k, r in enumerate(self.plain.u_power_ranks(n, kmax), 1)]
 
     def u_power_rank(self, k, n):
-        """rank of U^k from the degree-n slice to degree n-4k (None: no rank)."""
+        """rank of U^k from the degree-n slice to degree n-4k."""
         return self.u_power_ranks(n, k)[-1]
 
     def _rank_pass(self, top, bottom, kmax):
-        """{(k, n): rank of U^k out of n} for k <= kmax and the degrees n of
-        the chain top, top - 4, ... with n - 4k >= bottom."""
+        """{(k, n): rank of U^k out of n on the linked basis} for k <= kmax and
+        the degrees n of the chain top, top - 4, ... with n - 4k >= bottom."""
         f = self.field
         ranks = {}
-        seg = top  # where the filtration last (re)started
-        tagged = [(0, {i: f.one}) for i in range(self.dim(top))]
+        tagged = [(0, {i: f.one}) for i in range(len(self.by_degree.get(top, ())))]
         m = top
         while True:
             tags = [t for t, _ in tagged]
-            starts = range(m, min(seg, m + 4 * kmax) + 1, 4)
-            for n in starts:
+            for n in range(m + 4, min(top, m + 4 * kmax) + 1, 4):
                 j = (n - m) // 4
-                if j:
-                    ranks[j, n] = sum(t >= j for t in tags)
+                ranks[j, n] = sum(t >= j for t in tags)
             if m - 4 < bottom:
                 return ranks
-            cols = self._u_columns(m) if tagged else []
-            if cols is None:  # U leaves the window out of m
-                for n in starts:
-                    j = (n - m) // 4
-                    lost = any(t >= j for t in tags)
-                    for k in range(j + 1, min(kmax, (n - bottom) // 4) + 1):
-                        ranks[k, n] = None if lost else 0
-                seg, tagged, pivots = m - 4, [], {}
-            else:  # tagged is in descending tag order: images first, then units
+            taken = ()
+            if tagged:  # in descending tag order: images first, then units
+                cols = self._u_columns(m)
                 ech = TrackedEchelon(f)
                 pivots = ech.independent([_apply_columns(f, cols, v) for _, v in tagged])
                 tagged = [(tagged[j][0] + 1, ech.rows[c]) for j, c in pivots.items()]
-            taken = set(pivots.values())
-            tagged += [(0, {i: f.one}) for i in range(self.dim(m - 4)) if i not in taken]
+                taken = set(pivots.values())
+            tagged += [(0, {i: f.one}) for i in range(len(self.by_degree.get(m - 4, ())))
+                       if i not in taken]
             m -= 4
 
 
@@ -365,6 +400,7 @@ class CompareReport:
     mismatches: list
     urank_made: int = 0      # U^k rank pairs compared
     urank_skipped: int = 0   # pairs dropped because a side had no rank (window edge)
+    views: tuple = ()        # (left, right), the window views compared
 
     def __bool__(self):
         return self.ok
@@ -398,4 +434,4 @@ def compare_windows(left, right, win: Window, degree_margin=4, level_margin=4, u
                 ranked.append((k, n, ra, rb))
     mismatches += [("rankU^%d" % k, n, ra, rb) for k, n, ra, rb in sorted(ranked)]
     ok = len(degrees) >= MIN_CHECKED_DEGREES and not mismatches
-    return CompareReport(ok, degrees, mismatches, made, skipped)
+    return CompareReport(ok, degrees, mismatches, made, skipped, (left, right))

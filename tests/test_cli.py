@@ -239,6 +239,28 @@ def test_accounting_says_what_it_compared(monkeypatch):
     assert status == "FAIL" and "accounting fails in degree 0: 0 != 1" in detail
 
 
+def test_assembly_names_its_module_windows():
+    # the encoded side's window elements, plain bars and linked elements,
+    # summed over the six pairs, and the page side's, each as ModuleWindow
+    # counts them on the comparison window
+    from bpfloer.donaldson import BAR
+    from bpfloer.equivariant import MINUS
+    from bpfloer.floer import PAIRS, GroupRun
+    from bpfloer.presented import ModuleWindow
+    from bpfloer.theorems import encoded_module
+
+    (row,) = [c for c in _verify_group(T_STAR, QQ) if c[0] == "assembly-vs-closed-form"]
+    run = GroupRun(T_STAR)
+    win = run.comparison_window()[0]
+    encoded = [sum(c) for c in zip(*(ModuleWindow(encoded_module(T_STAR, o, f), win).counts()
+                                     for o, f in PAIRS))]
+    pages = ModuleWindow(run.assembled(BAR, MINUS), win).counts()
+    assert row[2] == "PASS" and row[3].endswith(
+        "; encoded windows: %d elements, %d plain bars, %d linked; "
+        "page window: %d elements, %d plain bars, %d linked" % (*encoded, *pages))
+    assert encoded[2] and not pages[2]
+
+
 def test_cs_command(capsys):
     code, out = run_cli(capsys, "cs", "T*", "--format", "json")
     doc = json.loads(out)

@@ -24,7 +24,15 @@ from bpfloer.floer import (
     ss_accounting,
 )
 from bpfloer.groups import I_STAR, O_STAR, T_STAR, binary_dihedral, cyclic, parse_group
-from bpfloer.presented import BarWindow, HomologyWindow, ModuleWindow, PresentedModule, compare_windows
+from bpfloer.presented import (
+    PI8,
+    BarWindow,
+    Family,
+    HomologyWindow,
+    ModuleWindow,
+    PresentedModule,
+    compare_windows,
+)
 from bpfloer.sparse import TrackedEchelon, _apply_columns
 from bpfloer.theorems import encoded_module, negative_bar_module, positive_std_module
 
@@ -290,17 +298,13 @@ def test_chain_route_builds_no_functor_model_and_no_homology(monkeypatch):
 def walked_u_ranks(view, n, kmax):
     """Reference for the U-rank table: the walk down from n alone, which
     pushes a basis of im U^k one power further per step and eliminates once
-    per step.  An empty image stops asking for U; a None U out of a degree
-    the image still reaches leaves that power and the higher ones unranked."""
+    per step.  An empty image stops asking for U."""
     f = view.field
     vectors = [{i: f.one} for i in range(view.dim(n))]
     ranks = []
     for k in range(kmax):
         if vectors:
-            cols = view._u_columns(n - 4 * k)
-            if cols is None:
-                return ranks + [None] * (kmax - k)
-            images = [_apply_columns(f, cols, v) for v in vectors]
+            images = [_apply_columns(f, view._u_columns(n - 4 * k), v) for v in vectors]
             _, pivots = TrackedEchelon(f).kernel_of_columns(images)
             vectors = [images[j] for j in pivots]
         ranks.append(len(vectors))
@@ -308,34 +312,31 @@ def walked_u_ranks(view, n, kmax):
 
 
 class RandomUView(ModuleWindow):
-    """A synthetic window view on degrees lo..hi, ModuleWindow's pass over
-    random U columns: dims 0-6 per degree, U entries in -3..3 with some
-    columns multiples of earlier ones (so ranks drop), and U = None out of
-    about one degree in twelve."""
+    """A synthetic window view on degrees lo..hi, all of it linked (no plain
+    bar), ModuleWindow's pass over random U columns: dims 0-6 per degree, U
+    entries in -3..3 with some columns multiples of earlier ones (so ranks
+    drop)."""
 
     def __init__(self, seed, field, lo, hi):
         rng = random.Random(seed)
         self.field = field
-        self.dims = {n: rng.randint(0, 6) for n in range(lo - 4, hi + 1)}
+        self.plain = BarWindow([], lo - 4, hi)
+        self.by_degree = {n: [(n, i) for i in range(rng.randint(0, 6))]
+                          for n in range(lo - 4, hi + 1)}
+        self.basis = [b for bs in self.by_degree.values() for b in bs]
         self.cols = {}
         for n in range(lo, hi + 1):
-            if rng.random() < 1 / 12:
-                self.cols[n] = None
-                continue
             cols = self.cols[n] = []
-            for _ in range(self.dims[n]):
+            for _ in range(self.dim(n)):
                 if cols and rng.random() < 0.3:
                     c, s = rng.choice(cols), field.of(rng.randint(-2, 2))
                     col = {i: field.mul(s, v) for i, v in c.items()}
                 else:
                     col = {i: field.of(rng.choice([0, 0, 0, -3, -2, -1, 1, 2, 3]))
-                           for i in range(self.dims[n - 4])}
+                           for i in range(self.dim(n - 4))}
                 cols.append({i: v for i, v in col.items() if not field.is_zero(v)})
         self._u_cols = {}
         self.built = []
-
-    def dim(self, n):
-        return self.dims.get(n, 0)
 
     def _build_u_columns(self, n):
         self.built.append(n)
@@ -355,9 +356,9 @@ def table_against_walks(table, view, interior, kmax=6):
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=lambda f: f.name)
 def test_u_rank_table_matches_the_walk_on_random_views(field):
     # one pass per residue chain against one walk per degree on synthetic
-    # views, None U included: every (n, k <= 6), the same ranks and Nones,
-    # and U asked for out of the same degrees
-    nones = drops = 0
+    # views: every (n, k <= 6), the same ranks, and U asked for out of the
+    # same degrees
+    drops = 0
     for seed in range(60):
         hi = random.Random(seed).randint(0, 40)
         interior = range(0, hi + 1)
@@ -366,10 +367,9 @@ def test_u_rank_table_matches_the_walk_on_random_views(field):
         for n, got, want in table_against_walks(table, ref, interior):
             assert got == want, (seed, n)
             assert RandomUView(seed, field, 0, hi).u_power_ranks(n, len(want)) == want
-            nones += want.count(None)
-            drops += any(r is not None and r < min(ref.dim(n), ref.dim(n - 4)) for r in want[:1])
+            drops += any(r < min(ref.dim(n), ref.dim(n - 4)) for r in want[:1])
         assert sorted(view.built) == sorted(ref.built), seed
-    assert nones and drops
+    assert drops
 
 
 def test_bar_window_counts_bars():
@@ -385,8 +385,148 @@ def test_bar_window_counts_bars():
         BarWindow([(0, 6)], 0, 12)
 
 
+class OracleModuleWindow:
+    """ModuleWindow before the plain/linked split, the oracle for it: every
+    window element in one basis, sorted by degree, and the tagged pass down
+    each residue chain mod 4 over all of them (see ModuleWindow)."""
+
+    def __init__(self, module, win, field=QQ):
+        self.module, self.win, self.field = module, win, field
+        basis = []
+        for f in module.families:
+            for level in win.levels(f.column):
+                s = (level - f.column) // 8
+                basis.extend((f.label, k, s) for k in self._indices(f, s))
+        self.basis = sorted(basis, key=lambda b: (self._deg(b), b))
+        self.by_degree = {}
+        for b in self.basis:
+            self.by_degree.setdefault(self._deg(b), []).append(b)
+        self.index = {b: i for bs in self.by_degree.values() for i, b in enumerate(bs)}
+
+    def _indices(self, f, shift):
+        lo, hi = self.win.n_lo, self.win.n_hi
+        if f.step == 0:
+            ks = range(f.floor or 0, (f.top if f.top is not None else f.floor or 0) + 1)
+            return [k for k in ks if lo <= f.degree(k) + 8 * shift <= hi]
+        a, b = lo - f.base_degree - 8 * shift, hi - f.base_degree - 8 * shift
+        if f.step < 0:
+            a, b = -b, -a
+        step = abs(f.step)
+        return [k for k in range(-((-a) // step), b // step + 1) if f.valid(k)]
+
+    def _deg(self, b):
+        label, k, s = b
+        return self.module.family(label).degree(k) + 8 * s
+
+    def dim(self, n):
+        return len(self.by_degree.get(n, []))
+
+    def u_columns(self, n):
+        f = self.field
+        cols = []
+        for label, k, s in self.by_degree.get(n, []):
+            col = {}
+            for lab2, k2, coeff in self.module.u_image(label, k):
+                s2, rem = divmod(self._deg((label, k, s)) - 4 - self.module.family(lab2).degree(k2), 8)
+                assert rem == 0
+                pos = self.index.get((lab2, k2, s2))
+                if pos is not None:
+                    col[pos] = f.add(col.get(pos, f.zero), f.of(coeff))
+            cols.append({p: v for p, v in col.items() if not f.is_zero(v)})
+        return cols
+
+    def u_rank_table(self, lo, hi, kmax):
+        table = {}
+        for top in range(max(lo, hi - 3), hi + 1):
+            table.update(self.rank_pass(top, lo, kmax))
+        return table
+
+    def rank_pass(self, top, bottom, kmax):
+        f = self.field
+        ranks = {}
+        tagged = [(0, {i: f.one}) for i in range(self.dim(top))]
+        m = top
+        while True:
+            tags = [t for t, _ in tagged]
+            for n in range(m + 4, min(top, m + 4 * kmax) + 1, 4):
+                j = (n - m) // 4
+                ranks[j, n] = sum(t >= j for t in tags)
+            if m - 4 < bottom:
+                return ranks
+            ech, cols = TrackedEchelon(f), self.u_columns(m)
+            pivots = ech.independent([_apply_columns(f, cols, v) for _, v in tagged])
+            tagged = [(tagged[j][0] + 1, ech.rows[c]) for j, c in pivots.items()]
+            taken = set(pivots.values())
+            tagged += [(0, {i: f.one}) for i in range(self.dim(m - 4)) if i not in taken]
+            m -= 4
+
+
+def assert_same_window(pm, win, field):
+    """dims on and around win and the U-rank table over the whole window,
+    ModuleWindow against the oracle; returns the ModuleWindow."""
+    mw, oracle = ModuleWindow(pm, win, field), OracleModuleWindow(pm, win, field)
+    degrees = range(win.n_lo - 4, win.n_hi + 5)
+    assert [mw.dim(n) for n in degrees] == [oracle.dim(n) for n in degrees]
+    assert mw.u_rank_table(win.n_lo, win.n_hi, 6) == oracle.u_rank_table(win.n_lo, win.n_hi, 6)
+    assert mw.counts()[0] == len(oracle.basis)
+    return mw
+
+
 ACCEPT_GROUPS = ([cyclic(k) for k in range(2, 13)] + [binary_dihedral(k) for k in range(2, 13)]
                  + [T_STAR, O_STAR, I_STAR])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=lambda f: f.name)
+def test_module_window_matches_the_oracle(field):
+    # the chain route's width-48 windows at offsets 0 and 3: the plain bars
+    # plus the linked pass give the whole-basis pass's dims and table.  The
+    # four uncorrected pairs have no linked element at all
+    linked = set()
+    for g in ACCEPT_GROUPS:
+        for offset in (0, 3):
+            win = Window(-24, 24, -24, 24).shifted(offset)
+            for orientation, flavor in PAIRS:
+                mw = assert_same_window(encoded_module(g, orientation, flavor), win, field)
+                if mw.basis:
+                    linked.add((orientation, flavor))
+    assert linked == {(BAR, PLUS), (STD, MINUS)}
+
+
+def planted_module():
+    """Every kind of family ModuleWindow splits: plain towers with an empty
+    correction's cut (steps 4 and -2), a step-1 tower with floor and top,
+    step-0 classes and a Laurent tower; and linked ones, a correction from
+    one tower into itself and another tower, and one class into another
+    with coefficient 3."""
+    fams = [Family("cut", 0, 4, 0), Family("two", 6, -2, 4), Family("one", 3, 1, 0, -3, 9),
+            Family("pts", 5, 0, 4, 0, 2), Family("lau", 1, -4, 0, None),
+            Family("src", 2, 4, 0), Family("dst", -2, 4, 4), Family("three", 2, 0, 4, 0, 0),
+            Family("sink", -2, 0, 4, 0, 0)]
+    corrections = {("cut", 2): [], ("two", 3): [],
+                   ("src", 1): [("src", 0, 1), ("dst", 1, 2)], ("three", 0): [("sink", 0, 3)]}
+    return PresentedModule(PI8, fams, corrections)
+
+
+def test_module_window_on_planted_modules():
+    # a cut tower's bars end at the cut: degrees 0..20 of the step-4 tower
+    # cut at index 2 (degree 8); a step -2 tower is two chains per copy
+    cut = ModuleWindow(PresentedModule(PI8, [Family("cut", 0, 4, 0)], {("cut", 2): []}),
+                       Window(-1, 1, -20, 20))
+    assert cut.plain.bars == {(8, 20): 1, (0, 4): 1} and cut.counts() == (6, 2, 0)
+    two = ModuleWindow(PresentedModule(PI8, [Family("two", 6, -2, 0)]), Window(-1, 1, -8, 8))
+    assert two.plain.bars == {(-6, 6): 1, (-8, 4): 1} and two.u_power_ranks(4, 3) == [1, 1, 1]
+    # the whole planted module against the oracle, over fields where the
+    # correction's 3 does and does not vanish, at windows through every
+    # residue mod 8
+    tables = {}
+    for field in (QQ, PrimeField(3), PrimeField(5)):
+        for offset in range(8):
+            win = Window(-13, 11, -17, 14).shifted(offset)
+            mw = assert_same_window(planted_module(), win, field)
+            elements, bars, linked = mw.counts()
+            assert bars and linked and elements > bars + linked
+            tables[field.name, offset] = mw.u_rank_table(win.n_lo, win.n_hi, 6)
+    assert tables["Q", 0] == tables["F5", 0] != tables["F3", 0]
 
 
 @pytest.mark.parametrize("g", ACCEPT_GROUPS, ids=str)
@@ -394,7 +534,8 @@ def test_u_rank_table_matches_the_walk_on_real_windows(g):
     # the oracle is the homology of each flavor's totalized model with the
     # rank of U^k read by induced_rank (HomologyWindow), a rank on every key;
     # the bar view of the chain route must give its dims and its table, every
-    # interior degree and k <= 6.  The encoded table's view matches the walk.
+    # interior degree and k <= 6.  The encoded table's view matches the
+    # whole-basis pass.
     run = GroupRun(g)
     win, margin = run.comparison_window()
     interior = win.interior(4, margin)
@@ -407,37 +548,43 @@ def test_u_rank_table_matches_the_walk_on_real_windows(g):
         assert None not in table.values(), (orientation, flavor)
         assert bars.u_rank_table(lo, hi, 6) == table, (orientation, flavor)
         assert [bars.dim(n) for n in interior] == [oracle.dim(n) for n in interior]
-        mw = ModuleWindow(encoded_module(g, orientation, flavor), win)
-        for n, got, want in table_against_walks(mw.u_rank_table(lo, hi, 6), mw, interior):
-            assert got == want, (orientation, flavor, n)
+        pm = encoded_module(g, orientation, flavor)
+        mw, whole = ModuleWindow(pm, win), OracleModuleWindow(pm, win)
+        assert mw.u_rank_table(lo, hi, 6) == whole.u_rank_table(lo, hi, 6), (orientation, flavor)
+        assert [mw.dim(n) for n in interior] == [whole.dim(n) for n in interior]
 
 
 def test_u_rank_table_eliminates_once_per_degree(monkeypatch):
-    # the width-48 chain-route comparison of T* (bar, inf): the encoded
-    # table's view makes at most one elimination per interior degree, where
-    # one walk per degree made one per step, up to six per degree; the bar
-    # view counts bars and makes none
+    # the width-48 chain-route comparisons of T*: (bar, inf) has no
+    # correction, so its encoded view counts bars and makes no elimination;
+    # (bar, +) has corrections that link families and makes at most one per
+    # interior degree.  The bar view of the chain route makes none
     g = T_STAR
     _, margin = GroupRun(g).comparison_window()
     win = Window(-24, 24, -24, 24)
     interior = win.interior(4, margin)
-    hw = direct_homology_window(g, BAR, TATE, win)
-    mw = ModuleWindow(encoded_module(g, BAR, TATE), win)
     calls = []
     for name in ("__init__", "independent", "kernel_of_columns"):
         def counted(self, *args, real=getattr(TrackedEchelon, name), name=name):
             calls.append(name)
             return real(self, *args)
         monkeypatch.setattr(TrackedEchelon, name, counted)
-    hw.u_rank_table(interior.start, interior.stop - 1, 6)
-    assert calls == []
-    mw.u_rank_table(interior.start, interior.stop - 1, 6)
-    eliminations = calls.count("independent") + calls.count("kernel_of_columns")
-    assert 0 < eliminations <= len(interior)
-    calls.clear()
-    rep = compare_windows(hw, mw, win, 4, margin, 6)
-    assert rep.ok and rep.urank_made > 3 * len(interior)
-    assert calls.count("independent") + calls.count("kernel_of_columns") == eliminations
+    for flavor in (TATE, PLUS):
+        hw = direct_homology_window(g, BAR, flavor, win)
+        mw = ModuleWindow(encoded_module(g, BAR, flavor), win)
+        calls.clear()
+        hw.u_rank_table(interior.start, interior.stop - 1, 6)
+        assert calls == []
+        mw.u_rank_table(interior.start, interior.stop - 1, 6)
+        eliminations = calls.count("independent") + calls.count("kernel_of_columns")
+        if flavor == TATE:
+            assert calls == []
+        else:
+            assert 0 < eliminations <= len(interior)
+        calls.clear()
+        rep = compare_windows(hw, mw, win, 4, margin, 6)
+        assert rep.ok and rep.urank_made > 3 * len(interior)
+        assert calls.count("independent") + calls.count("kernel_of_columns") == eliminations
 
 
 def zeroed_label_model(g, edge):
