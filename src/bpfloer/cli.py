@@ -230,8 +230,8 @@ def cmd_floer(args, cfg):
     except WrongFlavor:  # no page derivation: show the closed form
         shown, what = encoded_module(g, orientation, flavor), "closed-form"
     reports = [({"pages": "assembly", "chain": "chain-route"}[route], rep,
-                "%d safe degrees, %d U-rank comparisons made, %d skipped"
-                % (len(rep.checked_degrees), rep.urank_made, rep.urank_skipped))
+                "%d safe degrees, %d U-rank comparisons made"
+                % (len(rep.checked_degrees), rep.urank_made))
                for route, rep in pair_reports(run, orientation, flavor, win, margin)]
     fmt = _merged(args, cfg, "format", "text")
     if fmt == "json":
@@ -286,11 +286,8 @@ def cmd_floer_raw(args, cfg):
     # the bars of the source window's reduction, cut to the degrees
     hw = run.homology_window(orientation, flavor, win)
     dims = {n: hw.dim(n) for n in range(win.n_lo, win.n_hi + 1) if hw.dim(n)}
-    uranks = {}
-    for n in sorted(dims):
-        r = hw.u_power_rank(1, n)
-        if r is not None:
-            uranks[n] = r
+    # rank U only where U stays in the window
+    uranks = {n: hw.u_power_rank(1, n) for n in dims if n - 4 >= win.n_lo}
     # the source window's degree span cut to the requested degrees, its interior(4, 4)
     lo, hi = max(win.n_lo, win.q + 1), min(win.n_hi, win.p + 3)
     degrees = Window(win.q, win.p, lo, hi).interior(4, 4) if lo <= hi else ()
@@ -307,18 +304,14 @@ def cmd_floer_raw(args, cfg):
             "window": {"q": win.q, "p": win.p, "n_lo": win.n_lo, "n_hi": win.n_hi},
             "homology_dims": {str(k): v for k, v in sorted(dims.items())},
             "u_ranks": {str(k): v for k, v in sorted(uranks.items())},
-            "triangle_report": {
-                "checked_degrees": triangle["checked"],
-                "boundary_flagged": triangle["flagged_boundary"],
-            },
+            "triangle_report": {"checked_degrees": triangle["checked"]},
         }))
     else:
         print("window homology of %s (%s, flavor %s, %s):" % (g, orientation, flavor_key, field.name))
         for n in sorted(dims):
             extra = "  rank U = %d" % uranks[n] if n in uranks else ""
             print("  H_%-4d dim %d%s" % (n, dims[n], extra))
-        print("cone triangle verified on interior degrees %s (boundary flagged: %s)"
-              % (triangle["checked"], triangle["flagged_boundary"] or "none"))
+        print("cone triangle verified on interior degrees %s" % triangle["checked"])
     return 0
 
 
@@ -353,11 +346,10 @@ def _verify_group(g: GroupId, field):
     name = str(g)
     shared = GroupRun(g, field)
 
-    def run(tag, fn, detail=""):
+    def run(tag, fn):
         t0 = time.perf_counter()
         try:
-            extra = fn()
-            row = (tag, name, "PASS", extra if isinstance(extra, str) else detail)
+            row = (tag, name, "PASS", fn())
         except Exception as e:  # noqa: BLE001 - report, do not crash the pipeline
             row = (tag, name, "FAIL", "%s: %s" % (type(e).__name__, e))
         checks.append(row + (time.perf_counter() - t0,))
@@ -427,11 +419,10 @@ def _verify_group(g: GroupId, field):
             return tuple(sum(c) for c in zip(*(rep.views[side].counts()
                                                for r, *_, rep in reports if r == route)))
         return ("6 pairs chain-level + bar/- page-assembled vs encoded; %d degrees; "
-                "U-ranks %d made, %d skipped; %s; encoded windows: %d elements, %d plain bars, "
+                "U-ranks %d made; %s; encoded windows: %d elements, %d plain bars, "
                 "%d linked; page window: %d elements, %d plain bars, %d linked" % (
                     sum(len(rep.checked_degrees) for *_, rep in reports),
                     sum(rep.urank_made for *_, rep in reports),
-                    sum(rep.urank_skipped for *_, rep in reports),
                     "; ".join("%s: %s" % (o, shared.reduction(o, source).describe())
                               for o in (BAR, STD)),
                     *window_counts("chain", 1), *window_counts("pages", 0)))
@@ -441,9 +432,9 @@ def _verify_group(g: GroupId, field):
         rep = norm_vanishing_and_splitting(shared)
         return ("even degrees: bar/+ closed form, bar/- assembled; models on degrees %d..%d: "
                 "nu a chain map on %d '+' generators, cone(nu) = Tate on %d generators; "
-                "cone triangle on %d degrees, %d flagged; H(nu) summed rank %d" % (
+                "cone triangle on %d degrees; H(nu) summed rank %d" % (
                     *rep["span"], rep["nu_generators"], rep["cone_generators"],
-                    len(rep["checked"]), len(rep["flagged_boundary"]), rep["norm_rank"]))
+                    len(rep["checked"]), rep["norm_rank"]))
     run("triangle-and-norm", triangle)
 
     run("cs-golden-values", lambda: _check_cs(g))

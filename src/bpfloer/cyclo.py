@@ -9,7 +9,7 @@ Fraction otherwise, and never a float; character values live in
 Z[x]/(x^N - 1), so their arithmetic is plain int arithmetic.  Rationality of
 a value is decided by reducing modulo the minimal relation of x, the monic
 cyclotomic polynomial Phi_N with int coefficients, which needs no division.
-This reduction (rational_value, ==, reduced) is dense in N, so it is skipped
+This reduction (rational_value, ==, reduced) is dense in N, so it is not run
 where it cannot change the answer: a value with only a constant term is that
 rational.  Phi_N is obtained once per order as the polynomial gcd of the
 sparse relations 1 + x^(N/d) + x^(2N/d) + ... for the primes d | N (no

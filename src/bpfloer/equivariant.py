@@ -292,7 +292,7 @@ def orbit_homology(kind, flavor) -> PresentedModule:
         return PresentedModule(FINITE, [])
     top = orbit.delta if flavor == MINUS else 0
     if kind == IRREDUCIBLE:
-        return PresentedModule(FINITE, [Family(letter, top, 0, 0, 0, 0)], {(letter, 0): []})
+        return PresentedModule(FINITE, [Family(letter, top, 0, 0, 0, 0)])
     step = 4 if kind == FULLY_REDUCIBLE else 2
     if flavor == PLUS:
         return PresentedModule(PI8, [Family(letter, top, step, 0)])
@@ -543,35 +543,37 @@ def exact_triangle_check(plus: FunctorModel, minus: FunctorModel, tate: FunctorM
     nu must be a chain map and cone(nu) the Tate model (NormData), or
     TriangleViolation is raised.  Then the sequence (Weibel, 1.5) gives
         dim Hinf_n = dim Hminus_n + dim Hplus_{n-4} - r_{n-3} - r_{n-4},
-    r_d the rank of H(nu) out of Hplus_d, on each n in degrees with
-    lo + 5 <= n <= hi - 1, where the truncated complexes and the cone agree
-    with the Tate model from n - 1 to n + 1 and Hplus_{n-4} is above lo; the
-    other degrees are flagged.  Returns {"checked", "flagged_boundary",
-    "norm_rank", "span", "nu_generators", "cone_generators"}: norm_rank is
-    the sum of r_{n-3} + r_{n-4} over the checked n, a negative term raising
-    TriangleViolation; span is (lo, hi), nu_generators the number of '+'
-    generators on which nu was checked, cone_generators that of the Tate
-    generators of [lo + 4, hi] compared with the cone.
+    r_d the rank of H(nu) out of Hplus_d, on each n in degrees.  The models
+    read it only where lo + 5 <= n <= hi - 1: there the truncated complexes
+    and the cone agree with the Tate model from n - 1 to n + 1 and
+    Hplus_{n-4} is above lo.  Any other degree is a caller error and raises
+    BPFloerError.  Returns {"checked", "norm_rank", "span", "nu_generators",
+    "cone_generators"}: checked lists the degrees, norm_rank is the sum of
+    r_{n-3} + r_{n-4} over them, a negative term raising TriangleViolation;
+    span is (lo, hi), nu_generators the number of '+' generators on which nu
+    was checked, cone_generators that of the Tate generators of [lo + 4, hi]
+    compared with the cone.
     """
     models = (plus, minus, tate)
     if ([m.flavor for m in models] != [PLUS, MINUS, TATE]
             or len({(id(m.source), m.deg_lo, m.deg_hi) for m in models}) > 1):
         raise BPFloerError("the triangle needs '+', '-' and 'inf' models of one source "
                            "complex and degree range")
+    lo, hi = tate.deg_lo, tate.deg_hi
+    for n in degrees:
+        if not lo + 5 <= n <= hi - 1:
+            raise BPFloerError("degree %d is outside %d..%d, the degrees the triangle reads on "
+                               "models of degrees %d..%d" % (n, lo + 5, hi - 1, lo, hi))
     norm = NormData(plus, minus)
     if not norm.check_chain_map():
         raise TriangleViolation("nu is not a chain map")
     if not norm.cone_matches_tate(tate):
         raise TriangleViolation("cone(nu) is not the Tate model")
-    lo, hi = tate.deg_lo, tate.deg_hi
-    report = {"checked": [], "flagged_boundary": [], "norm_rank": 0, "span": (lo, hi),
+    report = {"checked": [], "norm_rank": 0, "span": (lo, hi),
               "nu_generators": plus.complex.total_dim(),
               "cone_generators": sum(tate.complex.dim(n) for n in range(lo + 4, hi + 1))}
     hp, hm, ht = plus.homology(), minus.homology(), tate.homology()
     for n in degrees:
-        if not lo + 5 <= n <= hi - 1:
-            report["flagged_boundary"].append(n)
-            continue
         ranks = hm.dim(n) + hp.dim(n - 4) - ht.dim(n)
         if ranks < 0:
             raise TriangleViolation("degree %d: dim Hinf = %d exceeds dim Hminus + dim "

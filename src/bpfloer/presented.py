@@ -20,9 +20,9 @@ counts them.  All give the rank invariant of the persistence module formed,
 along each residue class mod 4, by the groups H_m and the degree -4 maps U
 between them: rank U^k out of n is dim I_k(n - 4k), I_k(m) = im(U^k:
 H_{m+4k} -> H_m), which for bars is the number of bars through n and
-n - 4k.  BarWindow has no rank (None) where n - 4k lies below its window;
-ModuleWindow and HomologyWindow always have one.  compare_windows asks each
-side for one table over its interior.
+n - 4k.  Every view answers every key with a number: where n - 4k lies
+below the window, U^k out of n has rank 0.  compare_windows asks each side
+for one table over its interior and compares every key.
 """
 from __future__ import annotations
 
@@ -265,8 +265,7 @@ class ModuleWindow:
     def u_rank_table(self, lo, hi, kmax):
         """{(k, n): rank of U^k out of n} for lo <= n <= hi and 1 <= k <= kmax
         with n - 4k >= lo: the bars' count plus one pass per residue chain."""
-        # a bar view has no rank below its window (None); no class lies there
-        table = {key: r or 0 for key, r in self.plain.u_rank_table(lo, hi, kmax).items()}
+        table = self.plain.u_rank_table(lo, hi, kmax)
         if self.basis:
             for top in range(max(lo, hi - 3), hi + 1):
                 for key, r in self._rank_pass(top, lo, kmax).items():
@@ -277,7 +276,7 @@ class ModuleWindow:
         """[rank U^k out of degree n for k = 1..kmax]: the bars' count plus
         the pass down n's chain."""
         linked = self._rank_pass(n, n - 4 * kmax, kmax) if self.basis else {}
-        return [(r or 0) + linked.get((k, n), 0)
+        return [r + linked.get((k, n), 0)
                 for k, r in enumerate(self.plain.u_power_ranks(n, kmax), 1)]
 
     def u_power_rank(self, k, n):
@@ -351,7 +350,7 @@ class BarWindow:
     A bar (lo, hi) spans the classes in degrees lo, lo + 4, ..., hi, and U
     moves each one down the bar, the lowest to zero.  dim(n) is the number of
     bars through n, and rank U^k out of n the number through both n and
-    n - 4k; it is None where n - 4k < n_lo, below the window.
+    n - 4k, so 0 where n - 4k < n_lo, below the window.
     """
 
     def __init__(self, bars, n_lo, n_hi):
@@ -370,10 +369,10 @@ class BarWindow:
         return self._dims.get(n, 0)
 
     def u_rank_table(self, lo, hi, kmax):
-        """{(k, n): rank of U^k out of n (None: no rank)} for lo <= n <= hi
-        and 1 <= k <= kmax with n - 4k >= lo, ModuleWindow's keys."""
-        table = {(k, n): None if n - 4 * k < self.n_lo else 0
-                 for n in range(lo, hi + 1) for k in range(1, min(kmax, (n - lo) // 4) + 1)}
+        """{(k, n): rank of U^k out of n} for lo <= n <= hi and 1 <= k <= kmax
+        with n - 4k >= lo, ModuleWindow's keys."""
+        table = {(k, n): 0 for n in range(lo, hi + 1)
+                 for k in range(1, min(kmax, (n - lo) // 4) + 1)}
         for (b_lo, b_hi), mult in self.bars.items():
             for n in range(b_lo + 4, min(b_hi, hi) + 1, 4):
                 for k in range(1, min(kmax, (n - max(b_lo, lo)) // 4) + 1):
@@ -381,12 +380,12 @@ class BarWindow:
         return table
 
     def u_power_ranks(self, n, kmax):
-        """[rank U^k out of degree n for k = 1..kmax], None where there is no rank."""
+        """[rank U^k out of degree n for k = 1..kmax]."""
         table = self.u_rank_table(n - 4 * kmax, n, kmax)
         return [table[k, n] for k in range(1, kmax + 1)]
 
     def u_power_rank(self, k, n):
-        """rank of U^k from the degree-n slice to degree n-4k (None: no rank)."""
+        """rank of U^k from the degree-n slice to degree n-4k."""
         return self.u_power_ranks(n, k)[-1]
 
 
@@ -399,7 +398,6 @@ class CompareReport:
     checked_degrees: list
     mismatches: list
     urank_made: int = 0      # U^k rank pairs compared
-    urank_skipped: int = 0   # pairs dropped because a side had no rank (window edge)
     views: tuple = ()        # (left, right), the window views compared
 
     def __bool__(self):
@@ -411,27 +409,25 @@ def compare_windows(left, right, win: Window, degree_margin=4, level_margin=4, u
     MIN_CHECKED_DEGREES degrees and dims and rank U^k agree on it.
 
     Each side gives one U-rank table for the interior (one pass per residue
-    chain); a U^k pair where either side has no rank is counted as skipped.
-    Rank mismatches are listed after the dim mismatches, by (k, n).
+    chain), and every U^k pair is compared: a side that answers no number
+    (None) for a key mismatches a side that does.  Rank mismatches are listed
+    after the dim mismatches, by (k, n).
     """
     interior = win.interior(degree_margin, level_margin)
     lo, degrees = interior.start, list(interior)
     ta, tb = (side.u_rank_table(lo, interior.stop - 1, u_powers) for side in (left, right))
     mismatches = []
     ranked = []
-    made = skipped = 0
+    made = 0
     for n in degrees:
         a, b = left.dim(n), right.dim(n)
         if a != b:
             mismatches.append(("dim", n, a, b))
         for k in range(1, min(u_powers, (n - lo) // 4) + 1):
             ra, rb = ta[k, n], tb[k, n]
-            if ra is None or rb is None:
-                skipped += 1
-                continue
             made += 1
             if ra != rb:
                 ranked.append((k, n, ra, rb))
     mismatches += [("rankU^%d" % k, n, ra, rb) for k, n, ra, rb in sorted(ranked)]
     ok = len(degrees) >= MIN_CHECKED_DEGREES and not mismatches
-    return CompareReport(ok, degrees, mismatches, made, skipped, (left, right))
+    return CompareReport(ok, degrees, mismatches, made, (left, right))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from .donaldson import BAR, STD
 from .errors import BPFloerError
 from .equivariant import MINUS, PLUS, TATE, orbit_homology
-from .groups import CYCLIC, GroupId, IRREDUCIBLE, ORBITS, REDUCIBLE
+from .groups import CYCLIC, GroupId, IRREDUCIBLE, ORBITS
 from .mckay import s_graph
 from .presented import OPLUS8, PI8, PIINF8, Family, PresentedModule
 
@@ -89,7 +89,8 @@ def _orbit_sum(sg, flavor, level):
 
 def positive_bar_module(g: GroupId) -> PresentedModule:
     """I^+ of the reversed-orientation space: the orbit sum at the levels j
-    with the degree -4 corrections along the labeled edges."""
+    with the degree -4 corrections along the labeled edges.  Only non-empty
+    corrections are stored: elsewhere the tower rule already gives U."""
     sg = s_graph(g)
     corr = {}
     for v in sg.vertices:
@@ -98,10 +99,8 @@ def positive_bar_module(g: GroupId) -> PresentedModule:
             for w in sg.neighbors(v.name)
             if sg.vertex(w).kind == IRREDUCIBLE and sg.label(w, v.name)
         ]
-        key = ORBITS[v.kind].label(PLUS, v.name)
-        corr[(key, 0)] = images
-        if v.kind == REDUCIBLE:
-            corr[(key, 1)] = []
+        if images:
+            corr[(ORBITS[v.kind].label(PLUS, v.name), 0)] = images
     return PresentedModule(PI8, _orbit_sum(sg, PLUS, lambda v: v.j), corr)
 
 
@@ -114,7 +113,8 @@ def tate_module(g: GroupId) -> PresentedModule:
 def negative_std_module(g: GroupId) -> PresentedModule:
     """I^- of the standard-orientation space: the orbit sum at the levels i,
     towers on non-free orbits and a point class per free orbit whose degree
-    -4 image collects every adjacent generator with its edge label."""
+    -4 image collects every adjacent generator with its edge label (stored
+    only when there is one; a class alone has U = 0 by the step-0 rule)."""
     sg = s_graph(g)
     corr = {}
     for v in sg.vertices:
@@ -126,7 +126,8 @@ def negative_std_module(g: GroupId) -> PresentedModule:
             if not n:
                 continue
             images.append((ORBITS[sg.vertex(w).kind].label(MINUS, w), 0, n))
-        corr[(ORBITS[IRREDUCIBLE].label(MINUS, v.name), 0)] = images
+        if images:
+            corr[(ORBITS[IRREDUCIBLE].label(MINUS, v.name), 0)] = images
     return PresentedModule(OPLUS8, _orbit_sum(sg, MINUS, lambda v: v.i), corr)
 
 

@@ -499,7 +499,7 @@ def test_verify_duality_and_triangle_name_what_they_compared(monkeypatch):
     assert rows["triangle-and-norm"] == (
         "PASS", "even degrees: bar/+ closed form, bar/- assembled; models on degrees -12..8: "
                 "nu a chain map on 45 '+' generators, cone(nu) = Tate on 92 generators; "
-                "cone triangle on 15 degrees, 0 flagged; H(nu) summed rank 0")
+                "cone triangle on 15 degrees; H(nu) summed rank 0")
 
     import bpfloer.floer as floer
     from bpfloer.presented import PresentedModule
@@ -639,14 +639,13 @@ def test_verify_triangle_computes_the_norm_map(monkeypatch):
                                       "r_(n-3) + r_(n-4) sums to 1 on the checked degrees")
     monkeypatch.undo()
 
-    # so do a flagged interior degree and too few checked degrees
-    def flag_zero(plus, minus, tate, degrees):
-        report = real_check(plus, minus, tate, [n for n in degrees if n])
-        return {**report, "flagged_boundary": [0]}
+    # so do a degree the models cannot read and too few checked degrees
+    def past_the_top(plus, minus, tate, degrees):
+        return real_check(plus, minus, tate, [*degrees, tate.deg_hi])
 
-    monkeypatch.setattr(floer, "exact_triangle_check", flag_zero)
-    assert triangle_row() == ("FAIL", "SplittingViolation: T*: the triangle checked 14 of 15 "
-                                      "degrees, 8 needed")
+    monkeypatch.setattr(floer, "exact_triangle_check", past_the_top)
+    assert triangle_row() == ("FAIL", "BPFloerError: degree 8 is outside -7..7, the degrees "
+                                      "the triangle reads on models of degrees -12..8")
     monkeypatch.undo()
     monkeypatch.setattr(floer, "MIN_CHECKED_DEGREES", 16)
     assert triangle_row() == ("FAIL", "SplittingViolation: T*: the triangle checked 15 of 15 "

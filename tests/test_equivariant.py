@@ -400,8 +400,10 @@ def test_exact_triangle(g):
     model = build_model(g, BAR)
     w = model.window(Window(-9, 15, -8, 18))
     models = [functor_model(w, flavor, -12, 12) for flavor in (PLUS, MINUS, TATE)]
-    report = exact_triangle_check(*models, Window(-9, 15, -8, 12).interior(4, 4))
-    assert report["checked"] == list(range(-3, 8)) and report["flagged_boundary"] == []
+    degrees = Window(-9, 15, -8, 12).interior(4, 4)
+    report = exact_triangle_check(*models, degrees)
+    # every degree asked for is read
+    assert report["checked"] == list(degrees) == list(range(-3, 8))
     # the reversed orientation's norm map vanishes on homology, and the rank
     # the triangle reads from dims is the rank of H(nu) itself
     assert report["norm_rank"] == 0
@@ -438,6 +440,19 @@ def test_exact_triangle_ranks_each_boundary_once(g, monkeypatch):
     assert report["checked"] == list(range(-7, 8)) and report["norm_rank"] == 0
     ranked = [n in m.complex.basis for m, lo in zip(models, (-11, -7, -7)) for n in range(lo, lo + 16)]
     assert calls == ["rank"] * sum(ranked)
+
+
+def test_exact_triangle_refuses_a_degree_it_cannot_read():
+    # models on -12..12 read the triangle on -7..11 only: a degree outside
+    # is a caller error, named with the readable range, not a flagged degree
+    w = build_model(T_STAR, BAR).window(Window(-9, 15, -8, 18))
+    models = [functor_model(w, flavor, -12, 12) for flavor in (PLUS, MINUS, TATE)]
+    assert exact_triangle_check(*models, [-7, 11])["checked"] == [-7, 11]
+    for bad in (-8, 12):
+        with pytest.raises(BPFloerError, match=r"^degree %d is outside -7\.\.11, the degrees "
+                                               r"the triangle reads on models of degrees "
+                                               r"-12\.\.12$" % bad):
+            exact_triangle_check(*models, [0, bad])
 
 
 def test_cone_comparison_refuses_a_tate_model_with_an_extra_generator():

@@ -264,11 +264,11 @@ def test_compare_needs_a_full_period():
 @pytest.mark.parametrize("g", [T_STAR, O_STAR, I_STAR, binary_dihedral(12)], ids=str)
 def test_closed_form_reports_make_every_u_rank(g):
     # a U-power whose image is zero (for instance out of a degree with
-    # H_n = 0) has rank 0 on both sides, so it is compared, not skipped:
+    # H_n = 0) has rank 0 on both sides, and it is compared like any other:
     # all 21 U^k pairs (k <= 3) of the -7..7 interior are made
     for field in (QQ, PrimeField(3)):
         for route, orientation, flavor, rep in closed_form_reports(GroupRun(g, field)):
-            assert rep.ok and (rep.urank_made, rep.urank_skipped) == (21, 0), (
+            assert rep.ok and rep.urank_made == 21, (
                 str(g), field.name, route, orientation, flavor)
 
 
@@ -374,15 +374,27 @@ def test_u_rank_table_matches_the_walk_on_random_views(field):
 
 def test_bar_window_counts_bars():
     # dims count the bars through n, rank U^k the bars through n and n - 4k;
-    # below the window (n - 4k < n_lo) there is no rank
+    # below the window (n - 4k < n_lo) no bar reaches, so the rank is 0
     bw = BarWindow([(0, 8), (4, 4), (1, 9), (1, 9)], 0, 12)
     assert [bw.dim(n) for n in range(-1, 11)] == [0, 1, 2, 0, 0, 2, 2, 0, 0, 1, 2, 0]
-    assert bw.u_power_ranks(8, 3) == [1, 1, None]
+    assert bw.u_power_ranks(8, 3) == [1, 1, 0]
     assert bw.u_power_ranks(9, 2) == [2, 2]
     assert bw.u_power_rank(1, 4) == 1
     assert bw.u_rank_table(4, 9, 2) == {(1, 8): 1, (1, 9): 2}
     with pytest.raises(BPFloerError, match="does not run down one residue class"):
         BarWindow([(0, 6)], 0, 12)
+
+
+def test_bar_window_answers_0_below_its_window():
+    # every key of a table that reaches below n_lo has a number: the bars
+    # through n and n - 4k, none where n - 4k < n_lo
+    bw = BarWindow([(0, 8), (2, 6)], 0, 12)
+    table = bw.u_rank_table(-8, 8, 4)
+    assert {key: r for key, r in table.items() if r} == {
+        (1, 4): 1, (1, 6): 1, (1, 8): 1, (2, 8): 1}
+    assert all(r == 0 for (k, n), r in table.items() if n - 4 * k < 0)
+    assert (table[1, 2], table[2, 4], table[3, 8]) == (0, 0, 0)
+    assert bw.u_power_ranks(4, 3) == [1, 0, 0] and bw.u_power_rank(2, 2) == 0
 
 
 class OracleModuleWindow:
@@ -649,7 +661,36 @@ def test_compare_lists_rank_mismatches_by_power_then_degree(monkeypatch):
         ("rankU^1", -4, 2, 3), ("rankU^1", 4, 3, 4), ("rankU^2", 0, 2, 3),
         ("rankU^2", 8, 3, 4), ("rankU^3", 4, 2, 3), ("rankU^4", 8, 2, 3),
     ]
-    assert (rep.urank_made, rep.urank_skipped) == (55, 0)
+    assert rep.urank_made == 55
+
+
+class OneUnansweredKey:
+    """A window view that answers None for one U-rank key and agrees with
+    the view it wraps everywhere else."""
+
+    def __init__(self, view, key):
+        self.view, self.key = view, key
+
+    def dim(self, n):
+        return self.view.dim(n)
+
+    def u_rank_table(self, lo, hi, kmax):
+        return {**self.view.u_rank_table(lo, hi, kmax), self.key: None}
+
+
+def test_compare_fails_on_a_key_a_view_does_not_answer():
+    # every key is compared: a view with no number for one interior key
+    # mismatches the view that has one, and the comparison fails
+    run = GroupRun(T_STAR)
+    win, margin = run.comparison_window()
+    mw = ModuleWindow(encoded_module(T_STAR, BAR, PLUS), win)
+    assert compare_windows(mw, mw, win, 4, margin, 3).ok
+    rank = mw.u_power_rank(1, 3)
+    for left, right, want in ((OneUnansweredKey(mw, (1, 3)), mw, (None, rank)),
+                              (mw, OneUnansweredKey(mw, (1, 3)), (rank, None))):
+        rep = compare_windows(left, right, win, 4, margin, 3)
+        assert not rep.ok and rep.mismatches == [("rankU^1", 3, *want)]
+        assert rep.urank_made == 21
 
 
 class OraclePages:

@@ -112,7 +112,10 @@ def test_orbit_sums_match_the_per_kind_tables(build, reference):
     for g in GROUPS:
         pm = build(g)
         tag, fams, shifts, corr = reference(g)
-        assert (pm.flavor_tag, pm.families, pm.corrections) == (tag, fams, corr), str(g)
+        # an empty reference entry restates the tower rule, which the
+        # u_image check below shows; the module stores only the others
+        stored = {key: images for key, images in corr.items() if images}
+        assert (pm.flavor_tag, pm.families, pm.corrections) == (tag, fams, stored), str(g)
         for f in fams:
             for k in range(-8, 9):
                 want = reference_u_image(fams, shifts, corr, f.label, k)
