@@ -56,7 +56,6 @@ from .mckay import (
     solve_rep_equation,
 )
 from .presented import BarWindow, Family, ModuleWindow, PresentedModule, compare_windows
-from .sparse import SparseMat, rank_kernel_image
 from .theorems import encoded_module
 
 __version__ = "1.0.0"

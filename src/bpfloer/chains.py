@@ -60,15 +60,6 @@ class FiniteComplex:
     def boundary_columns(self, degree):
         return self.boundary.get(degree, [])
 
-    def check_dd_zero(self):
-        f = self.field
-        for n in self.degrees():
-            lower = self.boundary.get(n - 1, [])
-            for col in self.boundary_columns(n):
-                if _apply_columns(f, lower, col):
-                    raise BPFloerError("dd != 0 in degree %d" % n)
-        return True
-
 
 class ChainMap:
     """A degree-d map between complexes, stored as per-degree sparse columns."""

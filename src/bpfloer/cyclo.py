@@ -263,11 +263,6 @@ class Cyclo:
             return None
         return terms.get(0, 0)
 
-    def rational_part(self):
-        """Projection onto the rational span; idempotent on rational elements."""
-        v = self.rational_value()
-        return Cyclo.integer(v if v is not None else 0, self.order)
-
     def _lift(self, order):
         """The same value in Q[x]/(x^L - 1), L = order a multiple of N."""
         step = order // self.order  # x_N -> x_L^(L/N)

@@ -169,30 +169,6 @@ class WindowedComplex:
         col = cx.boundary[gen.degree][cx.index[gen.degree][gen]]
         return {cx.basis[gen.degree - 1][pos]: c for pos, c in col.items()}
 
-    def is_empty(self):
-        return self.complex.total_dim() == 0
-
-
-def single_orbit_complex(kind, n_lo, n_hi, field=QQ):
-    """One critical orbit placed at level 0: the building block used by the
-    closed-form orbit homology checks.  Returns (FiniteComplex, u ChainMap)."""
-    cx = FiniteComplex(field)
-    gens = []
-    for t in ORBITS[kind].slots:
-        if n_lo <= t <= n_hi:
-            gens.append(Gen("pt", t, 0))
-    for g in gens:
-        cx.add_generator(g.degree, g, level=0)
-    for g in gens:
-        cx.set_boundary(g.degree, g, {})
-    u = ChainMap(cx, cx, 3)
-    for g in gens:
-        img = {}
-        if kind == IRREDUCIBLE and g.t == 0 and any(x.t == 3 for x in gens):
-            img = {Gen("pt", 3, 0): 1}
-        u.set_image(g.degree, g, img)
-    return cx, u
-
 
 def expected_toi_multicomplex(group: GroupId):
     """Bidegree ranks and arrow coefficient sets for the three exceptional

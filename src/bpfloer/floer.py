@@ -231,7 +231,6 @@ def assemble_minus_bar(pages: MinusPages) -> PresentedModule:
     """Extension step for the '-' flavor: free towers on E-infinity columns."""
     f = pages.field
     fams = []
-    used = set()
     for col in (0, 4):
         if pages.surviving_h(col):
             raise FreenessFailure("surviving t=3 classes are U-torsion (column %d)" % col)
@@ -254,9 +253,6 @@ def assemble_minus_bar(pages: MinusPages) -> PresentedModule:
             for vec in cur:
                 if ech.insert(vec) is not None:
                     label = pages.gen_label(col, r, vec)
-                    if label in used:
-                        label = label + "'"
-                    used.add(label)
                     fams.append(Family(label, col - 4 * (r - 1), -4, col))
             if ech.rank != len(cur):
                 raise FreenessFailure("degree -4 image leaves the next kernel (column %d)" % col)

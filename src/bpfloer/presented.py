@@ -10,8 +10,8 @@ realizations enumerate the finitely many elements with level in (q, p] and
 degree in [n_lo, n_hi].
 
 Three window views answer dims and U-ranks.  ModuleWindow (a presentation)
-counts the bars of the families no non-empty correction links, with
-BarWindow, and walks U down each residue chain mod 4 over the linked ones;
+counts the bars of the families no stored correction names, with BarWindow,
+and walks U down each residue chain mod 4 over the linked ones;
 HomologyWindow (the homology of a materialized complex, the tests' oracle
 for the chain route, with no caller in the package) reads rank U^k from one
 block rank (chains.induced_rank); BarWindow holds a sum of bars, the normal
@@ -79,7 +79,9 @@ class PresentedModule:
             if f.step and 4 % f.step:
                 raise BPFloerError("family %r: step %d does not divide the degree 4 of U"
                                    % (f.label, f.step))
-            self._by_label.setdefault(f.label, f)
+            if f.label in self._by_label:
+                raise BPFloerError("two families are labelled %r" % f.label)
+            self._by_label[f.label] = f
 
     def family(self, label):
         try:
@@ -132,12 +134,12 @@ class ModuleWindow:
     """Finite realization of a PresentedModule inside a window, and its dims
     and U-power ranks.
 
-    The window is a direct sum of U-submodules.  A family that no non-empty
+    The window is a direct sum of U-submodules.  A family that no stored
     correction names, as source or as target, is plain: U is its tower
-    shift, cut to 0 where an empty correction is stored, so each copy and
-    each residue class of its indices mod 4/|step| is one bar in the window
-    (a step-0 family gives one-class bars).  self.plain, a BarWindow, counts
-    those bars.  The families that non-empty corrections link keep a basis
+    shift, so each copy and each residue class of its indices mod 4/|step|
+    is one bar in the window (a step-0 family gives one-class bars).
+    self.plain, a BarWindow, counts those bars.  The families that
+    corrections link, an empty correction included, keep a basis
     (self.basis, sorted by degree and indexed within each degree) and their
     ranks come from one pass down each residue chain mod 4.  dims and ranks
     are the bars' count plus the pass's.
@@ -164,7 +166,7 @@ class ModuleWindow:
         self.module = module
         self.win = win
         self.field = field
-        linked = {lab for (source, _), images in module.corrections.items() if images
+        linked = {lab for (source, _), images in module.corrections.items()
                   for lab in (source, *(target for target, _, _ in images))}
         basis, bars = [], []
         for f in module.families:
@@ -205,25 +207,14 @@ class ModuleWindow:
 
     def _bars(self, f: Family, shift):
         """The bars (lo, hi) of a plain family's shift copy: one per residue
-        class of its indices mod 4/|step|, split below each stored (empty)
-        correction, where U is 0."""
+        class of its indices mod 4/|step|."""
         ks, d8 = self._indices(f, shift), 8 * shift
         if not f.step:
             d = f.degree(0) + d8
             return [(d, d)] * len(ks)
         period = abs(4 // f.step)  # U x^k = x^(k - 4/step)
-        cuts = sorted((f.degree(k) + d8 for label, k in self.module.corrections
-                       if label == f.label and k in ks), reverse=True)
-        bars = []
-        for i in range(min(period, len(ks))):
-            chain = ks[i::period]
-            lo, hi = sorted((f.degree(chain[0]) + d8, f.degree(chain[-1]) + d8))
-            for d in cuts:
-                if lo < d <= hi and (d - lo) % 4 == 0:
-                    bars.append((d, hi))
-                    hi = d - 4
-            bars.append((lo, hi))
-        return bars
+        chains = (ks[i::period] for i in range(min(period, len(ks))))
+        return [tuple(sorted((f.degree(c[0]) + d8, f.degree(c[-1]) + d8))) for c in chains]
 
     def _deg(self, b):
         label, k, s = b
@@ -272,16 +263,11 @@ class ModuleWindow:
                     table[key] += r
         return table
 
-    def u_power_ranks(self, n, kmax):
-        """[rank U^k out of degree n for k = 1..kmax]: the bars' count plus
-        the pass down n's chain."""
-        linked = self._rank_pass(n, n - 4 * kmax, kmax) if self.basis else {}
-        return [r + linked.get((k, n), 0)
-                for k, r in enumerate(self.plain.u_power_ranks(n, kmax), 1)]
-
     def u_power_rank(self, k, n):
-        """rank of U^k from the degree-n slice to degree n-4k."""
-        return self.u_power_ranks(n, k)[-1]
+        """rank of U^k from the degree-n slice to degree n-4k: the bars'
+        count plus the pass down n's chain."""
+        linked = self._rank_pass(n, n - 4 * k, k)[k, n] if self.basis else 0
+        return self.plain.u_power_rank(k, n) + linked
 
     def _rank_pass(self, top, bottom, kmax):
         """{(k, n): rank of U^k out of n on the linked basis} for k <= kmax and
@@ -379,14 +365,11 @@ class BarWindow:
                     table[k, n] += mult
         return table
 
-    def u_power_ranks(self, n, kmax):
-        """[rank U^k out of degree n for k = 1..kmax]."""
-        table = self.u_rank_table(n - 4 * kmax, n, kmax)
-        return [table[k, n] for k in range(1, kmax + 1)]
-
     def u_power_rank(self, k, n):
-        """rank of U^k from the degree-n slice to degree n-4k."""
-        return self.u_power_ranks(n, k)[-1]
+        """rank of U^k from the degree-n slice to degree n-4k: the bars
+        through both."""
+        return sum(mult for (lo, hi), mult in self.bars.items()
+                   if lo <= n - 4 * k and n <= hi and (n - lo) % 4 == 0)
 
 
 MIN_CHECKED_DEGREES = 8  # one mod-8 period; a comparison over fewer degrees fails

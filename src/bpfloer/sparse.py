@@ -13,61 +13,11 @@ in one way: its multipliers, the multiple of each older row that reduce
 subtracted.  reduce returns those multiples with the residue; solve and
 kernel_of_columns turn them into combinations of the tagged inputs by back
 substitution, so a kernel vector or solve costs the stored entries and
-multipliers, not a dense inverse.  dense_rank is its oracle, an independent
-dense elimination used only by the tests.
+multipliers, not a dense inverse.
 """
 from __future__ import annotations
 
 from .fields import QQ
-
-
-class SparseMat:
-    """A rows x cols matrix stored as {(i, j): value}; zero entries are dropped."""
-
-    def __init__(self, nrows, ncols, entries=None, field=QQ):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.field = field
-        data = {}
-        for (i, j), v in (entries or {}).items():
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise IndexError("entry (%d, %d) out of range" % (i, j))
-            v = field.of(v)
-            if not field.is_zero(v):
-                data[(i, j)] = v
-        self.data = data
-
-    @classmethod
-    def from_rows(cls, rows, field=QQ):
-        entries = {}
-        ncols = max((len(r) for r in rows), default=0)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(len(rows), ncols, entries, field)
-
-    def columns(self):
-        """Column-major view: list of dicts row -> value."""
-        cols = [dict() for _ in range(self.ncols)]
-        for (i, j), v in self.data.items():
-            cols[j][i] = v
-        return cols
-
-    def apply(self, vec):
-        """Matrix times a sparse vector (dict col -> value)."""
-        cols = getattr(self, "_cols", None)
-        if cols is None:
-            cols = self._cols = self.columns()
-        return _apply_columns(self.field, cols, vec)
-
-    def transpose(self):
-        return SparseMat(
-            self.ncols, self.nrows, {(j, i): v for (i, j), v in self.data.items()}, self.field
-        )
-
-    def __repr__(self):
-        return "SparseMat(%dx%d, %d nonzero)" % (self.nrows, self.ncols, len(self.data))
 
 
 def _apply_columns(f, cols, vec):
@@ -79,46 +29,6 @@ def _apply_columns(f, cols, vec):
         for i, v in cols[j].items():
             out[i] = f.add(out.get(i, f.zero), f.mul(v, x))
     return {i: v for i, v in out.items() if not f.is_zero(v)}
-
-
-def rank_kernel_image(m: SparseMat):
-    """Exact (rank, kernel basis, image basis) of a sparse matrix.
-
-    Kernel vectors are dicts col -> value with M.v = 0 exactly: for each
-    dependent column j, in ascending j, the one with value 1 at j supported on
-    j and the earlier pivot columns.  The image basis is the pivot columns
-    (dicts row -> value) in ascending order.
-    """
-    cols = m.columns()
-    kernel, pivots = TrackedEchelon(m.field).kernel_of_columns(cols)
-    return len(pivots), kernel, [cols[j] for j in pivots]
-
-
-def dense_rank(matrix_rows, field=QQ):
-    """Dense Gaussian elimination oracle; input is a list of value lists."""
-    f = field
-    rows = [[f.of(v) for v in r] for r in matrix_rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    lead = 0  # the rank so far
-    for j in range(ncols):
-        pivot = None
-        for i in range(lead, len(rows)):
-            if not f.is_zero(rows[i][j]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        inv = f.inv(rows[lead][j])
-        rows[lead] = [f.mul(v, inv) for v in rows[lead]]
-        for i in range(len(rows)):
-            if i != lead and not f.is_zero(rows[i][j]):
-                coef = rows[i][j]
-                rows[i] = [f.sub(a, f.mul(coef, b)) for a, b in zip(rows[i], rows[lead])]
-        lead += 1
-    return lead
 
 
 class TrackedEchelon:

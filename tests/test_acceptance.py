@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from bpfloer.chains import HomologyData, induced_rank
-from bpfloer.donaldson import BAR, STD, Window, build_model, single_orbit_complex, toi_multicomplex_matches
+from bpfloer.donaldson import BAR, STD, Window, build_model, toi_multicomplex_matches
 from bpfloer.equivariant import (
     MINUS,
     PLUS,
@@ -47,6 +47,8 @@ from bpfloer.mckay import s_graph_matches_expected
 from bpfloer.presented import HomologyWindow, ModuleWindow
 from bpfloer.sparse import TrackedEchelon
 from bpfloer.theorems import encoded_module
+
+from oracles import single_orbit_complex
 
 ACCEPT_GROUPS = (
     [cyclic(k) for k in range(2, 13)]

@@ -40,6 +40,21 @@ def test_chain_margin(workload):
     assert isinstance(margin, int) and margin >= 4
 
 
+def test_traced_chain_item_counts_its_u_ranks(workload):
+    # the traced chain-route pass counts U-rank pairs through u_power_rank
+    # on both views; a stub tracer takes the counts
+    from bpfloer.donaldson import BAR
+
+    class Counts(dict):
+        def add(self, name, n):
+            self[name] = self.get(name, 0) + n
+
+    api, counts = workload.Api(), Counts()
+    got = workload.chain_item(api, I_STAR, BAR, "+", 0, workload.chain_margin(api, I_STAR), counts)
+    assert got["ok"], got
+    assert counts.get("presented.urank_made", 0) > 0, counts
+
+
 def test_one_group_catalog_pass(workload):
     inputs = {"plan": [["D*_8", [[0.1, 0.9], [0.5, 0.25]]]]}
     items, anomalies, report = workload.run_catalog(workload.Api(), inputs, None)

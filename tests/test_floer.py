@@ -366,7 +366,8 @@ def test_u_rank_table_matches_the_walk_on_random_views(field):
         table = view.u_rank_table(0, hi, 6)
         for n, got, want in table_against_walks(table, ref, interior):
             assert got == want, (seed, n)
-            assert RandomUView(seed, field, 0, hi).u_power_ranks(n, len(want)) == want
+            single = RandomUView(seed, field, 0, hi)
+            assert [single.u_power_rank(k, n) for k in range(1, len(want) + 1)] == want
             drops += any(r < min(ref.dim(n), ref.dim(n - 4)) for r in want[:1])
         assert sorted(view.built) == sorted(ref.built), seed
     assert drops
@@ -377,8 +378,8 @@ def test_bar_window_counts_bars():
     # below the window (n - 4k < n_lo) no bar reaches, so the rank is 0
     bw = BarWindow([(0, 8), (4, 4), (1, 9), (1, 9)], 0, 12)
     assert [bw.dim(n) for n in range(-1, 11)] == [0, 1, 2, 0, 0, 2, 2, 0, 0, 1, 2, 0]
-    assert bw.u_power_ranks(8, 3) == [1, 1, 0]
-    assert bw.u_power_ranks(9, 2) == [2, 2]
+    assert [bw.u_power_rank(k, 8) for k in (1, 2, 3)] == [1, 1, 0]
+    assert [bw.u_power_rank(k, 9) for k in (1, 2)] == [2, 2]
     assert bw.u_power_rank(1, 4) == 1
     assert bw.u_rank_table(4, 9, 2) == {(1, 8): 1, (1, 9): 2}
     with pytest.raises(BPFloerError, match="does not run down one residue class"):
@@ -394,7 +395,8 @@ def test_bar_window_answers_0_below_its_window():
         (1, 4): 1, (1, 6): 1, (1, 8): 1, (2, 8): 1}
     assert all(r == 0 for (k, n), r in table.items() if n - 4 * k < 0)
     assert (table[1, 2], table[2, 4], table[3, 8]) == (0, 0, 0)
-    assert bw.u_power_ranks(4, 3) == [1, 0, 0] and bw.u_power_rank(2, 2) == 0
+    assert [bw.u_power_rank(k, 4) for k in (1, 2, 3)] == [1, 0, 0]
+    assert bw.u_power_rank(2, 2) == 0
 
 
 class OracleModuleWindow:
@@ -505,11 +507,11 @@ def test_module_window_matches_the_oracle(field):
 
 
 def planted_module():
-    """Every kind of family ModuleWindow splits: plain towers with an empty
-    correction's cut (steps 4 and -2), a step-1 tower with floor and top,
-    step-0 classes and a Laurent tower; and linked ones, a correction from
-    one tower into itself and another tower, and one class into another
-    with coefficient 3."""
+    """Every kind of family ModuleWindow splits: plain ones, a step-1 tower
+    with floor and top, step-0 classes and a Laurent tower; and linked ones,
+    towers with an empty correction's cut (steps 4 and -2), a correction
+    from one tower into itself and another tower, and one class into
+    another with coefficient 3."""
     fams = [Family("cut", 0, 4, 0), Family("two", 6, -2, 4), Family("one", 3, 1, 0, -3, 9),
             Family("pts", 5, 0, 4, 0, 2), Family("lau", 1, -4, 0, None),
             Family("src", 2, 4, 0), Family("dst", -2, 4, 4), Family("three", 2, 0, 4, 0, 0),
@@ -520,13 +522,18 @@ def planted_module():
 
 
 def test_module_window_on_planted_modules():
-    # a cut tower's bars end at the cut: degrees 0..20 of the step-4 tower
-    # cut at index 2 (degree 8); a step -2 tower is two chains per copy
+    # a cut tower is linked, and its ranks are those of its bars, which end
+    # at the cut: degrees 0..20 of the step-4 tower cut at index 2 (degree
+    # 8); a step -2 tower is two chains per copy
     cut = ModuleWindow(PresentedModule(PI8, [Family("cut", 0, 4, 0)], {("cut", 2): []}),
                        Window(-1, 1, -20, 20))
-    assert cut.plain.bars == {(8, 20): 1, (0, 4): 1} and cut.counts() == (6, 2, 0)
+    bars = BarWindow([(8, 20), (0, 4)], -20, 20)
+    assert cut.counts() == (6, 0, 6)
+    assert [cut.dim(n) for n in range(-24, 25)] == [bars.dim(n) for n in range(-24, 25)]
+    assert cut.u_rank_table(-20, 20, 6) == bars.u_rank_table(-20, 20, 6)
     two = ModuleWindow(PresentedModule(PI8, [Family("two", 6, -2, 0)]), Window(-1, 1, -8, 8))
-    assert two.plain.bars == {(-6, 6): 1, (-8, 4): 1} and two.u_power_ranks(4, 3) == [1, 1, 1]
+    assert two.plain.bars == {(-6, 6): 1, (-8, 4): 1}
+    assert [two.u_power_rank(k, 4) for k in (1, 2, 3)] == [1, 1, 1]
     # the whole planted module against the oracle, over fields where the
     # correction's 3 does and does not vanish, at windows through every
     # residue mod 8

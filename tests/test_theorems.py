@@ -131,3 +131,9 @@ def test_u_follows_the_step():
     assert pm.u_image("c", 0) == []   # a step-0 class has no U-image of its own
     with pytest.raises(BPFloerError, match="step 3 does not divide"):
         PresentedModule(PI8, [Family("bad", 0, 3, 0)])
+
+
+def test_a_label_names_one_family():
+    # family() and the window's basis find a family by its label alone
+    with pytest.raises(BPFloerError, match="two families are labelled 'x'"):
+        PresentedModule(PI8, [Family("x", 0, 4, 0), Family("x", 2, 4, 4)])
