@@ -6,15 +6,16 @@ page-r matrix is the weighted walk matrix (boundary composed with the
 (r-1)-st power of the degree -4 endomorphism) followed by the projection to
 the surviving quotient.  Degeneration is reached when both t = 3 lines die.
 
-The page engine derives the (bar, -) module; its dual is the (std, +)
-module.  The other four (orientation, flavor) pairs have no page derivation
-here: their closed forms live only in theorems.py.  A GroupRun is the one
-handle on a group's shared computations over one field: the (bar, -) pages,
-the comparison window they size, the assembled modules, each orientation's
-U-adic reduction of a source window and the window models.  pair_reports
-checks every pair on it against the chain route, the pair's bars read off
-the reduction of its orientation, and (bar, -) also against the page route;
-direct_homology_window is the one-shot chain route on a fresh GroupRun.
+The page engine derives the (bar, -) module; its dual (PresentedModule.dual)
+is the (std, +) module.  The other four (orientation, flavor) pairs have no
+page derivation here: their closed forms live only in theorems.py.  A
+GroupRun is the one handle on a group's shared computations over one field:
+the (bar, -) pages, the comparison window they size, the assembled modules,
+each orientation's U-adic reduction of a source window and the window
+models.  pair_reports checks every pair on it against the chain route, the
+pair's bars read off the reduction of its orientation, and (bar, -) also
+against the page route; direct_homology_window is the one-shot chain route
+on a fresh GroupRun.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ from .errors import (
 )
 from .fields import QQ
 from .groups import IRREDUCIBLE, ORBITS
-from .mckay import s_graph as s_graph_of
 from .presented import (
     MIN_CHECKED_DEGREES,
     OPLUS8,
@@ -50,7 +50,7 @@ from .presented import (
     compare_windows,
 )
 from .sparse import TrackedEchelon
-from .theorems import encoded_module, negative_std_module, positive_bar_module
+from .theorems import encoded_module
 
 
 def e1_entries(model: DonaldsonModel, flavor):
@@ -205,22 +205,19 @@ def run_to_einfty(run: GroupRun, orientation, flavor):
     The (bar, -) pages are the run's.  On the reversed orientation the '+'
     and Tate E^1 entries (e1_entries) all sit in even total degree s + t, so
     those pages degenerate immediately; the same parity argument settles the
-    standard-orientation '-' and Tate flavors.  The
-    standard-orientation '+' flavor does carry odd-page differentials and
-    its assembly goes through the duality with the other orientation, so it
-    is rejected here rather than misreported as degenerate.
+    standard-orientation '-' and Tate flavors.  The standard-orientation '+'
+    flavor does carry odd-page differentials and has no page run: its
+    module is the dual of the (bar, -) one (GroupRun.assembled), so it
+    returns (None, None).
     """
     if (orientation, flavor) == (BAR, MINUS):
         return run.pages, run.pages.degeneration_page
-    if (orientation, flavor) != (STD, PLUS):
-        for (s, t), entries in sorted(e1_entries(run.model(orientation), flavor).items()):
-            if (s + t) % 2:
-                raise NonDegeneration("parity argument fails for %s" % entries[0][1])
-        return None, 1
-    raise WrongFlavor(
-        "no page iteration for (%s, %s); the standard-orientation '+' module "
-        "is assembled through duality" % (orientation, flavor)
-    )
+    if (orientation, flavor) == (STD, PLUS):
+        return None, None
+    for (s, t), entries in sorted(e1_entries(run.model(orientation), flavor).items()):
+        if (s + t) % 2:
+            raise NonDegeneration("parity argument fails for %s" % entries[0][1])
+    return None, 1
 
 
 # ---------------------------------------------------------------------------
@@ -358,60 +355,6 @@ class GroupRun:
         return self.reduction(orientation, win.source).bar_window(flavor, win.n_lo, win.n_hi)
 
 
-def duality_pairing_report(g):
-    """Structural duality between the '+' module of one orientation and the
-    '-' module of the other: orbit families pair with negated degrees and
-    kind-offset shifted columns, and the degree -4 rules transpose.
-
-    An orbit copy at level l pairs with the copy at level -l-delta, where
-    delta is the orbit's top internal degree (groups.ORBITS); so per vertex
-    the tower parameters must match, and every stored correction entry of
-    either module must equal the transposed coefficient in the other.  U on
-    a tower follows from its step, which the per-vertex check compares, so
-    only the corrections need the transpose.  Returns a list of
-    discrepancies (empty = pass).
-    """
-    sg = s_graph_of(g)
-    plus = positive_bar_module(g)
-    minus = negative_std_module(g)
-    out = []
-    orbit_of = {}  # family label in either module -> (vertex, '+' label, '-' label)
-    for v in sg.vertices:
-        orbit = ORBITS[v.kind]
-        delta = orbit.delta
-        lp, lm = orbit.label(PLUS, v.name), orbit.label(MINUS, v.name)
-        orbit_of[lp] = orbit_of[lm] = (v.name, lp, lm)
-        fp, fm = plus.family(lp), minus.family(lm)
-        # columns: i = j - delta mod 8; degrees: tower tops negate up to the
-        # copy pairing l <-> -l-delta, i.e. base_minus = delta - 0 relative
-        if (fm.column - (fp.column - delta)) % 8:
-            out.append(("column", v.name, fp.column, fm.column))
-        if fp.step != -fm.step and not (v.kind == IRREDUCIBLE and fp.step == fm.step == 0):
-            out.append(("step", v.name, fp.step, fm.step))
-        if (fm.base_degree - fm.column) != delta or (fp.base_degree - fp.column) != 0:
-            out.append(("anchor", v.name, fp.base_degree, fm.base_degree))
-    # transposed corrections: the coefficient of y in U.x equals the
-    # coefficient of the partner of x in U.(partner of y).  Each stored entry
-    # x -> y of either module names one pair, kept as '+' labels (x, y).
-    pairs = {}
-    for mod in (plus, minus):
-        for (lab, k), images in mod.corrections.items():
-            for lab2, k2, _ in images:
-                ends = [(orbit_of[lab][1], k), (orbit_of[lab2][1], k2)]
-                pairs[tuple(ends if mod is plus else ends[::-1])] = None
-
-    def coeff(mod, src, tgt):
-        return sum(c for lab, k, c in mod.u_image(*src) if (lab, k) == tgt)
-
-    for x, y in pairs:
-        vx, vy = orbit_of[x[0]], orbit_of[y[0]]
-        a = coeff(plus, x, y)
-        b = coeff(minus, (vy[2], y[1]), (vx[2], x[1]))
-        if a != b:
-            out.append(("transpose", vx[0], x[1], vy[0], y[1], a, b))
-    return out
-
-
 def duality_transpose_check(wstd: WindowedComplex):
     """Chain-level duality on a standard-orientation window: its differential
     is the transpose of the reversed-orientation differential under the
@@ -457,8 +400,9 @@ def pair_reports(run: GroupRun, orientation, flavor, win: Window, margin):
     "pages" is the page-assembled module and runs for (bar, -) only; "chain"
     is the chain-level window homology and runs for every pair.  The
     page-assembled (std, +) module is the dual of the (bar, -) one, and so
-    is its closed form (theorems.positive_std_module), so comparing those
-    two would only check dual() against itself.
+    is its closed form (encoded_module: the dual of the (bar, -) table), so
+    comparing those two would only check dual() against itself.  The chain
+    route reads the standard model, so it checks every dual table.
     """
     field = run.field
     enc = ModuleWindow(encoded_module(run.group, orientation, flavor), win, field)

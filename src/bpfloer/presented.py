@@ -33,7 +33,7 @@ from .chains import induced_rank
 from .donaldson import Window
 from .errors import BPFloerError
 from .fields import QQ
-from .groups import ORBIT_OF_LETTER
+from .groups import ORBIT_OF_LETTER, ORBITS
 from .sparse import TrackedEchelon, _apply_columns
 
 PI8 = "pi8"
@@ -42,6 +42,8 @@ PIINF8 = "piinf8"
 FINITE = "finite"
 
 _ORBIT_LETTER = re.compile(r"([A-Za-z])_")  # the letter of each "U_theta"-style component
+# the orientation dual's letters: each orbit's '-' family for its '+' one and back
+_DUAL_LETTER = {a: b for o in ORBITS.values() for a, b in ((o.minus, o.plus), (o.plus, o.minus))}
 
 
 @dataclass(frozen=True)
@@ -110,24 +112,49 @@ class PresentedModule:
         return True
 
     def dual(self):
-        """The orientation dual of a module of floor-0 free towers.
+        """The orientation dual of a pi8 or oplus8 module of floor-0 families
+        (towers and step-0 classes; Laurent families are refused).
 
         An orbit copy at level l pairs with level -l - delta (groups.ORBITS),
-        so a tower with degree d, step s and column c becomes one with degree
-        -d, step -s and column -c - delta.  For a family naming several
-        orbits ("3U_theta^0-Z_lambda^1") delta is the largest of theirs: a
-        dual copy lies inside a window only when its lowest standard level
-        does.
+        so a family with degree d, step s and column c becomes one with degree
+        -d, step -s and column -c - delta, moved by a multiple of 8 (degree
+        and column alike) to put the column in [0, 8).  For a family naming
+        several orbits ("3U_theta^0-Z_lambda^1") delta is the largest of
+        theirs: a dual copy lies inside a window only when its lowest
+        standard level does.  Each orbit letter swaps '-' for '+' and back
+        (U <-> V, Z <-> W, h <-> g), the tag pi8 for oplus8 and back, and U is
+        transposed: a stored correction x -> y becomes y -> x.  That transpose
+        is exact only where no tower rule meets a correction, so a correction
+        that replaces a tower image, or names an image that its tower also
+        hits, raises.
         """
-        if self.corrections:
-            raise BPFloerError("dual() supports only free-tower modules")
-        fams = []
+        tag = {PI8: OPLUS8, OPLUS8: PI8}.get(self.flavor_tag)
+        if tag is None:
+            raise BPFloerError("dual() maps pi8 and oplus8, not %r" % self.flavor_tag)
+        fams, label = [], {}
         for f in self.families:
-            if f.floor != 0 or f.top is not None:
-                raise BPFloerError("dual() expects towers with floor 0")
-            delta = max(ORBIT_OF_LETTER[x].delta for x in _ORBIT_LETTER.findall(f.label))
-            fams.append(Family(f.label, -f.base_degree, -f.step, -f.column - delta, 0, None))
-        return PresentedModule(self.flavor_tag, fams)
+            letters = _ORBIT_LETTER.findall(f.label)
+            if f.floor != 0 or not letters or not set(letters) <= _DUAL_LETTER.keys():
+                raise BPFloerError("dual() expects floor-0 families of '-' or '+' orbit "
+                                   "letters, not %r" % (f,))
+            label[f.label] = _ORBIT_LETTER.sub(lambda m: _DUAL_LETTER[m[1]] + "_", f.label)
+            column = -f.column - max(ORBIT_OF_LETTER[x].delta for x in letters)
+            shift = column % 8 - column
+            fams.append(Family(label[f.label], shift - f.base_degree, -f.step, column + shift,
+                               f.floor, f.top))
+        corr = {}
+        for (lab, k), images in self.corrections.items():
+            f = self.family(lab)
+            if f.step and f.valid(k - 4 // f.step):
+                raise BPFloerError("dual(): the correction on %r replaces a tower image"
+                                   % ((lab, k),))
+            for lab2, k2, coeff in images:
+                f2 = self.family(lab2)
+                if f2.step and f2.valid(k2 + 4 // f2.step):
+                    raise BPFloerError("dual(): %r is hit by its tower and by a correction"
+                                       % ((lab2, k2),))
+                corr.setdefault((label[lab2], k2), []).append((label[lab], k, coeff))
+        return PresentedModule(tag, fams, corr)
 
 
 class ModuleWindow:

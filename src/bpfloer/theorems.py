@@ -1,16 +1,16 @@
 """Encoded closed-form answers for the three flavors and both orientations.
 
 The (bar, -) table is entered family by family from the published
-statements.  The (bar, +), inf and (std, -) tables are product-type: each is
-the sum over the flat connections of one orbit's homology
-(equivariant.orbit_homology) placed at the connection's level, plus, for
-(bar, +) and (std, -), the degree -4 corrections along the labeled edges.
-Each table is the only implementation of its closed form.  They serve as
-the golden side of two comparisons: against the page-assembled (bar, -)
-module (floer.GroupRun.assembled), and, for all six (orientation, flavor)
-pairs, against the chain-level window homology (floer.GroupRun.homology_window).
-The (std, +) table is the dual of the (bar, -) one, so only the chain
-route checks it.  All modules are mod-8 periodic; a generator
+statements.  The (bar, +) and inf tables are product-type: each is the sum
+over the flat connections of one orbit's homology (equivariant.orbit_homology)
+placed at the connection's level j, plus, for (bar, +), the degree -4
+corrections along the labeled edges.  The standard orientation's '-' and '+'
+tables are the duals (PresentedModule.dual) of the (bar, +) and (bar, -)
+ones, and inf serves both orientations: each closed form has one
+implementation.  They serve as the golden side of two comparisons: against
+the page-assembled (bar, -) module (floer.GroupRun.assembled), and, for all
+six (orientation, flavor) pairs, against the chain-level window homology
+(floer.GroupRun.homology_window).  All modules are mod-8 periodic; a generator
 is recorded with the degree and filtration column of its shift-0 copy.
 """
 from __future__ import annotations
@@ -75,15 +75,14 @@ def negative_bar_module(g: GroupId) -> PresentedModule:
     return PresentedModule(OPLUS8, fams)
 
 
-def _orbit_sum(sg, flavor, level):
+def _orbit_sum(sg, flavor):
     """The families of orbit_homology(v.kind, flavor) for every vertex v of
-    the labeled graph sg, placed at level(v) and relabelled per vertex."""
+    the labeled graph sg, placed at the level v.j and relabelled per vertex."""
     fams = []
     for v in sg.vertices:
-        at = level(v)
         for f in orbit_homology(v.kind, flavor).families:
-            fams.append(Family(ORBITS[v.kind].label(flavor, v.name), f.base_degree + at,
-                               f.step, f.column + at, f.floor, f.top))
+            fams.append(Family(ORBITS[v.kind].label(flavor, v.name), f.base_degree + v.j,
+                               f.step, f.column + v.j, f.floor, f.top))
     return fams
 
 
@@ -101,55 +100,21 @@ def positive_bar_module(g: GroupId) -> PresentedModule:
         ]
         if images:
             corr[(ORBITS[v.kind].label(PLUS, v.name), 0)] = images
-    return PresentedModule(PI8, _orbit_sum(sg, PLUS, lambda v: v.j), corr)
+    return PresentedModule(PI8, _orbit_sum(sg, PLUS), corr)
 
 
 def tate_module(g: GroupId) -> PresentedModule:
     """I^inf: the orbit sum at the levels j, Laurent towers on the non-free
     orbits (both orientations)."""
-    return PresentedModule(PIINF8, _orbit_sum(s_graph(g), TATE, lambda v: v.j))
-
-
-def negative_std_module(g: GroupId) -> PresentedModule:
-    """I^- of the standard-orientation space: the orbit sum at the levels i,
-    towers on non-free orbits and a point class per free orbit whose degree
-    -4 image collects every adjacent generator with its edge label (stored
-    only when there is one; a class alone has U = 0 by the step-0 rule)."""
-    sg = s_graph(g)
-    corr = {}
-    for v in sg.vertices:
-        if v.kind != IRREDUCIBLE:
-            continue
-        images = []
-        for w in sg.neighbors(v.name):
-            n = sg.label(v.name, w)
-            if not n:
-                continue
-            images.append((ORBITS[sg.vertex(w).kind].label(MINUS, w), 0, n))
-        if images:
-            corr[(ORBITS[IRREDUCIBLE].label(MINUS, v.name), 0)] = images
-    return PresentedModule(OPLUS8, _orbit_sum(sg, MINUS, lambda v: v.i), corr)
-
-
-def positive_std_module(g: GroupId) -> PresentedModule:
-    """I^+ of the standard-orientation space via the duality with the
-    reversed-orientation '-' module (PresentedModule.dual)."""
-    return negative_bar_module(g).dual()
+    return PresentedModule(PIINF8, _orbit_sum(s_graph(g), TATE))
 
 
 def encoded_module(g: GroupId, orientation, flavor) -> PresentedModule:
-    if orientation == BAR:
-        if flavor == "-":
-            return negative_bar_module(g)
-        if flavor == "+":
-            return positive_bar_module(g)
-        if flavor == "inf":
-            return tate_module(g)
-    if orientation == STD:
-        if flavor == "-":
-            return negative_std_module(g)
-        if flavor == "+":
-            return positive_std_module(g)
-        if flavor == "inf":
-            return tate_module(g)
+    """The closed form of one (orientation, flavor) pair: the standard
+    orientation's '-' and '+' tables are the duals of (bar, +) and (bar, -)."""
+    if orientation == STD and flavor in (MINUS, PLUS):
+        return encoded_module(g, BAR, PLUS if flavor == MINUS else MINUS).dual()
+    builders = {MINUS: negative_bar_module, PLUS: positive_bar_module, TATE: tate_module}
+    if orientation in (BAR, STD) and flavor in builders:
+        return builders[flavor](g)
     raise BPFloerError("no encoded module for %r/%r" % (orientation, flavor))

@@ -490,32 +490,66 @@ def test_verify_cs_catches_a_corrupted_edge_solve(monkeypatch):
 
 
 def test_verify_duality_and_triangle_name_what_they_compared(monkeypatch):
-    # T*: theta - alpha - lambda; two '+' entries into g_alpha and the two of
-    # h_alpha; the standard window (-13, 11] has 15 generators
+    # T*: the standard window (-13, 11] has 15 generators
     rows = {c[0]: c[2:4] for c in _verify_group(T_STAR, QQ)}
-    assert rows["orientation-duality"] == (
-        "PASS", "3 vertices paired, 4 correction entries transposed; "
-                "transposed window on 15 generators")
+    assert rows["orientation-duality"] == ("PASS", "transposed window on 15 generators")
     assert rows["triangle-and-norm"] == (
         "PASS", "even degrees: bar/+ closed form, bar/- assembled; models on degrees -12..8: "
                 "nu a chain map on 45 '+' generators, cone(nu) = Tate on 92 generators; "
                 "cone triangle on 15 degrees; H(nu) summed rank 0")
 
-    import bpfloer.floer as floer
-    from bpfloer.presented import PresentedModule
+    # one edge label of the standard model off by one: its differential is
+    # no longer the transpose of the reversed one, and only the duality
+    # check reads that model through cli.build_model
+    import bpfloer.cli as cli
+    from bpfloer.donaldson import STD
+    from bpfloer.groups import I_STAR
+    from bpfloer.mckay import SGraph, s_graph
 
-    real = floer.negative_std_module
+    real = cli.build_model
+    for g, edge in ((T_STAR, ("alpha", "lambda")), (I_STAR, ("alpha", "beta"))):
+        label = s_graph(g).labels[edge]
 
-    def bumped(g):
-        pm = real(g)
-        (lab, k, c), *rest = pm.corrections[("h_alpha", 0)]
-        corr = {**pm.corrections, ("h_alpha", 0): [(lab, k, c + 1)] + rest}
-        return PresentedModule(pm.flavor_tag, pm.families, corr)
+        def off_by_one(group, orientation):
+            model = real(group, orientation)
+            if orientation == STD:
+                sg = model.sgraph
+                labels = {**sg.labels, edge: label + 1}
+                model.sgraph = SGraph(sg.group, sg.vertices, sg.edges, labels)
+            return model
 
-    monkeypatch.setattr(floer, "negative_std_module", bumped)
-    rows = {c[0]: c[2:4] for c in _verify_group(T_STAR, QQ)}
-    status, detail = rows["orientation-duality"]
-    assert status == "FAIL" and detail.startswith("BPFloerError: [('transpose'")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_model", off_by_one)
+            failed = {c[0]: c[3] for c in _verify_group(g, QQ) if c[2] != "PASS"}
+        assert list(failed) == ["orientation-duality"], (str(g), failed)
+        # [(source, target, standard coefficient, transposed coefficient)]
+        detail = failed["orientation-duality"]
+        assert detail.startswith("BPFloerError: [(%s[t=0," % edge[0]), detail
+        assert ", %d, %d)" % (label + 1, label) in detail, detail
+
+
+def raise_one(table, key):
+    return {**table, key: table[key] + 1}
+
+
+@pytest.mark.parametrize("module, name, bump, check, start", [
+    # a T* rank raised by one in the golden multicomplex figure
+    ("bpfloer.donaldson", "expected_toi_multicomplex",
+     lambda ranks, arrows: (raise_one(ranks, (4, 3)), arrows),
+     "model-multicomplex-figures", "BPFloerError: bidegree ranks differ"),
+    # one T* label raised by one in the closed-form labeled graph
+    ("bpfloer.mckay", "expected_s_graph_data",
+     lambda edges, labels, gradings: (edges, raise_one(labels, ("alpha", "lambda")), gradings),
+     "sgraph-structure", "BPFloerError: labels differ"),
+], ids=["figure-rank", "sgraph-label"])
+def test_verify_catches_a_planted_golden_value(monkeypatch, module, name, bump, check, start):
+    import importlib
+
+    mod = importlib.import_module(module)
+    real = getattr(mod, name)
+    monkeypatch.setattr(mod, name, lambda g: bump(*real(g)))
+    failed = {c[0]: c[3] for c in _verify_group(T_STAR, QQ) if c[2] != "PASS"}
+    assert list(failed) == [check] and failed[check].startswith(start), failed
 
 
 def triangle_row(field=QQ):

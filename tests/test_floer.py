@@ -17,7 +17,6 @@ from bpfloer.floer import (
     MinusPages,
     closed_form_reports,
     direct_homology_window,
-    duality_pairing_report,
     e1_entries,
     norm_vanishing_and_splitting,
     run_to_einfty,
@@ -25,7 +24,9 @@ from bpfloer.floer import (
 )
 from bpfloer.groups import I_STAR, O_STAR, T_STAR, binary_dihedral, cyclic, parse_group
 from bpfloer.presented import (
+    OPLUS8,
     PI8,
+    PIINF8,
     BarWindow,
     Family,
     HomologyWindow,
@@ -34,7 +35,7 @@ from bpfloer.presented import (
     compare_windows,
 )
 from bpfloer.sparse import TrackedEchelon, _apply_columns
-from bpfloer.theorems import encoded_module, negative_bar_module, positive_std_module
+from bpfloer.theorems import encoded_module, negative_bar_module, positive_bar_module
 
 
 def kernel_spans_equal(pages, col, r, expected_vectors):
@@ -239,16 +240,78 @@ def test_chain_route_at_every_residue(name, offset, orientation, flavor, p):
 
 @pytest.mark.parametrize("g", ALL_GROUPS, ids=str)
 def test_positive_std_is_the_shifted_dual(g):
-    # each (std, +) family negates its (bar, -) family's degree and step and
-    # sits at column -c - delta: delta = 2 when the family has a two-sphere
-    # (Z) component, else 0 (the (bar, -) tables name no free orbit)
-    minus, plus = negative_bar_module(g), positive_std_module(g)
-    assert [f.label for f in plus.families] == [f.label for f in minus.families]
+    # each (std, +) family negates its (bar, -) family's degree and step,
+    # swaps its '-' letters for '+' ones and sits at column -c - delta mod 8,
+    # its degree moved by the same multiple of 8: delta = 2 when the family
+    # has a two-sphere (Z) component, else 0 (the (bar, -) tables name no
+    # free orbit)
+    minus, plus = negative_bar_module(g), encoded_module(g, STD, PLUS)
+    assert (minus.flavor_tag, plus.flavor_tag) == (OPLUS8, PI8)
+    swap = str.maketrans({"U": "V", "Z": "W"})
+    assert [f.label for f in plus.families] == [f.label.translate(swap) for f in minus.families]
     for fm in minus.families:
-        fp = plus.family(fm.label)
+        fp = plus.family(fm.label.translate(swap))
         delta = 2 if "Z_" in fm.label else 0
-        assert (fp.base_degree, fp.step, fp.column) == (
-            -fm.base_degree, -fm.step, -fm.column - delta), (str(g), fm.label)
+        assert 0 <= fp.column < 8 and fp.column == (-fm.column - delta) % 8, (str(g), fm.label)
+        assert (fp.base_degree - fp.column, fp.step) == (
+            -fm.base_degree + fm.column + delta, -fm.step), (str(g), fm.label)
+
+
+def test_dual_transposes_the_corrections_and_is_an_involution():
+    # T*: theta - alpha - lambda with alpha free; (bar, +) stores V_theta^0
+    # -> g_alpha and W_lambda^0 -> g_alpha, so (std, -) stores their
+    # transpose h_alpha^0 -> U_theta^0 + 3 Z_lambda^0
+    plus = positive_bar_module(T_STAR)
+    assert plus.corrections == {("V_theta", 0): [("g_alpha", 0, 1)],
+                                ("W_lambda", 0): [("g_alpha", 0, 3)]}
+    minus = plus.dual()
+    assert minus.flavor_tag == OPLUS8
+    assert minus.corrections == {("h_alpha", 0): [("U_theta", 0, 1), ("Z_lambda", 0, 3)]}
+    for g in ALL_GROUPS:
+        for pm in (negative_bar_module(g), positive_bar_module(g)):
+            back = pm.dual().dual()
+            assert (back.flavor_tag, back.families) == (pm.flavor_tag, pm.families), str(g)
+            assert {key: sorted(images) for key, images in back.corrections.items()} == {
+                key: sorted(images) for key, images in pm.corrections.items()}, str(g)
+
+
+def test_dual_refuses_what_it_cannot_transpose():
+    towers = [Family("V_a", 0, 4, 0), Family("g_b", 1, 0, 0, 0, 0)]
+    with pytest.raises(BPFloerError, match="maps pi8 and oplus8, not 'piinf8'"):
+        PresentedModule(PIINF8, towers).dual()
+    with pytest.raises(BPFloerError, match="expects floor-0 families"):
+        PresentedModule(PI8, [Family("T_a", 0, -4, 0, None)]).dual()
+    with pytest.raises(BPFloerError, match="expects floor-0 families"):
+        PresentedModule(PI8, [Family("x", 0, 4, 0)]).dual()
+    # U V_a^1 = V_a^0 by the tower rule: a correction there replaces it
+    with pytest.raises(BPFloerError, match="the correction on \\('V_a', 1\\) replaces"):
+        PresentedModule(PI8, towers, {("V_a", 1): [("g_b", 0, 1)]}).dual()
+    # V_a^0 is the tower image of V_a^1 and a correction's image as well
+    with pytest.raises(BPFloerError, match="\\('V_a', 0\\) is hit by its tower"):
+        PresentedModule(PI8, towers, {("g_b", 0): [("V_a", 0, 1)]}).dual()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)], ids=str)
+def test_chain_route_catches_a_dropped_bar_plus_correction(monkeypatch, field):
+    # I*'s (bar, +) table without the images of (g_alpha, 0), and so its
+    # dual (std, -) table without their transpose: the presentation changes
+    # and the chain route, which reads each orientation's own model, fails
+    # both pairs and no other
+    import bpfloer.theorems as theorems
+
+    real = theorems.positive_bar_module
+
+    def dropped(g):
+        pm = real(g)
+        assert pm.corrections[("g_alpha", 0)]
+        corr = {key: images for key, images in pm.corrections.items() if key != ("g_alpha", 0)}
+        return PresentedModule(pm.flavor_tag, pm.families, corr)
+
+    monkeypatch.setattr(theorems, "positive_bar_module", dropped)
+    reports = closed_form_reports(GroupRun(I_STAR, field))
+    assert sorted((o, f) for route, o, f, rep in reports if not rep.ok) == [
+        (BAR, PLUS), (STD, MINUS)]
+    assert all(route == "chain" for route, o, f, rep in reports if not rep.ok)
 
 
 def test_compare_needs_a_full_period():
@@ -829,36 +892,6 @@ def test_norm_vanishing(g):
     assert checked == list(range(-7, 8))
 
 
-@pytest.mark.parametrize("g", ALL_GROUPS, ids=str)
-def test_duality_pairing(g):
-    assert duality_pairing_report(g) == []
-
-
-def changed_corrections(pm, change):
-    """pm with its first nonempty correction bumped, dropped or extended."""
-    key = next(k for k, images in pm.corrections.items() if images)
-    images = pm.corrections[key]
-    lab, k, c = images[0]
-    if change == "bump":
-        images = [(lab, k, c + 1)] + images[1:]
-    elif change == "drop":
-        images = images[1:]
-    else:  # every stored image sits at index 0
-        images = images + [(lab, k + 1, 1)]
-    return PresentedModule(pm.flavor_tag, pm.families, {**pm.corrections, key: images})
-
-
-@pytest.mark.parametrize("builder", ["positive_bar_module", "negative_std_module"])
-@pytest.mark.parametrize("change", ["bump", "drop", "add"])
-def test_duality_pairing_catches_a_changed_correction(monkeypatch, builder, change):
-    build = getattr(floer, builder)
-    for g in (T_STAR, I_STAR, binary_dihedral(6)):
-        with monkeypatch.context() as m:
-            m.setattr(floer, builder, lambda g: changed_corrections(build(g), change))
-            rep = duality_pairing_report(g)
-        assert [d[0] for d in rep] == ["transpose"], (str(g), rep)
-
-
 def test_wrong_flavor_guard():
     model = build_model(T_STAR, STD)
     with pytest.raises(WrongFlavor):
@@ -881,9 +914,9 @@ def test_run_to_einfty_flavors():
     assert page == 1
     pages, page = run_to_einfty(run, BAR, MINUS)
     assert page == 5 and pages is run.pages
-    # the standard-orientation '+' page problem is not solved directly
-    with pytest.raises(WrongFlavor):
-        run_to_einfty(run, STD, PLUS)
+    # the standard-orientation '+' module is the dual of the (bar, -) one:
+    # there is no page run and no degeneration page
+    assert run_to_einfty(run, STD, PLUS) == (None, None)
 
 
 def test_freeness_guard_on_a_kernel_that_drops_the_image():
