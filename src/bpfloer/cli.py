@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import serialize
@@ -471,16 +470,13 @@ def cmd_verify(args, cfg):
         groups = [parse_group(x) for x in names.split(",")]
     else:
         groups = list(DEFAULT_GROUPS)
+    # --jobs is parsed, checked and echoed in the report, but groups run in
+    # order on one thread whatever its value
     jobs = _parse_jobs(_merged(args, cfg, "jobs", 1))
     t0 = time.perf_counter()
     all_checks = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            for chunk in ex.map(lambda g: _verify_group(g, field), groups):
-                all_checks.extend(chunk)
-    else:
-        for g in groups:
-            all_checks.extend(_verify_group(g, field))
+    for g in groups:
+        all_checks.extend(_verify_group(g, field))
     all_checks.sort(key=lambda c: (c[1], c[0]))
     elapsed = time.perf_counter() - t0
     fmt = _merged(args, cfg, "format", "text")

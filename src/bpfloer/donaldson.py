@@ -5,11 +5,14 @@ vertex, t-generators at t = 3 (free orbits) or t = 2 (two-sphere orbits).
 For the reversed orientation the only differential raises t by 3 and drops
 the level by 4; for the standard orientation there are three components.
 Windows materialize a finite filtration/degree rectangle as a FiniteComplex
-together with the degree +3 action of the exterior generator.
+together with the degree +3 action of the exterior generator; the generators
+of a rectangle, in basis order, are DonaldsonModel.window_generators, which
+the U-adic reduction reads without materializing anything.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chains import ChainMap, FiniteComplex
 from .errors import BPFloerError
@@ -54,8 +57,9 @@ class Window:
         return range(lo, hi + 1)
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(NamedTuple):
+    """A generator: equal to, and hashed like, the plain tuple (vertex, t, level)."""
+
     vertex: str
     t: int
     level: int
@@ -118,6 +122,16 @@ class DonaldsonModel:
             return {Gen(gen.vertex, 3, gen.level): 1}
         return {}
 
+    def window_generators(self, win: Window):
+        """The generators in win, sorted by (degree, level, vertex, t): the
+        order of every window's basis."""
+        keyed = sorted((level + t, level, v.name, t)
+                       for v in self.sgraph.vertices
+                       for level in win.levels(self.base_level(v.name))
+                       for t in self.generator_slots(v.name)
+                       if win.n_lo <= level + t <= win.n_hi)
+        return [Gen(name, t, level) for _, level, name, t in keyed]
+
     def window(self, win: Window, field=QQ) -> "WindowedComplex":
         return WindowedComplex(self, win, field)
 
@@ -134,13 +148,7 @@ class WindowedComplex:
         self.win = win
         self.field = field
         cx = FiniteComplex(field)
-        gens = []
-        for v in model.sgraph.vertices:
-            for level in win.levels(model.base_level(v.name)):
-                for t in model.generator_slots(v.name):
-                    if win.n_lo <= level + t <= win.n_hi:
-                        gens.append(Gen(v.name, t, level))
-        gens.sort(key=lambda g: (g.degree, g.level, g.vertex, g.t))
+        gens = model.window_generators(win)
         for g in gens:
             cx.add_generator(g.degree, g, level=g.level)
         for g in gens:

@@ -2,8 +2,9 @@
 exterior algebra on one degree-3 generator, the norm map and the check that
 its cone is the Tate model, the cone triangle read from dims alone, a
 literal bar-construction oracle, orbit-homology calculators, and the U-adic
-reduction of a source window, from which the chain route reads all three
-flavors as bars.
+reduction of the model's generators in a source window, read straight off
+the DonaldsonModel with no window materialized, from which the chain route
+reads all three flavors as bars.
 
 One code path materializes all three flavors: the double complex has columns
 p (p >= 0 for '+', p <= 0 for '-', all p for 'inf'), column p carrying the
@@ -17,8 +18,9 @@ import heapq
 from typing import NamedTuple
 
 from .chains import ChainMap, FiniteComplex, HomologyData
-from .donaldson import WindowedComplex
+from .donaldson import DonaldsonModel, Gen, Window, WindowedComplex
 from .errors import BPFloerError, OracleMismatch, TriangleViolation
+from .fields import QQ
 from .groups import FULLY_REDUCIBLE, IRREDUCIBLE, ORBITS
 from .presented import FINITE, PI8, PIINF8, BarWindow, Family, PresentedModule
 from .sparse import _apply_columns
@@ -100,17 +102,18 @@ def functor_model(window: WindowedComplex, flavor, deg_lo, deg_hi) -> FunctorMod
 
 
 # ---------------------------------------------------------------------------
-# One U-adic reduction per source window, read as bars.
+# One U-adic reduction per source window, read off the model as bars.
 
 
 class UReduction:
     """The U-adic reduction of a free graded F[U]-complex, and its bars.
 
-    The complex has one F[U] generator per key of degrees (a dict generator
-    -> degree, whose order breaks ties) and D x = sum of c * U^k y over the
-    entries {y: c} of differential[x], U of degree -4.  An entry is stored
-    as the constant c: D has degree -1, so k = (deg y - deg x + 1)/4, and an
-    entry where that is negative or not an integer raises BPFloerError.
+    The complex has one F[U] generator per label, the generator at position
+    i of degree degrees[i] (positions break ties), and D x_i = sum of
+    c * U^k x_j over the entries {j: c} of columns[i], U of degree -4.  An
+    entry is stored as the constant c: D has degree -1, so k = (deg x_j -
+    deg x_i + 1)/4, and an entry where that is negative or not an integer
+    raises BPFloerError naming the two labels.
 
     One elimination loop pivots on an entry x -> y of least k, among those
     of least Markowitz cost (|column x| - 1)(|row y| - 1), then generator
@@ -132,31 +135,28 @@ class UReduction:
     F[U, U^-1]/U F[U], 'inf' with F[U, U^-1].
     """
 
-    def __init__(self, field, degrees, differential):
+    def __init__(self, field, labels, degrees, columns):
         self.field = field
-        labels = list(degrees)
-        index = {g: i for i, g in enumerate(labels)}
-        deg = [degrees[g] for g in labels]
-        self.labels, self.degrees = labels, deg
-        cols = [{} for _ in labels]
-        rows = [{} for _ in labels]
-        for x, img in differential.items():
-            i = index[x]
-            for y, v in img.items():
+        self.labels, self.degrees = list(labels), list(degrees)
+        deg = self.degrees
+        cols = [{} for _ in self.labels]
+        rows = [{} for _ in self.labels]
+        for i, col in enumerate(columns):
+            col_i = cols[i]
+            for j, v in col.items():
                 if field.is_zero(v):
                     continue
-                j = index[y]
                 k, rem = divmod(deg[j] - deg[i] + 1, 4)
                 if rem or k < 0:
                     raise BPFloerError(
                         "entry %r -> %r: U-power (%d - %d + 1)/4 is %s" % (
-                            x, y, deg[j], deg[i],
+                            self.labels[i], self.labels[j], deg[j], deg[i],
                             "not an integer" if rem else "negative"))
-                cols[i][j] = rows[j][i] = v
+                col_i[j] = rows[j][i] = v
         self.pairs = []  # (x, y, k) as generator positions, in elimination order
         self._eliminate_all(cols, rows)
         paired = {g for x, y, _ in self.pairs for g in (x, y)}
-        self.free = [i for i in range(len(labels)) if i not in paired]
+        self.free = [i for i in range(len(self.labels)) if i not in paired]
 
     def _eliminate_all(self, cols, rows):
         f, deg = self.field, self.degrees
@@ -258,22 +258,44 @@ class UReduction:
         return BarWindow(bars, n_lo, n_hi)
 
 
-def u_reduction(window: WindowedComplex) -> UReduction:
-    """The reduction of the window's free F[U]-complex: D x = d x +
+def u_reduction(model: DonaldsonModel, win: Window, field=QQ) -> UReduction:
+    """The reduction of the free F[U]-complex of the model's generators in
+    win (DonaldsonModel.window_generators, in that order): D x = d x +
     (-1)^(deg x + 1) U u(x), FunctorModel's sign (its degree n is
-    deg x + 4p), so every flavor's model is this complex tensored over F[U]."""
-    cx, u, f = window.complex, window.u, window.field
-    degrees, differential = {}, {}
-    for d in cx.degrees():
-        sgn = f.of(1 if d % 2 else -1)
-        down, up = cx.basis.get(d - 1, ()), cx.basis.get(d + 3, ())
-        for i, g in enumerate(cx.basis[d]):
-            degrees[g] = d
-            img = {down[r]: v for r, v in cx.boundary_columns(d)[i].items()}
-            for r, v in u.column(d, i).items():
-                img[up[r]] = f.mul(sgn, v)
-            differential[g] = img
-    return UReduction(f, degrees, differential)
+    deg x + 4p), so every flavor's model is this complex tensored over F[U].
+
+    The model is read straight, with no window built: each (vertex, t)'s
+    differential and u image are read once, at level 0, and shifted to
+    each level; targets outside win drop out, as in WindowedComplex."""
+    gens = model.window_generators(win)
+    index = {g: i for i, g in enumerate(gens)}
+
+    def at_level_0(image):  # [(vertex, t, level shift, value)], zeros dropped
+        return [(y.vertex, y.t, y.level, v) for y, c in image.items()
+                if not field.is_zero(v := field.of(c))]
+
+    reads = {}  # (vertex, t) -> (d image, u image) at level 0
+    for name, t, _ in gens:
+        if (name, t) not in reads:
+            at0 = Gen(name, t, 0)
+            reads[name, t] = at_level_0(model.differential(at0)), at_level_0(model.u_action(at0))
+    signs = field.of(-1), field.of(1)  # (-1)^(deg x + 1), by the parity of deg x
+    degrees, columns = [], []
+    for name, t, level in gens:
+        d_image, u_image = reads[name, t]
+        col = {}
+        for vertex, s, shift, v in d_image:
+            j = index.get((vertex, s, level + shift))
+            if j is not None:
+                col[j] = v
+        sgn = signs[(level + t) % 2]
+        for vertex, s, shift, v in u_image:
+            j = index.get((vertex, s, level + shift))
+            if j is not None:
+                col[j] = field.mul(sgn, v)
+        degrees.append(level + t)
+        columns.append(col)
+    return UReduction(field, gens, degrees, columns)
 
 
 def orbit_homology(kind, flavor) -> PresentedModule:

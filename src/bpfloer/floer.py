@@ -11,11 +11,12 @@ is the (std, +) module.  The other four (orientation, flavor) pairs have no
 page derivation here: their closed forms live only in theorems.py.  A
 GroupRun is the one handle on a group's shared computations over one field:
 the (bar, -) pages, the comparison window they size, the assembled modules,
-each orientation's U-adic reduction of a source window and the window
-models.  pair_reports checks every pair on it against the chain route, the
-pair's bars read off the reduction of its orientation, and (bar, -) also
-against the page route; direct_homology_window is the one-shot chain route
-on a fresh GroupRun.
+each orientation's U-adic reduction of a source window, and the
+materialized windows and flavor models of the cone triangle.  pair_reports
+checks every pair on it against the chain route, the pair's bars read off
+the reduction of its orientation, and (bar, -) also against the page
+route; direct_homology_window is the one-shot chain route on a fresh
+GroupRun.
 """
 from __future__ import annotations
 
@@ -266,12 +267,14 @@ class GroupRun:
     one field, each made once on first use.
 
     It holds the (bar, -) page run and the comparison window it sets, the
-    assembled modules, each orientation's source window and its U-adic
-    reduction, keyed by (orientation, window), and each flavor's
-    FunctorModel, keyed by (orientation, flavor, window).  The chain route
-    and floer-raw read all three flavors off the one reduction; the
-    FunctorModels, each with its HomologyData, serve the cone triangle only
-    (verify's and floer-raw's), which reads their dims.  verify and
+    assembled modules, each orientation's U-adic reduction of a source
+    window, read straight off the model, and each materialized source window,
+    keyed by (orientation, window), and each flavor's FunctorModel, keyed by
+    (orientation, flavor, window).  The chain route and floer-raw read all
+    three flavors off the one reduction, which builds no window; the
+    materialized windows serve the FunctorModels only, and those, each with
+    its HomologyData, serve the cone triangle only (verify's and
+    floer-raw's), which reads their dims.  verify and
     the floer commands make one per group and drop it when the group is done.
     The independent routes (bar_oracle, ss_accounting) build their own, so
     that no cross-check compares an object with itself.
@@ -327,17 +330,20 @@ class GroupRun:
         return self._assembled[key]
 
     def window(self, orientation, source: Window) -> WindowedComplex:
-        """The orientation's model on the source window."""
+        """The orientation's model materialized on the source window, the
+        source of the FunctorModels."""
         key = orientation, source
         if key not in self._windows:
             self._windows[key] = self.model(orientation).window(source, self.field)
         return self._windows[key]
 
     def reduction(self, orientation, source: Window) -> UReduction:
-        """The U-adic reduction of the orientation's source window."""
+        """The U-adic reduction of the orientation's source window, read
+        straight off the model (equivariant.u_reduction): no window is
+        materialized."""
         key = orientation, source
         if key not in self._reductions:
-            self._reductions[key] = u_reduction(self.window(orientation, source))
+            self._reductions[key] = u_reduction(self.model(orientation), source, self.field)
         return self._reductions[key]
 
     def functor(self, orientation, flavor, win: Window) -> FunctorModel:

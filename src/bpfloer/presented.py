@@ -369,14 +369,15 @@ class BarWindow:
     def __init__(self, bars, n_lo, n_hi):
         self.n_lo, self.n_hi = n_lo, n_hi
         self.bars = {}  # (lo, hi) -> multiplicity
+        for lo, hi in bars:  # the cut towers repeat: each distinct bar is walked once
+            self.bars[lo, hi] = self.bars.get((lo, hi), 0) + 1
         self._dims = {}
-        for lo, hi in bars:
+        for (lo, hi), mult in self.bars.items():
             if (hi - lo) % 4 or not n_lo <= lo <= hi <= n_hi:
                 raise BPFloerError("bar %r does not run down one residue class of [%d, %d]"
                                    % ((lo, hi), n_lo, n_hi))
-            self.bars[lo, hi] = self.bars.get((lo, hi), 0) + 1
             for n in range(lo, hi + 1, 4):
-                self._dims[n] = self._dims.get(n, 0) + 1
+                self._dims[n] = self._dims.get(n, 0) + mult
 
     def dim(self, n):
         return self._dims.get(n, 0)

@@ -1,8 +1,10 @@
 """The tests' own builders and checks, independent of the package's
 elimination: a dense Gauss-Jordan rank and kernel, the single-orbit
-complexes of criterion 3, and the d^2 = 0 check of a complex."""
+complexes of criterion 3, the d^2 = 0 check of a complex, and the U-adic
+reduction's input read off a materialized window."""
 from bpfloer.chains import ChainMap, FiniteComplex
 from bpfloer.donaldson import Gen
+from bpfloer.equivariant import UReduction
 from bpfloer.fields import QQ
 from bpfloer.groups import IRREDUCIBLE, ORBITS
 from bpfloer.sparse import _apply_columns
@@ -63,3 +65,25 @@ def check_dd_zero(cx):
         lower = cx.boundary_columns(n - 1)
         for pos, col in enumerate(cx.boundary_columns(n)):
             assert not _apply_columns(cx.field, lower, col), (n, cx.basis[n][pos])
+
+
+def window_u_reduction(window):
+    """The UReduction of a materialized WindowedComplex: its generators in
+    basis order, degree by degree, and D x = d x + (-1)^(deg x + 1) U u(x)
+    read off the window's boundary columns and its u ChainMap, each column
+    moved from its degree's positions to the flat ones."""
+    cx, u, f = window.complex, window.u, window.field
+    labels, degrees, start = [], [], {}
+    for d in cx.degrees():
+        start[d] = len(labels)
+        labels += cx.basis[d]
+        degrees += [d] * cx.dim(d)
+    columns = []
+    for d in cx.degrees():
+        sgn = f.of(1 if d % 2 else -1)
+        for i, scol in enumerate(cx.boundary_columns(d)):
+            col = {start[d - 1] + r: v for r, v in scol.items()}
+            for r, v in u.column(d, i).items():
+                col[start[d + 3] + r] = f.mul(sgn, v)
+            columns.append(col)
+    return UReduction(f, labels, degrees, columns)

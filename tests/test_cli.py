@@ -179,8 +179,9 @@ def test_floer_builds_the_pages_once(capsys, monkeypatch):
 
 def test_verify_shares_one_computation_per_group(capsys, monkeypatch):
     # the assembly and triangle checks read one GroupRun.  The chain route
-    # reads all six pairs off one reduction per orientation and builds no
-    # model; the triangle check builds the three bar models and their
+    # reads all six pairs off one reduction per orientation, made straight
+    # off the model: it materializes no window and builds no flavor model;
+    # the triangle check builds the three bar models and their
     # homologies; the (bar, -) pages run once.  The bar oracle and the
     # accounting build their own: 2 models each, and the accounting 2
     # homologies.  Before the reduction this was 10 models and 8 homologies,
@@ -200,6 +201,8 @@ def test_verify_shares_one_computation_per_group(capsys, monkeypatch):
     (owner,) = [b[1] for b in built if b[0] == "GroupRun"]
     assert sorted(owner._reductions) == [(o, owner.comparison_window()[0].source)
                                          for o in (BAR, STD)]
+    # the one materialized window is the triangle's bar source
+    assert list(owner._windows) == [(BAR, owner.comparison_window()[0].source)]
     shared = {id(fm) for fm in owner._functors.values()}
     assert [key[:2] for key in owner._functors] == [(BAR, PLUS), (BAR, MINUS), (BAR, TATE)]
     for callers in ("bar_oracle", "ss_accounting"):

@@ -22,6 +22,7 @@ from bpfloer.equivariant import (
 )
 from bpfloer.errors import BPFloerError, OracleMismatch
 from bpfloer.fields import PrimeField, QQ
+from bpfloer.floer import GroupRun
 from bpfloer.groups import (
     FULLY_REDUCIBLE,
     IRREDUCIBLE,
@@ -35,7 +36,7 @@ from bpfloer.groups import (
 from bpfloer.presented import ModuleWindow
 from bpfloer.sparse import _apply_columns
 
-from oracles import check_dd_zero, dense_rank_and_kernel, single_orbit_complex
+from oracles import check_dd_zero, dense_rank_and_kernel, single_orbit_complex, window_u_reduction
 
 
 KINDS = [FULLY_REDUCIBLE, REDUCIBLE, IRREDUCIBLE]
@@ -391,7 +392,6 @@ def test_exact_triangle_ranks_each_boundary_once(g, monkeypatch):
     # ranks of the boundaries out of and into it, so each model ranks its
     # boundaries out of 16 degrees, once each (a degree off the complex
     # needs no elimination)
-    from bpfloer.floer import GroupRun
     from bpfloer.sparse import TrackedEchelon
 
     run = GroupRun(g)
@@ -487,6 +487,15 @@ def test_long_exact_sequence_with_framed_homology():
 # The U-adic reduction
 
 
+def labeled_reduction(field, degrees, differential):
+    """UReduction of a complex given by label: degrees {x: deg x} (whose
+    order is the generators' order) and differential {x: {y: c}}."""
+    labels = list(degrees)
+    index = {g: i for i, g in enumerate(labels)}
+    return UReduction(field, labels, [degrees[g] for g in labels],
+                      [{index[y]: c for y, c in differential.get(g, {}).items()} for g in labels])
+
+
 def planted_complex(rng, field):
     """A random direct sum of elementary complexes F[U]x -> U^k F[U]y
     (k = 0..4) and free generators, conjugated by random elementary basis
@@ -534,7 +543,7 @@ def test_reduction_recovers_planted_bars(field):
     for _ in range(80):
         degrees, cols, bars, free = planted_complex(rng, field)
         mixed += any(cols[t] for col in cols.values() for t in col)  # D^2 terms to check
-        red = UReduction(field, degrees, cols)
+        red = labeled_reduction(field, degrees, cols)
         got = sorted((red.degrees[y], k) for _, y, k in red.pairs if k)
         assert got == bars
         assert sorted(red.degrees[z] for z in red.free) == free
@@ -545,23 +554,23 @@ def test_reduction_recovers_planted_bars(field):
 def test_reduction_rejects_an_entry_of_no_u_power():
     with pytest.raises(BPFloerError, match=r"'a' -> 'b': U-power \(0 - 0 \+ 1\)/4 is not an "
                                            r"integer"):
-        UReduction(QQ, {"a": 0, "b": 0}, {"a": {"b": 1}})
+        labeled_reduction(QQ, {"a": 0, "b": 0}, {"a": {"b": 1}})
     with pytest.raises(BPFloerError, match=r"'a' -> 'b': U-power \(-5 - 0 \+ 1\)/4 is negative"):
-        UReduction(QQ, {"a": 0, "b": -5}, {"a": {"b": 1}})
+        labeled_reduction(QQ, {"a": 0, "b": -5}, {"a": {"b": 1}})
 
 
 def test_reduction_rejects_a_differential_that_does_not_square_to_zero():
     # a -> b -> c with D^2 a = c: whichever entry is eliminated first, the
     # basis that splits it off leaves the other one standing
     with pytest.raises(BPFloerError, match="leaves an entry: D\\^2 'a' has an entry on 'c'"):
-        UReduction(QQ, {"a": 2, "b": 1, "c": 0}, {"a": {"b": 1}, "b": {"c": 1}})
+        labeled_reduction(QQ, {"a": 2, "b": 1, "c": 0}, {"a": {"b": 1}, "b": {"c": 1}})
     # a -> b and a' -> b' with U^1 b' -> c: here D^2 a' = U c
     with pytest.raises(BPFloerError, match="D does not square to zero"):
-        UReduction(PrimeField(5), {"a": 2, "b": 1, "c": 4},
-                   {"a": {"b": 1}, "b": {"c": 2}})
+        labeled_reduction(PrimeField(5), {"a": 2, "b": 1, "c": 4},
+                          {"a": {"b": 1}, "b": {"c": 2}})
     # the same shapes with D^2 = 0 reduce
-    red = UReduction(QQ, {"a": 2, "b": 1, "c": 1, "d": 0},
-                     {"a": {"b": 1, "c": -1}, "b": {"d": 1}, "c": {"d": 1}})
+    red = labeled_reduction(QQ, {"a": 2, "b": 1, "c": 1, "d": 0},
+                            {"a": {"b": 1, "c": -1}, "b": {"d": 1}, "c": {"d": 1}})
     assert red.counts() == (4, 2, 0, 0)
 
 
@@ -573,11 +582,55 @@ def test_reduction_flavors_are_the_totalized_homology(g):
     # bounds into the highest)
     win = Window(-13, 11, -12, 12)
     for orientation in (BAR, STD):
-        w = build_model(g, orientation).window(win.source)
-        red = u_reduction(w)
+        model = build_model(g, orientation)
+        w = model.window(win.source)
+        red = u_reduction(model, win.source)
         assert red.counts()[0] == w.complex.total_dim()
         for flavor in (PLUS, MINUS, TATE):
             bars = red.bar_window(flavor, win.n_lo, win.n_hi)
             h = functor_model(w, flavor, win.n_lo, win.n_hi).homology()
             for n in range(win.n_lo + 1, win.n_hi):
                 assert bars.dim(n) == h.dim(n), (orientation, flavor, n)
+
+
+def assert_same_reduction(got, want):
+    assert got.labels == want.labels
+    assert got.degrees == want.degrees
+    assert got.pairs == want.pairs
+    assert got.free == want.free
+
+
+ACCEPT_GROUPS = ([cyclic(k) for k in range(2, 13)] + [binary_dihedral(k) for k in range(2, 13)]
+                 + [T_STAR, O_STAR, I_STAR])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=lambda f: f.name)
+def test_reduction_off_the_model_is_the_reduction_of_the_window(field):
+    # the chain route reads the model straight; the oracle materializes the
+    # window and reads its boundary and u columns: the same generators in
+    # the same order, the same pairs in the same elimination order
+    for g in ACCEPT_GROUPS:
+        source = GroupRun(g, field).comparison_window()[0].source
+        for orientation in (BAR, STD):
+            model = build_model(g, orientation)
+            assert_same_reduction(u_reduction(model, source, field),
+                                  window_u_reduction(model.window(source, field)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)], ids=lambda f: f.name)
+@pytest.mark.parametrize("g, orientation, n_lo, n_hi", [
+    (T_STAR, BAR, -8, 5), (T_STAR, STD, -7, 10),
+    (binary_dihedral(7), BAR, -8, 6), (binary_dihedral(7), STD, -7, 6)],
+    ids=str)
+def test_reduction_off_the_model_drops_targets_outside_a_truncated_window(
+        g, orientation, n_lo, n_hi, field):
+    # levels (-13, 11] cut to degrees [n_lo, n_hi]: a d-target of degree
+    # n_lo - 1 and a u-target above n_hi are in the model but not in the
+    # window; over F_3 T*'s arrow of coefficient 3 drops out too
+    win = Window(-13, 11, n_lo, n_hi)
+    model = build_model(g, orientation)
+    gens = set(model.window_generators(win))
+    for image in (model.differential, model.u_action):
+        assert any(y not in gens for x in gens for y in image(x)), image.__name__
+    assert_same_reduction(u_reduction(model, win, field),
+                          window_u_reduction(model.window(win, field)))

@@ -337,13 +337,15 @@ def test_closed_form_reports_make_every_u_rank(g):
 
 def test_chain_route_builds_no_functor_model_and_no_homology(monkeypatch):
     # the chain route reads every flavor off one U-adic reduction of the
-    # source window: no totalization, no homology elimination, no induced U;
-    # one GroupRun reduces each orientation's source window once
+    # source window, read straight off the model: no materialized window, no
+    # totalization, no homology elimination, no induced U; one GroupRun
+    # reduces each orientation's source window once
     from bpfloer.chains import HomologyData
+    from bpfloer.donaldson import WindowedComplex
     from bpfloer.equivariant import FunctorModel, UReduction
 
     built = []
-    for cls in (FunctorModel, HomologyData, UReduction):
+    for cls in (FunctorModel, HomologyData, UReduction, WindowedComplex):
         def counted(self, *args, real=cls.__init__, name=cls.__name__):
             built.append(name)
             real(self, *args)
@@ -355,6 +357,7 @@ def test_chain_route_builds_no_functor_model_and_no_homology(monkeypatch):
         rep = compare_windows(run.homology_window(orientation, flavor, win), enc, win,
                               4, margin, 6)
         assert rep.ok and rep.urank_made > 0
+    assert built.count("WindowedComplex") == 0
     assert built == ["UReduction", "UReduction"]
 
 
@@ -447,6 +450,42 @@ def test_bar_window_counts_bars():
     assert bw.u_rank_table(4, 9, 2) == {(1, 8): 1, (1, 9): 2}
     with pytest.raises(BPFloerError, match="does not run down one residue class"):
         BarWindow([(0, 6)], 0, 12)
+
+
+def test_bar_window_counts_match_a_walk_over_the_bar_list():
+    # random bar lists with repeats and bars ending on both window ends:
+    # dim(n) is the number of bars through n and rank U^k out of n the number
+    # through both n and n - 4k, counted bar by bar in the list
+    rng = random.Random(44)
+    seen = {"repeat": 0, "at n_lo": 0, "at n_hi": 0}
+    for _ in range(200):
+        n_lo, n_hi = rng.randint(-12, 0), rng.randint(1, 14)
+        bars = []
+        for _ in range(rng.randint(0, 10)):
+            lo = rng.choice([n_lo, n_lo + 1, rng.randint(n_lo, n_hi)])
+            hi = lo + 4 * rng.randint(0, (n_hi - lo) // 4)
+            if rng.random() < 0.3:
+                hi = n_hi - (n_hi - lo) % 4
+            bars += [(lo, hi)] * rng.choice([1, 1, 2, 3])
+        rng.shuffle(bars)
+        seen["repeat"] += len(set(bars)) < len(bars)
+        seen["at n_lo"] += any(lo == n_lo for lo, _ in bars)
+        seen["at n_hi"] += any(hi == n_hi for _, hi in bars)
+
+        def through(n, lo, hi):
+            return lo <= n <= hi and (n - lo) % 4 == 0
+
+        bw = BarWindow(bars, n_lo, n_hi)
+        for n in range(n_lo - 4, n_hi + 5):
+            assert bw.dim(n) == sum(through(n, *b) for b in bars), (bars, n)
+            for k in range(1, 7):
+                assert bw.u_power_rank(k, n) == sum(
+                    through(n, *b) and through(n - 4 * k, *b) for b in bars), (bars, k, n)
+        lo, hi = rng.randint(n_lo - 4, n_lo + 4), rng.randint(n_hi - 4, n_hi + 4)
+        assert bw.u_rank_table(lo, hi, 6) == {
+            (k, n): sum(through(n, *b) and through(n - 4 * k, *b) for b in bars)
+            for n in range(lo, hi + 1) for k in range(1, min(6, (n - lo) // 4) + 1)}
+    assert min(seen.values()) > 50, seen
 
 
 def test_bar_window_answers_0_below_its_window():
