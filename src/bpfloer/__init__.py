@@ -29,7 +29,6 @@ from .floer import (
     MinusPages,
     direct_homology_window,
     norm_vanishing_and_splitting,
-    run_to_einfty,
     ss_accounting,
 )
 from .groups import (

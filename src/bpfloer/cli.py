@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import serialize
 from .cs import chern_simons, cs_difference, cs_table, q_vertex
 from .donaldson import BAR, STD, Window, build_model, toi_multicomplex_matches
-from .equivariant import MINUS, PLUS, TATE, bar_oracle, exact_triangle_check
+from .equivariant import MINUS, PLUS, TATE, bar_oracle, exact_triangle_check, functor_model
 from .errors import BPFloerError, WrongFlavor
 from .fields import parse_field
 from .floer import (
@@ -25,7 +25,6 @@ from .floer import (
     duality_transpose_check,
     norm_vanishing_and_splitting,
     pair_reports,
-    run_to_einfty,
     ss_accounting,
 )
 from .groups import (
@@ -219,7 +218,6 @@ def cmd_floer(args, cfg):
     win, margin = run.comparison_window()
     if any(_merged(args, cfg, key, None) is not None for key in ("window", "degrees")):
         win = _window_from(args, cfg)
-    pages, degen = run_to_einfty(run, orientation, flavor)
     try:
         shown, what = run.assembled(orientation, flavor), "assembled"
     except WrongFlavor:  # no page derivation: show the closed form
@@ -246,7 +244,8 @@ def cmd_floer(args, cfg):
                 "class" if f.top == 0 else "tower")
             print("  %-28s degree %3d  column %d  (%s, step %d)"
                   % (f.label, f.base_degree, f.column, kind, f.step))
-        if pages is not None:
+        if (orientation, flavor) == (BAR, MINUS):
+            pages = run.pages
             print("stable page table (columns 0 and 4):")
             for col in (0, 4):
                 surv = pages.surviving_h(col)
@@ -255,10 +254,9 @@ def cmd_floer(args, cfg):
                     ker = pages.kernel_space(col, r)
                     labels = [pages.gen_label(col, r, v) for v in ker]
                     print("    t=%-4d dim %d  %s" % (-4 * (r - 1), len(ker), labels))
-        if degen is None:
+            print("degeneration page: %d" % pages.degeneration_page)
+        elif (orientation, flavor) == (STD, PLUS):
             print("assembled through the duality with the other orientation")
-        else:
-            print("degeneration page: %d" % degen)
         for route, rep, coverage in reports:
             print("%s vs the closed form: %s (%s)"
                   % (route, "PASS" if rep.ok else "FAIL", coverage))
@@ -286,8 +284,9 @@ def cmd_floer_raw(args, cfg):
     # the source window's degree span cut to the requested degrees, its interior(4, 4)
     lo, hi = max(win.n_lo, win.q + 1), min(win.n_hi, win.p + 3)
     degrees = Window(win.q, win.p, lo, hi).interior(4, 4) if lo <= hi else ()
-    models = (run.functor(orientation, fl, win) for fl in (PLUS, MINUS, TATE))
-    triangle = exact_triangle_check(*models, degrees)
+    source = run.model(orientation).window(win.source, field)
+    triangle = exact_triangle_check(*(functor_model(source, fl, win.n_lo, win.n_hi)
+                                      for fl in (PLUS, MINUS, TATE)), degrees)
     if not triangle["checked"]:
         raise BPFloerError("the cone triangle checked no interior degree: widen --window "
                            "and --degrees")
@@ -526,6 +525,9 @@ def main(argv=None):
             val = _merged(args, cfg, key, None)
             if val is not None:
                 parse(val)
+        key = "window"
+        if any(_merged(args, cfg, k, None) is not None for k in ("window", "degrees")):
+            _window_from(args, cfg)  # an empty or inverted window
     except BPFloerError as e:
         print("usage error: %s: %s" % (key, e), file=sys.stderr)
         return 2

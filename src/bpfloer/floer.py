@@ -8,14 +8,15 @@ the surviving quotient.  Degeneration is reached when both t = 3 lines die.
 
 The page engine derives the (bar, -) module; its dual (PresentedModule.dual)
 is the (std, +) module.  The other four (orientation, flavor) pairs have no
-page derivation here: their closed forms live only in theorems.py.  A
-GroupRun is the one handle on a group's shared computations over one field:
-the (bar, -) pages, the comparison window they size, the assembled modules,
-each orientation's U-adic reduction of a source window, and the
-materialized windows and flavor models of the cone triangle.  pair_reports
-checks every pair on it against the chain route, the pair's bars read off
-the reduction of its orientation, and (bar, -) also against the page
-route; direct_homology_window is the one-shot chain route on a fresh
+page derivation here: their closed forms live only in theorems.py, and the
+chain route checks them.  A GroupRun is the one handle on a group's shared
+computations over one field: the (bar, -) pages, the comparison window they
+size, the assembled modules and each orientation's U-adic reduction of a
+source window.  pair_reports checks every pair on it against the chain
+route, the pair's bars read off the reduction of its orientation, and
+(bar, -) also against the page route.  norm_vanishing_and_splitting builds
+the cone triangle's source window and its three flavor models itself, once
+per call.  direct_homology_window is the one-shot chain route on a fresh
 GroupRun.
 """
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .equivariant import (
     MINUS,
     PLUS,
     TATE,
-    FunctorModel,
     UReduction,
     exact_triangle_check,
     functor_model,
@@ -54,25 +54,6 @@ from .sparse import TrackedEchelon
 from .theorems import encoded_module
 
 
-def e1_entries(model: DonaldsonModel, flavor):
-    """E^1 entries on the {0, 4} column transversal: (s, t) -> family names.
-
-    Names are the family letters of groups.ORBITS: U/Z/h for '-', V/W/g
-    for '+', T/S for the Tate flavor.  A '-' family sits at the top t =
-    delta of its orbit, the others at t = 0.  Each tower family is recorded
-    once at its top entry; the power indices repeat down the column with
-    the internal degree.
-    """
-    out = {}
-    for v in model.sgraph.vertices:
-        orbit = ORBITS[v.kind]
-        letter = orbit.letter(flavor)
-        if letter is not None:
-            t = orbit.delta if flavor == MINUS else 0
-            out.setdefault((model.base_level(v.name) % 8, t), []).append((letter, v.name))
-    return out
-
-
 class MinusPages:
     """Page data of the '-' index spectral sequence (reversed orientation)."""
 
@@ -93,7 +74,6 @@ class MinusPages:
         # walk matrices on the vertex space; the same coefficients give the
         # boundary into the t-line
         names = [v.name for v in sg.vertices]
-        self.names = names
         self.psi = {
             w: {v: sg.label(w, v) for v in names if sg.label(w, v)}
             for w in names
@@ -200,27 +180,6 @@ class MinusPages:
         return "+".join(terms).replace("+-", "-")
 
 
-def run_to_einfty(run: GroupRun, orientation, flavor):
-    """Iterate pages to degeneration; returns (page data, degeneration page).
-
-    The (bar, -) pages are the run's.  On the reversed orientation the '+'
-    and Tate E^1 entries (e1_entries) all sit in even total degree s + t, so
-    those pages degenerate immediately; the same parity argument settles the
-    standard-orientation '-' and Tate flavors.  The standard-orientation '+'
-    flavor does carry odd-page differentials and has no page run: its
-    module is the dual of the (bar, -) one (GroupRun.assembled), so it
-    returns (None, None).
-    """
-    if (orientation, flavor) == (BAR, MINUS):
-        return run.pages, run.pages.degeneration_page
-    if (orientation, flavor) == (STD, PLUS):
-        return None, None
-    for (s, t), entries in sorted(e1_entries(run.model(orientation), flavor).items()):
-        if (s + t) % 2:
-            raise NonDegeneration("parity argument fails for %s" % entries[0][1])
-    return None, 1
-
-
 # ---------------------------------------------------------------------------
 # Assembly of the closed-form answers.
 
@@ -230,8 +189,6 @@ def assemble_minus_bar(pages: MinusPages) -> PresentedModule:
     f = pages.field
     fams = []
     for col in (0, 4):
-        if pages.surviving_h(col):
-            raise FreenessFailure("surviving t=3 classes are U-torsion (column %d)" % col)
         # Z-even towers: one generator Z^0 per reducible vertex of the column
         for kind, vname in pages.tower_gens[col]:
             if kind == "Z":
@@ -266,25 +223,22 @@ class GroupRun:
     """The computations that the comparison checks of one group share, over
     one field, each made once on first use.
 
-    It holds the (bar, -) page run and the comparison window it sets, the
-    assembled modules, each orientation's U-adic reduction of a source
-    window, read straight off the model, and each materialized source window,
-    keyed by (orientation, window), and each flavor's FunctorModel, keyed by
-    (orientation, flavor, window).  The chain route and floer-raw read all
-    three flavors off the one reduction, which builds no window; the
-    materialized windows serve the FunctorModels only, and those, each with
-    its HomologyData, serve the cone triangle only (verify's and
-    floer-raw's), which reads their dims.  verify and
-    the floer commands make one per group and drop it when the group is done.
-    The independent routes (bar_oracle, ss_accounting) build their own, so
-    that no cross-check compares an object with itself.
+    It holds each orientation's model, the (bar, -) page run and the
+    comparison window it sets, the assembled modules, and each orientation's
+    U-adic reduction of a source window, read straight off the model.  The
+    chain route and floer-raw read all three flavors off the one reduction,
+    which builds no window.  The cone triangle (verify's and floer-raw's) is
+    the only reader of a materialized window and its flavor models, and it
+    reads them once, so it builds them from GroupRun.model itself.  verify
+    and the floer commands make one per group and drop it when the group is
+    done.  The independent routes (bar_oracle, ss_accounting) build their
+    own models, so that no cross-check compares an object with itself.
     """
 
     def __init__(self, group, field=QQ):
         self.group = group
         self.field = field
-        self._models, self._windows, self._functors, self._assembled = {}, {}, {}, {}
-        self._reductions = {}
+        self._models, self._assembled, self._reductions = {}, {}, {}
         self._pages = None
 
     def model(self, orientation) -> DonaldsonModel:
@@ -329,14 +283,6 @@ class GroupRun:
                 )
         return self._assembled[key]
 
-    def window(self, orientation, source: Window) -> WindowedComplex:
-        """The orientation's model materialized on the source window, the
-        source of the FunctorModels."""
-        key = orientation, source
-        if key not in self._windows:
-            self._windows[key] = self.model(orientation).window(source, self.field)
-        return self._windows[key]
-
     def reduction(self, orientation, source: Window) -> UReduction:
         """The U-adic reduction of the orientation's source window, read
         straight off the model (equivariant.u_reduction): no window is
@@ -345,15 +291,6 @@ class GroupRun:
         if key not in self._reductions:
             self._reductions[key] = u_reduction(self.model(orientation), source, self.field)
         return self._reductions[key]
-
-    def functor(self, orientation, flavor, win: Window) -> FunctorModel:
-        """The flavor's model on win: the source window is win.source, and the
-        degree range [win.n_lo, win.n_hi] applies to the totalization."""
-        key = orientation, flavor, win
-        if key not in self._functors:
-            self._functors[key] = functor_model(self.window(orientation, win.source), flavor,
-                                                win.n_lo, win.n_hi)
-        return self._functors[key]
 
     def homology_window(self, orientation, flavor, win: Window) -> BarWindow:
         """The flavor's window homology on win, as bars read off the reduction
@@ -448,8 +385,9 @@ def norm_vanishing_and_splitting(run: GroupRun):
     win, margin = run.comparison_window()
     degrees = win.interior(4, margin)
     read = Window(win.q, win.p, degrees.start - 5, degrees.stop)
-    report = exact_triangle_check(*(run.functor(BAR, fl, read) for fl in (PLUS, MINUS, TATE)),
-                                  degrees)
+    source = run.model(BAR).window(read.source, run.field)
+    report = exact_triangle_check(*(functor_model(source, fl, read.n_lo, read.n_hi)
+                                    for fl in (PLUS, MINUS, TATE)), degrees)
     if len(report["checked"]) < MIN_CHECKED_DEGREES:
         raise SplittingViolation("%s: the triangle checked %d of %d degrees, %d needed"
                                  % (group, len(report["checked"]), len(degrees), MIN_CHECKED_DEGREES))

@@ -6,8 +6,11 @@ import sys
 import pytest
 
 from bpfloer.cli import _verify_group, main
+from bpfloer.donaldson import BAR, STD
+from bpfloer.equivariant import MINUS, PLUS
 from bpfloer.errors import DecompositionFailure
 from bpfloer.fields import PrimeField, QQ
+from bpfloer.floer import PAIRS
 from bpfloer.groups import T_STAR, cyclic
 
 
@@ -177,6 +180,31 @@ def test_floer_builds_the_pages_once(capsys, monkeypatch):
     assert code == 0 and len(built) == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("orientation, flavor", PAIRS, ids="/".join)
+def test_floer_says_how_each_pair_was_made(capsys, orientation, flavor, fmt):
+    # (bar, -) is assembled from the pages and (std, +) through their dual;
+    # the other four pairs show their closed form, and only the page run
+    # prints a page table and a degeneration page
+    code, out = run_cli(capsys, "floer", "T*", "--orientation", orientation,
+                        "--flavor", flavor, "--format", fmt)
+    paged = (orientation, flavor) == (BAR, MINUS)
+    what = "assembled" if paged or (orientation, flavor) == (STD, PLUS) else "closed-form"
+    assert code == 0
+    if fmt == "json":
+        cut = out.index("}\n{") + 1
+        module, report = json.loads(out[:cut]), json.loads(out[cut:])
+        assert module["module"] == "%s T* %s %s" % (what, orientation, flavor)
+        assert report["all_pass"]
+    else:
+        assert out.startswith("%s module for T*" % what)
+        assert "chain-route vs the closed form: PASS" in out
+        assert ("assembled through the duality" in out) == ((orientation, flavor) == (STD, PLUS))
+    shows_pages = paged and fmt == "text"
+    assert ("stable page table" in out) == ("degeneration page" in out) == shows_pages
+    assert "degeneration page: 5" in out or not shows_pages
+
+
 def test_verify_shares_one_computation_per_group(capsys, monkeypatch):
     # the assembly and triangle checks read one GroupRun.  The chain route
     # reads all six pairs off one reduction per orientation, made straight
@@ -187,8 +215,7 @@ def test_verify_shares_one_computation_per_group(capsys, monkeypatch):
     # homologies.  Before the reduction this was 10 models and 8 homologies,
     # and before the sharing 13 models, 15 homologies and 4 page runs.
     from bpfloer.chains import HomologyData
-    from bpfloer.donaldson import BAR, STD
-    from bpfloer.equivariant import MINUS, PLUS, TATE, FunctorModel, UReduction
+    from bpfloer.equivariant import TATE, FunctorModel, UReduction
     from bpfloer.floer import GroupRun, MinusPages
 
     built = count_builds(monkeypatch, FunctorModel, HomologyData, MinusPages, UReduction,
@@ -201,10 +228,12 @@ def test_verify_shares_one_computation_per_group(capsys, monkeypatch):
     (owner,) = [b[1] for b in built if b[0] == "GroupRun"]
     assert sorted(owner._reductions) == [(o, owner.comparison_window()[0].source)
                                          for o in (BAR, STD)]
-    # the one materialized window is the triangle's bar source
-    assert list(owner._windows) == [(BAR, owner.comparison_window()[0].source)]
-    shared = {id(fm) for fm in owner._functors.values()}
-    assert [key[:2] for key in owner._functors] == [(BAR, PLUS), (BAR, MINUS), (BAR, TATE)]
+    # the triangle's three models share one source window
+    triangle = [b[1] for b in built
+                if b[0] == "FunctorModel" and "norm_vanishing_and_splitting" in b[2]]
+    assert [fm.flavor for fm in triangle] == [PLUS, MINUS, TATE]
+    assert len({id(fm.source) for fm in triangle}) == 1
+    shared = {id(fm) for fm in triangle}
     for callers in ("bar_oracle", "ss_accounting"):
         own = [b[1] for b in built if b[0] == "FunctorModel" and callers in b[2]]
         assert len(own) == 2 and not shared & {id(fm) for fm in own}, callers
@@ -379,15 +408,26 @@ def test_coeff_flag_overrides_config(tmp_path, capsys):
     (["verify"], "coeff = fp:x\n"),
     (["dci", "T*"], "window = 5\n"),
     (["floer-raw", "T*"], "degrees = a:b\n"),
+    (["dci", "T*", "--window=5:3"], None),
+    (["floer", "T*", "--window=3:3"], None),
+    (["floer-raw", "T*", "--degrees=8:-8"], None),
+    (["floer", "T*", "--degrees=8:-8"], None),
+    (["dci", "T*"], "degrees = 8:-8\n"),
+    (["floer", "T*"], "window = 5:3\n"),
+    (["floer-raw", "T*"], "window = 4:4\n"),
 ], ids=["coeff-fp:x", "coeff-fp:", "window-5", "window-a:b", "degrees--8", "jobs-0",
-        "config-jobs-two", "config-coeff-fp:x", "config-window-5", "config-degrees-a:b"])
+        "config-jobs-two", "config-coeff-fp:x", "config-window-5", "config-degrees-a:b",
+        "dci-window-5:3", "floer-window-3:3", "floer-raw-degrees-8:-8", "floer-degrees-8:-8",
+        "config-dci-degrees-8:-8", "config-floer-window-5:3", "config-floer-raw-window-4:4"])
 def test_malformed_values_are_usage_errors(tmp_path, capsys, argv, config):
+    # an empty or inverted window is malformed too: it exits 2 before any compute
     if config is not None:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         argv = ["--config", str(cfg)] + argv
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("usage error: ")
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: ")
 
 
 def test_floer_report_carries_its_measured_wall_time(capsys):
@@ -649,7 +689,7 @@ def test_planted_norm_rank_is_the_rank_of_h_nu(field):
     win, margin = run.comparison_window()
     degrees = win.interior(4, margin)
     read = Window(win.q, win.p, degrees.start - 5, degrees.stop)
-    cx, u = with_free_orbit(run.window(BAR, read.source))
+    cx, u = with_free_orbit(run.model(BAR).window(read.source, field))
     plus, minus, tate = (FunctorModel(cx, u, flavor, read.n_lo, read.n_hi)
                          for flavor in (PLUS, MINUS, TATE))
     report = exact_triangle_check(plus, minus, tate, degrees)

@@ -396,7 +396,8 @@ def test_exact_triangle_ranks_each_boundary_once(g, monkeypatch):
 
     run = GroupRun(g)
     win, margin = run.comparison_window()
-    models = [run.functor(BAR, flavor, win) for flavor in (PLUS, MINUS, TATE)]
+    source = run.model(BAR).window(win.source)
+    models = [functor_model(source, flavor, win.n_lo, win.n_hi) for flavor in (PLUS, MINUS, TATE)]
     calls = []
     real_rank, real_kernel = TrackedEchelon.independent, TrackedEchelon.kernel_of_columns
 

@@ -17,9 +17,7 @@ from bpfloer.floer import (
     MinusPages,
     closed_form_reports,
     direct_homology_window,
-    e1_entries,
     norm_vanishing_and_splitting,
-    run_to_einfty,
     ss_accounting,
 )
 from bpfloer.groups import I_STAR, O_STAR, T_STAR, binary_dihedral, cyclic, parse_group
@@ -58,18 +56,6 @@ def gen_index(pages, col, kind, name):
     return pages.tower_gens[col].index((kind, name))
 
 
-def test_e1_entries_icosahedral():
-    model = build_model(I_STAR, BAR)
-    entries = e1_entries(model, MINUS)
-    assert entries[(0, 0)] == [("U", "theta")]
-    assert entries[(0, 3)] == [("h", "beta")]
-    assert entries[(4, 3)] == [("h", "alpha")]
-    plus = e1_entries(model, PLUS)
-    assert plus[(0, 0)] == [("V", "theta"), ("g", "beta")]
-    tate = e1_entries(model, TATE)
-    assert (0, 3) not in tate and (4, 0) not in tate  # free orbits contribute nothing
-
-
 def test_icosahedral_differentials():
     pages = MinusPages(build_model(I_STAR, BAR))
     assert pages.d_value(1, 0, ("U", "theta")) == {0: Fraction(1)}
@@ -97,8 +83,7 @@ def test_octahedral_isos_and_page():
 
 @pytest.mark.parametrize("l", range(2, 13))
 def test_cyclic_degenerates_immediately(l):
-    pages, page = run_to_einfty(GroupRun(cyclic(l)), BAR, MINUS)
-    assert page == 1
+    assert GroupRun(cyclic(l)).pages.degeneration_page == 1
 
 
 def test_dihedral_ladder():
@@ -662,7 +647,7 @@ def test_u_rank_table_matches_the_walk_on_real_windows(g):
     interior = win.interior(4, margin)
     lo, hi = interior.start, interior.stop - 1
     for orientation, flavor in PAIRS:
-        fm = run.functor(orientation, flavor, win)
+        fm = functor_model(run.model(orientation).window(win.source), flavor, win.n_lo, win.n_hi)
         oracle = HomologyWindow(fm.homology(), fm.u)
         bars = run.homology_window(orientation, flavor, win)
         table = oracle.u_rank_table(lo, hi, 6)
@@ -941,23 +926,6 @@ def test_wrong_flavor_guard():
             GroupRun(T_STAR).assembled(orientation, flavor)
 
 
-def test_run_to_einfty_flavors():
-    run = GroupRun(O_STAR)
-    _, page = run_to_einfty(run, BAR, PLUS)
-    assert page == 1
-    _, page = run_to_einfty(run, BAR, TATE)
-    assert page == 1
-    _, page = run_to_einfty(run, STD, MINUS)
-    assert page == 1
-    _, page = run_to_einfty(run, STD, TATE)
-    assert page == 1
-    pages, page = run_to_einfty(run, BAR, MINUS)
-    assert page == 5 and pages is run.pages
-    # the standard-orientation '+' module is the dual of the (bar, -) one:
-    # there is no page run and no degeneration page
-    assert run_to_einfty(run, STD, PLUS) == (None, None)
-
-
 def test_freeness_guard_on_a_kernel_that_drops_the_image():
     # T*'s level-1 kernel of column 0 is spanned by -3U_theta + Z_lambda; U
     # carries it into level 2, so a level-2 kernel without that direction
@@ -973,9 +941,9 @@ def test_freeness_guard_on_a_kernel_that_drops_the_image():
 
 def test_guard_exceptions_on_corrupted_graphs(monkeypatch):
     # a graph whose walk matrix can never clear the t=3 line must abort
-    # rather than loop, and assembly must refuse the torsion classes
+    # rather than loop; the assembly never sees the survivors
     import bpfloer.mckay as mk
-    from bpfloer.errors import FreenessFailure, NonDegeneration
+    from bpfloer.errors import NonDegeneration
 
     g = I_STAR
     sg = mk.s_graph(g)
@@ -983,8 +951,8 @@ def test_guard_exceptions_on_corrupted_graphs(monkeypatch):
     broken = mk.SGraph(g, sg.vertices, sg.edges, dead)
     model = build_model(g, BAR)
     model.sgraph = broken
-    with pytest.raises((NonDegeneration, FreenessFailure)):
+    with pytest.raises(NonDegeneration):
         MinusPages(model)
     monkeypatch.setattr(floer, "build_model", lambda group, orientation: model)
-    with pytest.raises((NonDegeneration, FreenessFailure)):
+    with pytest.raises(NonDegeneration):
         GroupRun(g).assembled(BAR, MINUS)
